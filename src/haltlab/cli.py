@@ -11,8 +11,11 @@ Subcommands:
 * decompose  computable/rare split of the observed halting set
 
 Results are JSON (sorted keys, two-space indent) on stdout; rationals are
-always "numerator/denominator" strings. --workers only parallelizes sweeps
-and never changes output bytes, so it is not echoed in the config block.
+always "numerator/denominator" strings. --budget follows the one budget
+policy (haltlab.machine.check_budget): opaque machines need a positive
+budget, transparent machines are read exactly and take none. --workers is
+accepted and validated but has no effect: runs are sequential. It is not
+echoed in the config block.
 Exit codes: 0 ok, 2 usage, 3 resource limit, 4 degenerate distribution,
 5 violated invariant.
 """
@@ -26,10 +29,18 @@ from fractions import Fraction
 
 from haltlab import density as density_mod
 from haltlab import halting_prob, runtime_dist
-from haltlab import sweep as sweep_mod
 from haltlab.errors import ConfigError, HaltlabError
 from haltlab.intervals import Interval, format_fraction
-from haltlab.machine import Machine, is_transparent, load_machine, run
+from haltlab.machine import Machine, check_budget, load_machine, run
+from haltlab.sweep import (
+    conditional_probs,
+    eventual_fraction,
+    history_to_csv,
+    history_to_matrix,
+    prob_by,
+    prob_exact,
+    sweep,
+)
 
 
 def _emit(payload: dict) -> None:
@@ -42,34 +53,13 @@ def _interval_dict(interval: Interval) -> dict:
     return payload
 
 
-def _load(spec: str) -> Machine:
-    return load_machine(spec)
-
-
-def _check_workers(workers: int) -> int:
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
-    return workers
-
-
-def _resolve_budget(machine: Machine, budget: int | None) -> int | None:
-    """Opaque machines must state a budget; transparent ones must not."""
-    if is_transparent(machine):
-        if budget is not None:
-            raise ConfigError(
-                "--budget is not accepted for transparent machines "
-                "(their verdicts are exact)"
-            )
-        return None
-    if budget is None:
-        raise ConfigError("--budget is required for opaque machines")
-    if budget < 1:
-        raise ConfigError(f"--budget must be >= 1, got {budget}")
-    return budget
 
 
 def _load_distribution(
-    machine: Machine, args: argparse.Namespace, budget: int | None
+    machine: Machine, args: argparse.Namespace
 ) -> runtime_dist.RuntimeDistribution:
     if args.distribution is not None:
         with open(args.distribution, encoding="utf-8") as fh:
@@ -78,10 +68,10 @@ def _load_distribution(
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"bad distribution file: {exc}") from exc
         return runtime_dist.user_table_distribution(
-            machine, data, precision_bits=args.precision, budget=budget
+            machine, data, precision_bits=args.precision, budget=args.budget
         )
     return runtime_dist.induced_distribution(
-        machine, precision_bits=args.precision, budget=budget
+        machine, precision_bits=args.precision, budget=args.budget
     )
 
 
@@ -89,14 +79,14 @@ def _load_distribution(
 # subcommand handlers
 
 def _cmd_history(args: argparse.Namespace) -> int:
-    machine = _load(args.machine)
+    machine = load_machine(args.machine)
     _check_workers(args.workers)
-    history = sweep_mod.sweep(machine, args.length, args.horizon, workers=args.workers)
+    history = sweep(machine, args.length, args.horizon)
     if args.format == "csv":
-        sys.stdout.write(sweep_mod.history_to_csv(history))
+        sys.stdout.write(history_to_csv(history))
         return 0
     if args.format == "matrix":
-        _emit(sweep_mod.history_to_matrix(history))
+        _emit(history_to_matrix(history))
         return 0
     config = {
         "command": "history",
@@ -107,16 +97,16 @@ def _cmd_history(args: argparse.Namespace) -> int:
     payload = {
         "config": config,
         "space_size": history.space_size,
-        "stops": [[p, history.stops[p]] for p in history.programs() if p in history.stops],
-        "eventual_fraction": format_fraction(sweep_mod.eventual_fraction(history)),
-        "prob_exact": format_fraction(sweep_mod.prob_exact(history)),
-        "prob_by": format_fraction(sweep_mod.prob_by(history)),
+        "stops": [[p, t] for p, t in history.stops.items()],
+        "eventual_fraction": format_fraction(eventual_fraction(history)),
+        "prob_exact": format_fraction(prob_exact(history)),
+        "prob_by": format_fraction(prob_by(history)),
     }
     if args.t0 is not None:
         config["t0"] = args.t0
         if args.t1 is not None:
             config["t1"] = args.t1
-        report = sweep_mod.conditional_probs(history, args.t0, args.t1)
+        report = conditional_probs(history, args.t0, args.t1)
         payload["conditional"] = {
             "t0": report.t0,
             "t1": report.t1,
@@ -132,17 +122,17 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_upsilon(args: argparse.Namespace) -> int:
-    machine = _load(args.machine)
-    budget = _resolve_budget(machine, args.budget)
+    machine = load_machine(args.machine)
+    check_budget(machine, args.budget)
     interval = runtime_dist.halting_series(
-        machine, precision_bits=args.precision, budget=budget, force=args.force
+        machine, precision_bits=args.precision, budget=args.budget, force=args.force
     )
     payload = {
         "config": {
             "command": "upsilon",
             "machine": args.machine,
             "precision": args.precision,
-            "budget": budget,
+            "budget": args.budget,
         },
         "normalizer": _interval_dict(interval),
     }
@@ -151,9 +141,9 @@ def _cmd_upsilon(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    machine = _load(args.machine)
-    budget = _resolve_budget(machine, args.budget)
-    dist = _load_distribution(machine, args, budget)
+    machine = load_machine(args.machine)
+    check_budget(machine, args.budget)
+    dist = _load_distribution(machine, args)
     horizon = runtime_dist.tail_threshold(dist, args.k)
     payload = {
         "config": {
@@ -161,7 +151,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
             "machine": args.machine,
             "k": args.k,
             "precision": args.precision,
-            "budget": budget,
+            "budget": args.budget,
             "distribution": args.distribution,
         },
         "kind": dist.kind,
@@ -177,9 +167,9 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    machine = _load(args.machine)
-    budget = _resolve_budget(machine, args.budget)
-    dist = _load_distribution(machine, args, budget)
+    machine = load_machine(args.machine)
+    check_budget(machine, args.budget)
+    dist = _load_distribution(machine, args)
     horizon = runtime_dist.tail_threshold(dist, args.k)
     outcome = run(machine, args.program, horizon)
     payload = {
@@ -189,7 +179,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
             "program": args.program,
             "k": args.k,
             "precision": args.precision,
-            "budget": budget,
+            "budget": args.budget,
             "distribution": args.distribution,
         },
         "threshold": horizon,
@@ -209,20 +199,18 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    machine = _load(args.machine)
-    budget = _resolve_budget(machine, args.budget)
+    machine = load_machine(args.machine)
+    check_budget(machine, args.budget)
     _check_workers(args.workers)
     config = {
         "command": "density",
         "machine": args.machine,
         "mode": args.mode,
         "length": args.length,
-        "budget": budget,
+        "budget": args.budget,
     }
     if args.mode == "exclusion":
-        report = density_mod.random_stop_report(
-            machine, args.length, budget, workers=args.workers
-        )
+        report = density_mod.random_stop_report(machine, args.length, args.budget)
         _emit(
             {
                 "config": config,
@@ -237,9 +225,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     if args.horizon is None:
         raise ConfigError("--horizon is required for window mode")
     config["horizon"] = args.horizon
-    report = density_mod.density_report(
-        machine, args.length, args.horizon, budget, workers=args.workers
-    )
+    report = density_mod.density_report(machine, args.length, args.horizon, args.budget)
     _emit(
         {
             "config": config,
@@ -259,12 +245,10 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_probcurve(args: argparse.Namespace) -> int:
-    machine = _load(args.machine)
-    budget = _resolve_budget(machine, args.budget)
+    machine = load_machine(args.machine)
+    check_budget(machine, args.budget)
     _check_workers(args.workers)
-    curve = halting_prob.domain_prob_curve(
-        machine, args.max_len, budget, workers=args.workers
-    )
+    curve = halting_prob.domain_prob_curve(machine, args.max_len, args.budget)
     if args.format == "csv":
         sys.stdout.write(curve.to_csv())
         return 0
@@ -274,7 +258,7 @@ def _cmd_probcurve(args: argparse.Namespace) -> int:
             "command": "probcurve",
             "machine": args.machine,
             "max_len": args.max_len,
-            "budget": budget,
+            "budget": args.budget,
         },
         "points": [
             {
@@ -293,18 +277,11 @@ def _cmd_probcurve(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    machine = _load(args.machine)
-    budget = _resolve_budget(machine, args.budget)
+    machine = load_machine(args.machine)
+    check_budget(machine, args.budget)
     _check_workers(args.workers)
-    dist = _load_distribution(machine, args, budget)
-    split = runtime_dist.split_halting_set(
-        machine,
-        dist,
-        args.k,
-        args.max_len,
-        budget=budget,
-        workers=args.workers,
-    )
+    dist = _load_distribution(machine, args)
+    split = runtime_dist.split_halting_set(machine, dist, args.k, args.max_len, budget=args.budget)
     payload = {
         "config": {
             "command": "decompose",
@@ -312,7 +289,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             "k": args.k,
             "max_len": args.max_len,
             "precision": args.precision,
-            "budget": budget,
+            "budget": args.budget,
             "distribution": args.distribution,
         },
         "kind": dist.kind,
@@ -344,7 +321,7 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="sweep parallelism; never affects output bytes",
+        help="accepted for compatibility and checked to be >= 1; has no effect",
     )
 
 

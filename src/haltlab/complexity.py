@@ -23,8 +23,9 @@ from haltlab.machine import (
     Machine,
     PrefixFreeVM,
     ToyVM,
-    exact_run,
+    check_budget,
     is_transparent,
+    observe,
     run,
     time_wrap,
 )
@@ -33,15 +34,6 @@ from haltlab.sweep import check_enum_cap
 RANDOM = "random"
 NONRANDOM = "nonrandom"
 UNKNOWN = "unknown"
-
-
-def _require_budget(machine: Machine, budget: int | None) -> None:
-    if is_transparent(machine):
-        if budget is not None:
-            raise ConfigError("transparent machines take no budget (verdicts are exact)")
-    else:
-        if budget is None or budget < 1:
-            raise ConfigError("opaque machines require a positive budget")
 
 
 @lru_cache(maxsize=256)
@@ -53,18 +45,11 @@ def min_index_map(machine: Machine, cap: int, budget: int | None) -> dict[str, i
     if cap < 0:
         raise ConfigError(f"cap must be >= 0, got {cap}")
     check_enum_cap(max(0, cap.bit_length() - 1))
-    transparent = is_transparent(machine)
     found: dict[str, int] = {}
     for n in range(1, cap + 1):
-        program = bits_of_index(n)
-        if transparent:
-            hit = exact_run(machine, program)
-            output = hit[1] if hit is not None else None
-        else:
-            outcome = run(machine, program, budget)
-            output = outcome.output if outcome.halted else None
-        if output is not None and output not in found:
-            found[output] = n
+        hit = observe(machine, bits_of_index(n), budget)
+        if hit is not None and hit[1] not in found:
+            found[hit[1]] = n
     return found
 
 
@@ -82,7 +67,7 @@ def natural_complexity(
     machine: Machine, target: str, search_cap: int, budget: int | None = None
 ) -> ComplexityResult:
     """Least index n <= search_cap with machine(code(n)) = target."""
-    _require_budget(machine, budget)
+    check_budget(machine, budget)
     found = min_index_map(machine, search_cap, budget).get(target)
     return ComplexityResult(
         index=found,
@@ -102,7 +87,7 @@ def randomness_threshold(t: int) -> Fraction:
 
 def time_randomness(machine: Machine, t: int, budget: int | None = None) -> str:
     """Classify stop time t as random / nonrandom / unknown."""
-    _require_budget(machine, budget)
+    check_budget(machine, budget)
     threshold = randomness_threshold(t)
     cap = math.ceil(threshold) - 1
     witness = min_index_map(machine, cap, budget).get(bits_of_index(t))

@@ -36,12 +36,12 @@ from haltlab.machine import (
     TIME_WRAP_EXTRA_BITS,
     TIME_WRAP_STEP_OVERHEAD,
     ToyVM,
-    exact_run,
+    check_budget,
     is_transparent,
-    run,
+    observe,
     time_wrap,
 )
-from haltlab.sweep import all_programs, sweep
+from haltlab.sweep import sweep
 
 HORIZON_CAP = 2**26
 
@@ -89,13 +89,8 @@ def _wrapper_witness(
     index = index_of_bits(wrapped)
     if Fraction(index) >= randomness_threshold(stop):
         return None
-    if is_transparent(machine):
-        hit = exact_run(machine, wrapped)
-        produced = hit[1] if hit is not None else None
-    else:
-        outcome = run(machine, wrapped, budget + TIME_WRAP_STEP_OVERHEAD)
-        produced = outcome.output if outcome.halted else None
-    return index if produced == bits_of_index(stop) else None
+    hit = observe(machine, wrapped, None if budget is None else budget + TIME_WRAP_STEP_OVERHEAD)
+    return index if hit is not None and hit[1] == bits_of_index(stop) else None
 
 
 @dataclass(frozen=True)
@@ -117,27 +112,14 @@ def random_stop_report(
     machine: Machine,
     length: int,
     budget: int | None = None,
-    workers: int = 1,
 ) -> ExclusionReport:
     """Check that every late stop time at this length is non-random."""
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
     threshold = exclusion_threshold(length)
-    transparent = is_transparent(machine)
-    if transparent:
-        if budget is not None:
-            raise ConfigError("transparent machines take no budget")
-        pairs = []
-        for program in all_programs(length):
-            hit = exact_run(machine, program)
-            if hit is not None:
-                pairs.append((program, hit[0]))
-    else:
-        if budget is None or budget < 1:
-            raise ConfigError("opaque machines require a positive budget")
-        history = sweep(machine, length, budget, workers=workers)
-        pairs = sorted(history.stops.items(), key=lambda kv: index_of_bits(kv[0]))
-    candidates = tuple((p, t) for p, t in pairs if t >= threshold)
+    check_budget(machine, budget)
+    stops = sweep(machine, length, budget).stops
+    candidates = tuple((p, t) for p, t in stops.items() if t >= threshold)
     violations = []
     unresolved = []
     for program, stop in candidates:
@@ -183,7 +165,6 @@ def density_report(
     length: int,
     horizon: int,
     budget: int | None = None,
-    workers: int = 1,
 ) -> DensityReport:
     """Count non-random times in [2^m, horizon] for m = 2*length + 2c + 1.
 
@@ -204,11 +185,8 @@ def density_report(
         raise ResourceLimitError(
             f"horizon {horizon} exceeds the window cap {HORIZON_CAP}"
         )
+    check_budget(machine, budget)
     transparent = is_transparent(machine)
-    if transparent and budget is not None:
-        raise ConfigError("transparent machines take no budget")
-    if not transparent and (budget is None or budget < 1):
-        raise ConfigError("opaque machines require a positive budget")
     window_start = 2**m
     window_size = horizon - window_start + 1
     # every non-random t in the window has its witness below the cap for the
@@ -267,11 +245,10 @@ def density_with_margin(
     length: int,
     k: int,
     budget: int | None = None,
-    workers: int = 1,
 ) -> DensityReport:
     """Density report at the smallest horizon giving rare_bound <= 2^-k."""
     horizon = required_horizon(length, k)
-    report = density_report(machine, length, horizon, budget, workers)
+    report = density_report(machine, length, horizon, budget)
     if report.rare_bound > Fraction(1, 2**k):
         raise InvariantViolation(
             f"rare bound {report.rare_bound} exceeds 2^-{k} at horizon {horizon}"
@@ -306,25 +283,14 @@ def exponential_stop_density(
         raise ConfigError(f"max_len must be >= 0, got {max_len}")
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    transparent = is_transparent(machine)
-    if transparent and budget is not None:
-        raise ConfigError("transparent machines take no budget")
-    if not transparent and (budget is None or budget < 1):
-        raise ConfigError("opaque machines require a positive budget")
+    check_budget(machine, budget)
     late: list[tuple[str, int]] = []
     for length in range(max_len + 1):
         threshold = exclusion_threshold(length)
         if threshold > horizon:
             continue
-        for program in all_programs(length):
-            if transparent:
-                hit = exact_run(machine, program)
-                stop = hit[0] if hit is not None else None
-            else:
-                outcome = run(machine, program, budget)
-                stop = outcome.stop_time if outcome.halted else None
-            if stop is not None and threshold <= stop <= horizon:
-                late.append((program, stop))
+        stops = sweep(machine, length, budget).stops
+        late.extend((p, t) for p, t in stops.items() if threshold <= t <= horizon)
     violations = []
     unresolved = []
     for program, stop in late:

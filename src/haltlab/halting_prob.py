@@ -12,18 +12,10 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 
-from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError
 from haltlab.intervals import format_fraction
-from haltlab.machine import (
-    Dispatcher,
-    Machine,
-    ToyVM,
-    exact_run,
-    is_transparent,
-    run,
-)
-from haltlab.sweep import all_programs, check_enum_cap, sweep
+from haltlab.machine import Machine, ToyVM, check_budget, is_transparent
+from haltlab.sweep import check_enum_cap, sweep
 
 
 @dataclass(frozen=True)
@@ -78,105 +70,22 @@ def domain_prob_curve(
     machine: Machine,
     max_len: int,
     budget: int | None = None,
-    workers: int = 1,
 ) -> ProbCurve:
     """Halting fraction per length, exact when the machine is transparent."""
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     check_enum_cap(max_len)
+    check_budget(machine, budget)
     transparent = is_transparent(machine)
-    if transparent and budget is not None:
-        raise ConfigError("transparent machines take no budget")
-    if not transparent and (budget is None or budget < 1):
-        raise ConfigError("opaque machines require a positive budget")
     points = []
     for length in range(1, max_len + 1):
         if is_total(machine):
             count = 2**length
-        elif transparent:
-            count = sum(
-                1 for p in all_programs(length) if exact_run(machine, p) is not None
-            )
         else:
-            count = len(sweep(machine, length, budget, workers=workers).stops)
+            count = len(sweep(machine, length, budget).stops)
         points.append(
             ProbCurvePoint(
                 length=length, halting=count, total=2**length, exact=transparent
             )
         )
     return ProbCurve(budget=budget, points=tuple(points))
-
-
-def halting_floor(machine: Machine) -> tuple[int, Fraction] | None:
-    """Guaranteed halting fraction for a dispatcher with a total submachine.
-
-    Returns (slot, floor): at every length above slot, at least floor of the
-    programs select that submachine and halt. None when no slot is provably
-    total.
-    """
-    if not isinstance(machine, Dispatcher):
-        raise ConfigError("the halting floor applies to dispatchers")
-    for slot, sub in enumerate(machine.submachines):
-        if is_total(sub):
-            return slot, Fraction(1, 2 ** (slot + 1))
-    return None
-
-
-@dataclass(frozen=True)
-class PartialSum:
-    """Truncated series value; complete means every halting index was seen."""
-
-    value: Fraction
-    terms: int
-    complete: bool
-
-
-def index_reciprocal_sum(
-    machine: Machine,
-    terms: int = 256,
-    budget: int | None = None,
-) -> PartialSum:
-    """Sum of 1/i over halting indices i, scanned up to the given term count.
-
-    A finite transparent domain is summed in full; otherwise the value is a
-    partial (lower) sum, since the series has no computable tail bound.
-    """
-    if terms < 1:
-        raise ConfigError(f"terms must be >= 1, got {terms}")
-    transparent = is_transparent(machine)
-    if transparent and budget is not None:
-        raise ConfigError("transparent machines take no budget")
-    if not transparent and (budget is None or budget < 1):
-        raise ConfigError("opaque machines require a positive budget")
-    from haltlab.machine import finite_domain
-
-    if transparent and (domain := finite_domain(machine)) is not None:
-        total = sum(
-            (Fraction(1, index_of_bits(p)) for p, _, _ in domain), Fraction(0)
-        )
-        return PartialSum(value=total, terms=len(domain), complete=True)
-    check_enum_cap(max(0, terms.bit_length() - 1))
-    total = Fraction(0)
-    for i in range(1, terms + 1):
-        program = bits_of_index(i)
-        if transparent:
-            halted = exact_run(machine, program) is not None
-        else:
-            halted = run(machine, program, budget).halted
-        if halted:
-            total += Fraction(1, i)
-    return PartialSum(value=total, terms=terms, complete=False)
-
-
-def length_prob_sum(
-    machine: Machine,
-    max_len: int,
-    budget: int | None = None,
-    workers: int = 1,
-) -> Fraction:
-    """Kraft weight of the halting programs with lengths 1..max_len.
-
-    Equals the sum of the curve fractions; below 1 on prefix-free machines.
-    """
-    curve = domain_prob_curve(machine, max_len, budget, workers)
-    return sum((p.fraction for p in curve.points), Fraction(0))

@@ -21,6 +21,10 @@ A RunOutcome never says "never halts": not halting within the budget is all
 that can be observed. Machines whose halting is decidable by construction
 (tables, loop-free VM variants, dispatchers over those) are "transparent" and
 additionally support exact_run / finite_domain.
+
+observe() reads one program either way: exactly (no budget, transparent
+machines only) or within a step budget. check_budget() is the policy for
+which of the two an analysis may ask for.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ OPAQUE = "opaque"
 
 
 def _check_bits(s: str, what: str) -> str:
-    if set(s) - _BITSET:
+    if not isinstance(s, str) or set(s) - _BITSET:
         raise ConfigError(f"{what} must be a bit string, got {s!r}")
     return s
 
@@ -108,7 +112,7 @@ class TableMachine:
         for program, stop_time, output in self.entries:
             _check_bits(program, "table program")
             _check_bits(output, "table output")
-            if not isinstance(stop_time, int) or stop_time < 1:
+            if isinstance(stop_time, bool) or not isinstance(stop_time, int) or stop_time < 1:
                 raise ConfigError(f"stop_time must be a positive int, got {stop_time!r}")
             if program in seen:
                 raise ConfigError(f"duplicate table program {program!r}")
@@ -282,6 +286,29 @@ def exact_run(machine: Machine, program: str) -> tuple[int, str] | None:
     raise ConfigError(f"unknown machine {machine!r}")
 
 
+def check_budget(machine: Machine, budget: int | None) -> None:
+    """The budget policy: transparent machines are read exactly and take no
+    budget; opaque machines need a positive one."""
+    if is_transparent(machine):
+        if budget is not None:
+            raise ConfigError("transparent machines take no budget (verdicts are exact)")
+    elif budget is None or budget < 1:
+        raise ConfigError(f"opaque machines require a positive budget, got {budget}")
+
+
+def observe(machine: Machine, program: str, budget: int | None) -> tuple[int, str] | None:
+    """(stop_time, output) of one program, or None when it is not seen halting.
+
+    With budget None the machine must be transparent and None means the
+    program never halts; with a budget it only means "still running after
+    budget steps".
+    """
+    if budget is None:
+        return exact_run(machine, program)
+    outcome = run(machine, program, budget)
+    return (outcome.stop_time, outcome.output) if outcome.halted else None
+
+
 def _certainly_diverges_loop_free(machine: PrefixFreeVM, program: str) -> bool:
     """Re-run with a tiny budget: the strict-discipline divergence cases are
     detected by the kernel in at most one pass over the stream."""
@@ -377,8 +404,6 @@ def machine_from_dict(data: dict) -> Machine:
             if not isinstance(entry, dict) or "program" not in entry or "stop_time" not in entry:
                 raise ConfigError(f"bad table entry {entry!r}")
             program = entry["program"]
-            if not isinstance(program, str):
-                raise ConfigError(f"table program must be a string, got {program!r}")
             _check_bits(program, "table program")
             rows.append((program, entry["stop_time"], entry.get("output", "")))
         rows.sort(key=lambda r: index_of_bits(r[0]))

@@ -24,14 +24,8 @@ from haltlab.errors import (
     InvariantViolation,
 )
 from haltlab.intervals import Interval, as_fraction
-from haltlab.machine import (
-    Machine,
-    exact_run,
-    finite_domain,
-    is_transparent,
-    run,
-)
-from haltlab.sweep import all_programs, check_enum_cap, sweep
+from haltlab.machine import Machine, check_budget, finite_domain, is_transparent, observe
+from haltlab.sweep import check_enum_cap, sweep
 
 OPAQUE_PRECISION_CAP = 16
 DEFAULT_PRECISION_BITS = 8
@@ -105,8 +99,9 @@ Weights = Union[DyadicWeights, GeometricTableWeights]
 
 def weights_from_dict(data: dict) -> GeometricTableWeights:
     """Parse the user-table weight file format."""
-    if data.get("kind") != "user-table":
-        raise ConfigError(f"expected kind 'user-table', got {data.get('kind')!r}")
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind != "user-table":
+        raise ConfigError(f"expected kind 'user-table', got {kind!r}")
     raw = data.get("weights")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("user-table needs a non-empty 'weights' list")
@@ -114,16 +109,39 @@ def weights_from_dict(data: dict) -> GeometricTableWeights:
     for pair in raw:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"weight entries are [num, den] string pairs, got {pair!r}")
-        prefix.append(Fraction(int(pair[0]), int(pair[1])))
+        try:
+            prefix.append(Fraction(int(pair[0]), int(pair[1])))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad weight {pair!r}: {exc}") from exc
     modulus = data.get("tail_modulus")
-    if not isinstance(modulus, dict) or modulus.get("type") != "geometric":
+    if not isinstance(modulus, dict) or modulus.get("type") != "geometric" or "ratio" not in modulus:
         raise ConfigError("tail_modulus must be {'type': 'geometric', 'ratio': ...}")
-    ratio = Fraction(modulus["ratio"])
+    try:
+        ratio = Fraction(modulus["ratio"])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad tail ratio {modulus['ratio']!r}: {exc}") from exc
     return GeometricTableWeights(prefix=tuple(prefix), ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
 # the normalizer series
+
+def _weighted_stops(
+    machine: Machine, weights: Weights, start: int, count: int, budget: int | None
+) -> tuple[Fraction, Fraction]:
+    """Over indices start .. start+count-1: the sum of w(i)/t_i for those seen
+    halting, and the budget slack sum of w(i)/budget for those still running
+    (zero when budget is None, where not halting is certain)."""
+    total = Fraction(0)
+    slack = Fraction(0)
+    for i in range(start, start + count):
+        hit = observe(machine, bits_of_index(i), budget)
+        if hit is not None:
+            total += weights.weight(i) / hit[0]
+        elif budget is not None:
+            slack += weights.weight(i) / budget
+    return total, slack
+
 
 def _series_certificate(
     machine: Machine,
@@ -131,42 +149,35 @@ def _series_certificate(
     precision_bits: int,
     budget: int | None,
 ) -> Interval:
-    """Certified enclosure of sum of w(i)/t_i over halting indices."""
-    if is_transparent(machine):
-        domain = finite_domain(machine)
-        if domain is not None:
-            total = sum(
-                (weights.weight(index_of_bits(p)) / t for p, t, _ in domain),
-                Fraction(0),
-            )
-            return Interval.exact(total)
-        # infinite transparent domain: only truncation widens the result
-        terms = precision_bits + 2
-        check_enum_cap(max(0, terms.bit_length() - 1))
-        lo = Fraction(0)
-        for i in range(1, terms + 1):
-            hit = exact_run(machine, bits_of_index(i))
-            if hit is not None:
-                lo += weights.weight(i) / hit[0]
-        return Interval(lo, lo + weights.tail_bound(terms + 1))
-    # opaque: truncation plus per-run budget slack
+    """Certified enclosure of sum of w(i)/t_i over halting indices.
+
+    A finite transparent domain gives a point; otherwise series truncation,
+    and on opaque machines the per-run budget slack, widen the result.
+    """
+    if is_transparent(machine) and (domain := finite_domain(machine)) is not None:
+        total = sum(
+            (weights.weight(index_of_bits(p)) / t for p, t, _ in domain),
+            Fraction(0),
+        )
+        return Interval.exact(total)
     terms = precision_bits + 2
-    derived = 2 ** (precision_bits + 2)
-    per_run = derived if budget is None else budget
-    if per_run < derived:
+    check_enum_cap(max(0, terms.bit_length() - 1))
+    if budget is not None and budget < 2**terms:
         raise ConfigError(
-            f"budget {per_run} is below 2^(precision+2) = {derived}; "
+            f"budget {budget} is below 2^(precision+2) = {2**terms}; "
             "the width certificate needs at least that many steps per run"
         )
-    lo = Fraction(0)
-    slack = Fraction(0)
-    for i in range(1, terms + 1):
-        outcome = run(machine, bits_of_index(i), per_run)
-        if outcome.halted:
-            lo += weights.weight(i) / outcome.stop_time
-        else:
-            slack += weights.weight(i) / per_run
+    lo, slack = _weighted_stops(machine, weights, 1, terms, budget)
     return Interval(lo, lo + slack + weights.tail_bound(terms + 1))
+
+
+def _run_budget(machine: Machine, precision_bits: int, budget: int | None) -> int | None:
+    """Per-run budget of a series: none on a transparent machine; on an opaque
+    one the given budget, by default 2^(precision+2)."""
+    if budget is None and not is_transparent(machine):
+        return 2 ** (precision_bits + 2)
+    check_budget(machine, budget)
+    return budget
 
 
 def halting_series(
@@ -178,14 +189,12 @@ def halting_series(
     """Normalizer certificate with width below 2^-precision_bits."""
     if precision_bits < 1:
         raise ConfigError(f"precision_bits must be >= 1, got {precision_bits}")
-    if not is_transparent(machine):
-        if precision_bits > OPAQUE_PRECISION_CAP and not force:
-            raise ConfigError(
-                f"opaque precision capped at {OPAQUE_PRECISION_CAP} bits "
-                f"(cost grows as 2^precision); pass force=True to override"
-            )
-    elif budget is not None:
-        raise ConfigError("transparent machines take no budget")
+    if not is_transparent(machine) and precision_bits > OPAQUE_PRECISION_CAP and not force:
+        raise ConfigError(
+            f"opaque precision capped at {OPAQUE_PRECISION_CAP} bits "
+            f"(cost grows as 2^precision); pass force=True to override"
+        )
+    budget = _run_budget(machine, precision_bits, budget)
     interval = _series_certificate(machine, DyadicWeights(), precision_bits, budget)
     if interval.width >= Fraction(1, 2**precision_bits):
         raise InvariantViolation(
@@ -220,15 +229,11 @@ class RuntimeDistribution:
             raise ConfigError(f"index must be >= 1, got {i}")
         w = self.weights.weight(i)
         lo_n, hi_n = self.normalizer.lo, self.normalizer.hi
-        if is_transparent(self.machine):
-            hit = exact_run(self.machine, bits_of_index(i))
-            if hit is None:
-                return Interval.exact(0)
+        hit = observe(self.machine, bits_of_index(i), self.budget)
+        if hit is not None:
             return Interval(w / (hit[0] * hi_n), w / (hit[0] * lo_n))
-        outcome = run(self.machine, bits_of_index(i), self.budget)
-        if outcome.halted:
-            t = outcome.stop_time
-            return Interval(w / (t * hi_n), w / (t * lo_n))
+        if self.budget is None:
+            return Interval.exact(0)
         return Interval(Fraction(0), w / (self.budget * lo_n))
 
     def tail_index(self, k: int) -> int:
@@ -249,8 +254,7 @@ class RuntimeDistribution:
             raise ConfigError(f"start must be >= 1, got {start}")
         lo_n, hi_n = self.normalizer.lo, self.normalizer.hi
         cap = self.weights.tail_bound(start) / lo_n
-        transparent = is_transparent(self.machine)
-        if transparent and (domain := finite_domain(self.machine)) is not None:
+        if is_transparent(self.machine) and (domain := finite_domain(self.machine)) is not None:
             total = sum(
                 (
                     self.weights.weight(index_of_bits(p)) / t
@@ -263,19 +267,7 @@ class RuntimeDistribution:
                 return Interval.exact(total / lo_n)
             return Interval(total / hi_n, min(total / lo_n, cap))
         count = terms if terms is not None else self.precision_bits + 2
-        sum_lo = Fraction(0)
-        slack = Fraction(0)
-        for i in range(start, start + count):
-            if transparent:
-                hit = exact_run(self.machine, bits_of_index(i))
-                if hit is not None:
-                    sum_lo += self.weights.weight(i) / hit[0]
-            else:
-                outcome = run(self.machine, bits_of_index(i), self.budget)
-                if outcome.halted:
-                    sum_lo += self.weights.weight(i) / outcome.stop_time
-                else:
-                    slack += self.weights.weight(i) / self.budget
+        sum_lo, slack = _weighted_stops(self.machine, self.weights, start, count, self.budget)
         tail = self.weights.tail_bound(start + count)
         hi = (sum_lo + slack + tail) / lo_n
         return Interval(sum_lo / hi_n, min(hi, cap))
@@ -300,16 +292,14 @@ def induced_distribution(
     force: bool = False,
 ) -> RuntimeDistribution:
     """Distribution with dyadic weights and the machine's own stop times."""
-    if not is_transparent(machine):
-        if budget is None:
-            budget = 2 ** (precision_bits + 2)
-    normalizer = _check_normalizer(halting_series(machine, precision_bits, None if is_transparent(machine) else budget, force))
+    budget = _run_budget(machine, precision_bits, budget)
+    normalizer = _check_normalizer(halting_series(machine, precision_bits, budget, force))
     return RuntimeDistribution(
         machine=machine,
         weights=DyadicWeights(),
         normalizer=normalizer,
         precision_bits=precision_bits,
-        budget=None if is_transparent(machine) else budget,
+        budget=budget,
     )
 
 
@@ -321,8 +311,7 @@ def user_table_distribution(
 ) -> RuntimeDistribution:
     """Distribution with declared weights and a geometric tail modulus."""
     weights = weights_from_dict(data)
-    if not is_transparent(machine) and budget is None:
-        budget = 2 ** (precision_bits + 2)
+    budget = _run_budget(machine, precision_bits, budget)
     normalizer = _check_normalizer(
         _series_certificate(machine, weights, precision_bits, budget)
     )
@@ -331,7 +320,7 @@ def user_table_distribution(
         weights=weights,
         normalizer=normalizer,
         precision_bits=precision_bits,
-        budget=None if is_transparent(machine) else budget,
+        budget=budget,
     )
 
 
@@ -381,7 +370,6 @@ def split_halting_set(
     k: int,
     max_len: int,
     budget: int | None = None,
-    workers: int = 1,
 ) -> HaltSplit:
     """Split halting pairs (p, t_p), 1 <= len(p) <= max_len, at the cutoff
     t < 2^b(k + len(p) + 2); the remainder is certified to carry little mass."""
@@ -389,22 +377,11 @@ def split_halting_set(
         raise ConfigError(f"k must be >= 0, got {k}")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    transparent = is_transparent(machine)
-    if transparent and budget is not None:
-        raise ConfigError("transparent machines take no budget")
-    if not transparent and (budget is None or budget < 1):
-        raise ConfigError("opaque machines require a positive budget")
+    check_budget(machine, budget)
     cutoffs = {n: 2 ** dist.tail_index(k + n + 2) for n in range(1, max_len + 1)}
     pairs: list[tuple[str, int]] = []
     for length in range(1, max_len + 1):
-        if transparent:
-            for program in all_programs(length):
-                hit = exact_run(machine, program)
-                if hit is not None:
-                    pairs.append((program, hit[0]))
-        else:
-            history = sweep(machine, length, budget, workers=workers)
-            pairs.extend(sorted(history.stops.items(), key=lambda kv: index_of_bits(kv[0])))
+        pairs.extend(sweep(machine, length, budget).stops.items())
     computable = []
     residual = []
     for program, stop in pairs:

@@ -1,27 +1,27 @@
 """Exhaustive halting histories over fixed-length program spaces.
 
-A sweep runs every length-N program with a common step horizon T and records
-exact stop times. The associated product space is {0,1}^N x {1..T} with the
-uniform measure 2^-N * 1/T; prob_exact and prob_by are measures of "stops
-exactly at its recorded time" and "has stopped by the sampled time" there.
-All probabilities are Fractions; nothing is ever rounded.
+A sweep observes every length-N program, in index order, and records the stop
+times of those seen halting. With a step horizon T it runs each program for at
+most T steps; with no horizon it reads a transparent machine exactly. sweep()
+is the package's one enumeration of a program length, so every per-length
+census also goes through its enumeration cap.
 
-Sweeps are data-parallel over programs: workers get disjoint chunks and
-results are merged by program key, so the outcome is identical for any worker
-count and any scheduling order.
+For a sweep with horizon T the associated product space is {0,1}^N x {1..T}
+with the uniform measure 2^-N * 1/T; prob_exact and prob_by are measures of
+"stops exactly at its recorded time" and "has stopped by the sampled time"
+there, so they need a horizon. All probabilities are Fractions; nothing is
+ever rounded.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from haltlab.codec import index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
-from haltlab.machine import Machine, run
+from haltlab.machine import Machine, observe
 
 DEFAULT_ENUM_CAP_BITS = 24
 ENUM_CAP_ENV = "HALTLAB_ENUM_CAP"
@@ -49,11 +49,12 @@ def check_enum_cap(length: int) -> None:
 
 @dataclass(frozen=True)
 class HaltingHistory:
-    """Result of one sweep: stop times of all halting length-N programs."""
+    """Result of one sweep: stop times of all halting length-N programs, in
+    index order. horizon None marks an exact sweep of a transparent machine."""
 
     machine: Machine
     length: int
-    horizon: int
+    horizon: int | None
     stops: Mapping[str, int]
 
     @property
@@ -71,51 +72,41 @@ def all_programs(length: int) -> list[str]:
     return [format(v, f"0{length}b") for v in range(2**length)]
 
 
-def _sweep_chunk(machine: Machine, programs: list[str], horizon: int) -> dict[str, int]:
-    found: dict[str, int] = {}
-    for program in programs:
-        outcome = run(machine, program, horizon)
-        if outcome.halted:
-            found[program] = outcome.stop_time
-    return found
-
-
-def sweep(machine: Machine, length: int, horizon: int, workers: int = 1) -> HaltingHistory:
-    """Run all 2^length programs for horizon steps and record exact stops."""
+def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
+    """Observe all 2^length programs, within horizon steps or exactly when
+    horizon is None, and record their stop times in index order."""
     if length < 0:
         raise ConfigError(f"length must be >= 0, got {length}")
-    if horizon < 1:
+    if horizon is not None and horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     check_enum_cap(length)
-    programs = all_programs(length)
-    if workers == 1 or len(programs) < 2 * workers:
-        merged = _sweep_chunk(machine, programs, horizon)
-    else:
-        chunk = (len(programs) + workers - 1) // workers
-        parts = [programs[i : i + chunk] for i in range(0, len(programs), chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ps: _sweep_chunk(machine, ps, horizon), parts))
-        merged = {}
-        for part in results:
-            merged.update(part)
-    stops = {p: merged[p] for p in programs if p in merged}
+    stops = {}
+    for program in all_programs(length):
+        hit = observe(machine, program, horizon)
+        if hit is not None:
+            stops[program] = hit[0]
     return HaltingHistory(machine=machine, length=length, horizon=horizon, stops=stops)
 
 
 # ---------------------------------------------------------------------------
 # product-space measures
 
+def _horizon(history: HaltingHistory) -> int:
+    if history.horizon is None:
+        raise ConfigError("an exact sweep has no horizon, so it has no product space")
+    return history.horizon
+
+
 def prob_exact(history: HaltingHistory) -> Fraction:
     """Measure of {(p, t) : p stops exactly at t} in the product space."""
-    return Fraction(len(history.stops), history.space_size * history.horizon)
+    return Fraction(len(history.stops), history.space_size * _horizon(history))
 
 
 def prob_by(history: HaltingHistory) -> Fraction:
     """Measure of {(p, t) : p has stopped by t} in the product space."""
-    weight = sum(history.horizon - t + 1 for t in history.stops.values())
-    return Fraction(weight, history.space_size * history.horizon)
+    horizon = _horizon(history)
+    weight = sum(horizon - t + 1 for t in history.stops.values())
+    return Fraction(weight, history.space_size * horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +143,11 @@ class ConditionalReport:
 
 def conditional_probs(history: HaltingHistory, t0: int, t1: int | None = None) -> ConditionalReport:
     """Conditioning on "not stopped by t0" within the recorded horizon."""
-    if not 0 <= t0 <= history.horizon:
-        raise ConfigError(f"t0 must be in [0, {history.horizon}], got {t0}")
-    if t1 is not None and not t0 < t1 <= history.horizon:
-        raise ConfigError(f"t1 must be in ({t0}, {history.horizon}], got {t1}")
+    horizon = _horizon(history)
+    if not 0 <= t0 <= horizon:
+        raise ConfigError(f"t0 must be in [0, {horizon}], got {t0}")
+    if t1 is not None and not t0 < t1 <= horizon:
+        raise ConfigError(f"t1 must be in ({t0}, {horizon}], got {t1}")
     survivors = history.space_size - sum(1 for t in history.stops.values() if t <= t0)
     if survivors == 0:
         raise UndefinedConditionalError(
@@ -189,18 +181,19 @@ def history_to_csv(history: HaltingHistory) -> str:
 
 def history_to_matrix(history: HaltingHistory) -> dict:
     """Grid form: cell (p, t) holds "h" once p has stopped by t."""
+    horizon = _horizon(history)
     rows = []
     for program in history.programs():
         stop = history.stops.get(program)
         cells = [
             "h" if stop is not None and t >= stop else ""
-            for t in range(1, history.horizon + 1)
+            for t in range(1, horizon + 1)
         ]
         rows.append({"program": program, "cells": cells})
     return {
         "length": history.length,
-        "horizon": history.horizon,
-        "times": list(range(1, history.horizon + 1)),
+        "horizon": horizon,
+        "times": list(range(1, horizon + 1)),
         "rows": rows,
     }
 
@@ -208,7 +201,11 @@ def history_to_matrix(history: HaltingHistory) -> dict:
 def budget_extension_consistent(
     earlier: HaltingHistory, later: HaltingHistory
 ) -> bool:
-    """Stops found at a smaller horizon must persist verbatim at a larger one."""
-    if earlier.horizon > later.horizon:
-        return budget_extension_consistent(later, earlier)
+    """Stops found at a smaller horizon must persist verbatim at a larger one
+    (an exact sweep counts as the largest horizon)."""
+    def reach(history: HaltingHistory) -> float:
+        return float("inf") if history.horizon is None else history.horizon
+
+    if reach(earlier) > reach(later):
+        earlier, later = later, earlier
     return all(later.stops.get(p) == t for p, t in earlier.stops.items())

@@ -1,0 +1,161 @@
+"""Golden tests of the command line: exact stdout bytes and exit codes.
+
+Every call goes through cli.main. The config block echoes the --machine
+argument, so machine files are named relative to the repository root and the
+tests run from there.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from haltlab import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# (id, argv, exit code, SHA-256 of stdout)
+GOLDEN = [
+    ("history-table1", "history --machine fixtures/table1.json --length 3 --horizon 17",
+     0, "901626fdca9f3702cf698993b0416c99e8ef7e4b5f136571961d91976631df60"),
+    ("history-toy-conditional",
+     "history --machine builtin:toy-vm --length 5 --horizon 64 --t0 3 --t1 9",
+     0, "ca0087b96ed855c17b51204449867aaa9752f792ee52af212ad1ae7d8ed1d65f"),
+    ("history-csv", "history --machine fixtures/fixture_f.json --length 1 --horizon 5 --format csv",
+     0, "54ad2445ec0111f4da48bbcd34b7c647b5a59abac425eb2aed37a215bdf38782"),
+    ("history-matrix",
+     "history --machine builtin:prefix-free-vm --length 4 --horizon 16 --format matrix",
+     0, "c61fdcc8723003d2cdd4840b802fbb222f18440a265637f925860f4382e57ecb"),
+    ("upsilon-finite", "upsilon --machine fixtures/fixture_f.json",
+     0, "9e73a54bab24475d89f587a5cc5d4713c9aaef614199d2a770ffa1c4592b119f"),
+    ("upsilon-loop-free", "upsilon --machine builtin:loop-free-vm --precision 6",
+     0, "469ddb205d73e0af8d94b9853e5113374c38d57fc3a53535e4eb2a4955db08e3"),
+    ("upsilon-pf-loop-free", "upsilon --machine builtin:prefix-free-loop-free-vm --precision 6",
+     0, "cc7559e8d03ffd6a5b5e44ed0ebe35734fe514da81fb735fb6b26594a67f6512"),
+    ("upsilon-opaque", "upsilon --machine builtin:toy-vm --precision 4 --budget 64",
+     0, "58da98443c24636b2075d8daf7d0c8da651bceb92f76fb9508bd14389a6c0597"),
+    ("threshold-table1", "threshold --machine fixtures/table1.json -k 3",
+     0, "e07556ca06e0a731323a7b79b4403cf22d25843a5cf028bbcde94e4e8cbabe58"),
+    ("threshold-user-table",
+     "threshold --machine builtin:toy-vm -k 2 --precision 4 --budget 64 "
+     "--distribution fixtures/dyadic_weights.json",
+     0, "d996233e6b4a2203bbac887e433db0b7dde8c1744f36ebe4f5338129d6fa8ba4"),
+    ("decide-opaque", "decide --machine builtin:toy-vm --program 0101 -k 2 --precision 4 --budget 64",
+     0, "f87820fcf7a5bae6e3cec295718285aa43a6233cd6dbc847c9529e06f405aacc"),
+    ("decide-running", "decide --machine fixtures/table1.json --program 001 -k 1",
+     0, "161e04ef60d54b0b8acf599f96205f3829e2258119d5a643ce5db0dec3a10454"),
+    ("density-window", "density --machine builtin:loop-free-vm --length 1 --horizon 4095",
+     0, "8cb5331436132639074ae7c567ea30f9b8aec9b70cc6dd6b71a54d6897b6a716"),
+    ("density-window-opaque",
+     "density --machine builtin:prefix-free-vm --length 1 --horizon 1023 --budget 256",
+     0, "3c68f09b63447e913d8525c69eff3d16f0abc5386564c5ff693d71d38293d719"),
+    ("density-exclusion-opaque",
+     "density --machine builtin:toy-vm --mode exclusion --length 2 --budget 4096",
+     0, "0c7722bcc79fd7e3e604fe67bdf65e6b159a90d652b10a279c01819e4b26e4a3"),
+    ("density-exclusion-exact",
+     "density --machine builtin:prefix-free-loop-free-vm --mode exclusion --length 3",
+     0, "304f86360eb5153712c8a99ab175e4fb90019d33904798fae5b2ebcc2022e521"),
+    ("probcurve-pf-loop-free", "probcurve --machine builtin:prefix-free-loop-free-vm --max-len 8",
+     0, "c4bf0978d16a363b7c37d7de4b6bcedf46ebd98655548c03a94165057ea28c05"),
+    ("probcurve-total-csv", "probcurve --machine builtin:loop-free-vm --max-len 6 --format csv",
+     0, "752392c311e4a07fc1b47570e98901b711a056865c5ef4c32d8ace5ed716bbd2"),
+    ("probcurve-opaque",
+     "probcurve --machine builtin:prefix-free-vm --max-len 6 --budget 256 --workers 3",
+     0, "a4107d79b796cbdef78ec3838557a7ea652ebcba3721766b35610c4255c58c49"),
+    ("probcurve-table1", "probcurve --machine fixtures/table1.json --max-len 4",
+     0, "9776ae744ec09a0b8463a57b04bc3b0738999f2ca6619f050866b8fd7f62cfa3"),
+    ("decompose-opaque", "decompose --machine builtin:toy-vm -k 2 --max-len 6 --budget 1024",
+     0, "a141ff1fd4b1f372ed98b031a645d7ecbdf24d6de0ba9d36f30f3a15ab357659"),
+    ("decompose-table1", "decompose --machine fixtures/table1.json -k 1 --max-len 3",
+     0, "7e0f6efeeda6b95c1d86a424c761ea5edcc820d323af3730926cfb9a50d31e97"),
+    ("decompose-user-table",
+     "decompose --machine fixtures/fixture_f.json -k 1 --max-len 2 "
+     "--distribution fixtures/dyadic_weights.json",
+     0, "a0189a43e4e1f4dd81e076f4b4de6e533ebdebeeb73e1d7b81294751b14b7cfc"),
+    ("decompose-loop-free", "decompose --machine builtin:loop-free-vm -k 1 --max-len 5",
+     0, "759327919239623d74060ae08d1fcc0fb8130d2d89651f16d70f550fa4fc32f2"),
+    # no program of the prefix-free loop-free VM halts among the first indices
+    ("decompose-degenerate", "decompose --machine builtin:prefix-free-loop-free-vm -k 2 --max-len 4",
+     4, EMPTY),
+    # the budget policy: opaque needs one, transparent takes none, positive only
+    ("budget-missing", "upsilon --machine builtin:toy-vm --precision 4", 2, EMPTY),
+    ("budget-on-transparent", "upsilon --machine fixtures/table1.json --budget 10", 2, EMPTY),
+    ("budget-zero", "upsilon --machine builtin:prefix-free-vm --budget 0", 2, EMPTY),
+    ("workers-zero", "probcurve --machine builtin:toy-vm --max-len 4 --budget 64 --workers 0",
+     2, EMPTY),
+]
+
+
+def run_cli(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_one_line_error(err):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, code, digest", [case[1:] for case in GOLDEN], ids=[case[0] for case in GOLDEN]
+)
+def test_golden(command, code, digest, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    got_code, out, err = run_cli(command.split(), capsys)
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if code == 0:
+        assert err == ""
+    else:
+        assert_one_line_error(err)
+
+
+def test_workers_flag_changes_nothing(capsys):
+    argv = "decompose --machine builtin:toy-vm -k 2 --max-len 5 --budget 1024".split()
+    outputs = {run_cli(argv + ["--workers", w], capsys)[1] for w in ("1", "4")}
+    assert len(outputs) == 1
+
+
+def test_exclusion_with_violations(tmp_path, capsys, monkeypatch):
+    """A bare table with late stops: every candidate is a violation."""
+    entries = [{"program": p, "stop_time": t} for p, t in (("00", 600), ("01", 2048), ("10", 3000))]
+    (tmp_path / "late.json").write_text(json.dumps({"kind": "table", "entries": entries}))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli("density --machine late.json --mode exclusion --length 2".split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8fbb448eab4c1dff68f0993fc990d215897b48f4d1773706d549d97ef261991d"
+    )
+    report = json.loads(out)
+    assert not report["holds"] and report["violations"] == report["candidates"]
+
+
+GOOD_WEIGHTS = {
+    "kind": "user-table",
+    "weights": [["1", "2"]],
+    "tail_modulus": {"type": "geometric", "ratio": "1/2"},
+}
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("weights.json", {**GOOD_WEIGHTS, "weights": [["1", "0"]]}),
+        ("weights.json", {**GOOD_WEIGHTS, "tail_modulus": {"type": "geometric"}}),
+        ("machine.json", {"kind": "table", "entries": [{"program": "0", "stop_time": 1, "output": 5}]}),
+        ("machine.json", {"kind": "table", "entries": [{"program": "0", "stop_time": True}]}),
+    ],
+    ids=["zero-denominator", "no-ratio", "output-not-string", "stop-time-bool"],
+)
+def test_malformed_json_is_a_usage_error(name, data, tmp_path, capsys):
+    (tmp_path / name).write_text(json.dumps(data))
+    machine = tmp_path / name if name == "machine.json" else ROOT / "fixtures" / "table1.json"
+    argv = ["threshold", "-k", "1", "--machine", str(machine)]
+    if name == "weights.json":
+        argv += ["--distribution", str(tmp_path / name)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert_one_line_error(err)

@@ -1,0 +1,54 @@
+from fractions import Fraction
+
+import pytest
+
+from haltlab.errors import ConfigError
+from haltlab.halting_prob import domain_prob_curve, is_total
+from haltlab.machine import exact_run
+from haltlab.sweep import all_programs
+
+
+def test_kraft_weight_below_one_on_prefix_free(prefix_free_loop_free_vm):
+    curve = domain_prob_curve(prefix_free_loop_free_vm, 12)
+    kraft = sum(curve.fractions(), Fraction(0))
+    assert 0 < kraft < 1
+    assert all(p.exact for p in curve.points)
+
+
+def test_total_shortcut_matches_a_real_count(loop_free_vm):
+    assert is_total(loop_free_vm)
+    curve = domain_prob_curve(loop_free_vm, 8)
+    for point in curve.points:
+        counted = sum(
+            1 for p in all_programs(point.length) if exact_run(loop_free_vm, p) is not None
+        )
+        assert point.halting == counted == point.total
+        assert point.exact
+
+
+def test_opaque_points_are_lower_bounds(toy_vm, prefix_free_vm):
+    for machine in (toy_vm, prefix_free_vm):
+        curve = domain_prob_curve(machine, 6, budget=256)
+        assert curve.budget == 256
+        assert not any(p.exact for p in curve.points)
+        assert all(0 <= p.halting <= p.total == 2**p.length for p in curve.points)
+
+
+def test_curve_on_a_finite_table(table1):
+    curve = domain_prob_curve(table1, 4)
+    assert [p.halting for p in curve.points] == [0, 0, 6, 0]
+    assert curve.point(3).fraction == Fraction(3, 4)
+    assert curve.nonincreasing_over(3, 4)
+    with pytest.raises(KeyError):
+        curve.point(5)
+
+
+def test_budget_policy(toy_vm, table1):
+    with pytest.raises(ConfigError):
+        domain_prob_curve(toy_vm, 3)
+    with pytest.raises(ConfigError):
+        domain_prob_curve(toy_vm, 3, budget=0)
+    with pytest.raises(ConfigError):
+        domain_prob_curve(table1, 3, budget=10)
+    with pytest.raises(ConfigError):
+        domain_prob_curve(table1, 0)

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from haltlab.codec import index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
-from haltlab.machine import TableMachine, machine_from_dict
+from haltlab.machine import TableMachine, exact_run, machine_from_dict
 from haltlab.sweep import (
     ENUM_CAP_ENV,
+    all_programs,
     budget_extension_consistent,
     conditional_probs,
     eventual_fraction,
@@ -97,12 +99,38 @@ def test_measure_bounds_hold(machine, horizon):
     assert prob_by(history) >= prob_exact(history)
 
 
-def test_worker_counts_agree(toy_vm):
-    a = sweep(toy_vm, 8, 512, workers=1)
-    b = sweep(toy_vm, 8, 512, workers=8)
-    c = sweep(toy_vm, 8, 512, workers=3)
-    assert a.stops == b.stops == c.stops
-    assert list(a.stops) == list(b.stops)  # same iteration order, too
+def test_stops_are_in_index_order(toy_vm, prefix_free_vm, table1):
+    for machine, length in ((toy_vm, 8), (prefix_free_vm, 8), (table1, 3)):
+        programs = list(sweep(machine, length, 512).stops)
+        assert programs == sorted(programs, key=index_of_bits)
+
+
+@pytest.mark.parametrize(
+    "name", ["loop_free_vm", "prefix_free_loop_free_vm", "table1", "fixture_f"]
+)
+def test_exact_sweep_matches_exact_run(name, request):
+    machine = request.getfixturevalue(name)
+    for n in range(11):
+        history = sweep(machine, n, None)
+        assert history.horizon is None
+        expected = {}
+        for program in all_programs(n):
+            hit = exact_run(machine, program)
+            if hit is not None:
+                expected[program] = hit[0]
+        assert list(history.stops.items()) == list(expected.items())
+
+
+def test_exact_sweep_measures(loop_free_vm):
+    history = sweep(loop_free_vm, 3, None)
+    for measure in (prob_exact, prob_by, history_to_matrix, lambda h: conditional_probs(h, 1)):
+        with pytest.raises(ConfigError):
+            measure(history)  # no horizon, so no product space
+    assert history_to_csv(history).count("RUNNING") == 0
+    budgeted = sweep(loop_free_vm, 3, 2)
+    assert budget_extension_consistent(budgeted, history)
+    assert budget_extension_consistent(history, budgeted)
+    assert budget_extension_consistent(history, history)
 
 
 def test_budget_extension(toy_vm):
