@@ -10,14 +10,17 @@ Subcommands:
 * probcurve  halting fraction per program length
 * decompose  computable/rare split of the observed halting set
 
-Results are JSON (sorted keys, two-space indent) on stdout; rationals are
-always "numerator/denominator" strings. --budget follows the one budget
-policy (haltlab.machine.check_budget): opaque machines need a positive
-budget, transparent machines are read exactly and take none. --workers is
-accepted and validated but has no effect: runs are sequential. It is not
-echoed in the config block.
-Exit codes: 0 ok, 2 usage, 3 resource limit, 4 degenerate distribution,
-5 violated invariant.
+Each subcommand has a handler _cmd_NAME(machine, args) that only builds its
+result: a dict, written as JSON (sorted keys, two-space indent), or a str,
+written as is (CSV). Rationals are always "numerator/denominator" strings.
+main loads the machine, validates --workers and writes the result, so stdout
+stays empty on any error. The library applies the one budget policy
+(haltlab.machine.check_budget) to --budget: opaque machines need a positive
+budget, transparent machines are read exactly and take none, and run()
+refuses budgets above 2^64 - 1. --workers is accepted and validated but has
+no effect: runs are sequential. It is not echoed in the config block.
+Exit codes: 0 ok, 2 usage, 3 resource limit (also for a number too long to
+print), 4 degenerate distribution, 5 violated invariant.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from fractions import Fraction
 
 from haltlab import density as density_mod
 from haltlab import halting_prob, runtime_dist
-from haltlab.errors import ConfigError, HaltlabError
+from haltlab.errors import ConfigError, HaltlabError, digit_limit_error
 from haltlab.intervals import Interval, format_fraction
-from haltlab.machine import Machine, check_budget, load_machine, run
+from haltlab.machine import Machine, load_machine, read_json, run
 from haltlab.sweep import (
     conditional_probs,
     eventual_fraction,
@@ -43,8 +46,18 @@ from haltlab.sweep import (
 )
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _json(payload: dict) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:  # an int past Python's int-to-str digit limit
+        raise digit_limit_error() from exc
+
+
+def _config(args: argparse.Namespace, *names: str) -> dict:
+    """The config block: the command, the machine and the named arguments."""
+    config = {"command": args.command, "machine": args.machine}
+    config.update((name, getattr(args, name)) for name in names)
+    return config
 
 
 def _interval_dict(interval: Interval) -> dict:
@@ -53,22 +66,15 @@ def _interval_dict(interval: Interval) -> dict:
     return payload
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
-
-
 def _load_distribution(
     machine: Machine, args: argparse.Namespace
 ) -> runtime_dist.RuntimeDistribution:
     if args.distribution is not None:
-        with open(args.distribution, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad distribution file: {exc}") from exc
         return runtime_dist.user_table_distribution(
-            machine, data, precision_bits=args.precision, budget=args.budget
+            machine,
+            read_json(args.distribution, "distribution file"),
+            precision_bits=args.precision,
+            budget=args.budget,
         )
     return runtime_dist.induced_distribution(
         machine, precision_bits=args.precision, budget=args.budget
@@ -78,22 +84,13 @@ def _load_distribution(
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_history(args: argparse.Namespace) -> int:
-    machine = load_machine(args.machine)
-    _check_workers(args.workers)
+def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
     history = sweep(machine, args.length, args.horizon)
     if args.format == "csv":
-        sys.stdout.write(history_to_csv(history))
-        return 0
+        return history_to_csv(history)
     if args.format == "matrix":
-        _emit(history_to_matrix(history))
-        return 0
-    config = {
-        "command": "history",
-        "machine": args.machine,
-        "length": args.length,
-        "horizon": args.horizon,
-    }
+        return history_to_matrix(history)
+    config = _config(args, "length", "horizon")
     payload = {
         "config": config,
         "space_size": history.space_size,
@@ -117,71 +114,40 @@ def _cmd_history(args: argparse.Namespace) -> int:
             if report.by_t1_given_not_by is None
             else format_fraction(report.by_t1_given_not_by),
         }
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_upsilon(args: argparse.Namespace) -> int:
-    machine = load_machine(args.machine)
-    check_budget(machine, args.budget)
+def _cmd_upsilon(machine: Machine, args: argparse.Namespace) -> dict:
     interval = runtime_dist.halting_series(
         machine, precision_bits=args.precision, budget=args.budget, force=args.force
     )
-    payload = {
-        "config": {
-            "command": "upsilon",
-            "machine": args.machine,
-            "precision": args.precision,
-            "budget": args.budget,
-        },
+    return {
+        "config": _config(args, "precision", "budget"),
         "normalizer": _interval_dict(interval),
     }
-    _emit(payload)
-    return 0
 
 
-def _cmd_threshold(args: argparse.Namespace) -> int:
-    machine = load_machine(args.machine)
-    check_budget(machine, args.budget)
+def _cmd_threshold(machine: Machine, args: argparse.Namespace) -> dict:
     dist = _load_distribution(machine, args)
     horizon = runtime_dist.tail_threshold(dist, args.k)
-    payload = {
-        "config": {
-            "command": "threshold",
-            "machine": args.machine,
-            "k": args.k,
-            "precision": args.precision,
-            "budget": args.budget,
-            "distribution": args.distribution,
-        },
+    return {
+        "config": _config(args, "k", "precision", "budget", "distribution"),
         "kind": dist.kind,
         "normalizer": _interval_dict(dist.normalizer),
         "threshold": horizon,
         "tail_certificate": format_fraction(
             runtime_dist.tail_certificate(dist, horizon)
         ),
-        "target": f"1/{2 ** args.k}",
+        "target": format_fraction(Fraction(1, 2**args.k)),
     }
-    _emit(payload)
-    return 0
 
 
-def _cmd_decide(args: argparse.Namespace) -> int:
-    machine = load_machine(args.machine)
-    check_budget(machine, args.budget)
+def _cmd_decide(machine: Machine, args: argparse.Namespace) -> dict:
     dist = _load_distribution(machine, args)
     horizon = runtime_dist.tail_threshold(dist, args.k)
     outcome = run(machine, args.program, horizon)
     payload = {
-        "config": {
-            "command": "decide",
-            "machine": args.machine,
-            "program": args.program,
-            "k": args.k,
-            "precision": args.precision,
-            "budget": args.budget,
-            "distribution": args.distribution,
-        },
+        "config": _config(args, "program", "k", "precision", "budget", "distribution"),
         "threshold": horizon,
     }
     if outcome.halted:
@@ -189,77 +155,50 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         payload["stop_time"] = outcome.stop_time
     else:
         payload["verdict"] = "probably-non-halting"
-        payload["residual_probability_below"] = f"1/{2 ** args.k}"
+        payload["residual_probability_below"] = format_fraction(Fraction(1, 2**args.k))
         payload["note"] = (
             f"still running at step {horizon}; conditional halting "
             f"probability of such programs is below 2^-{args.k}"
         )
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_density(args: argparse.Namespace) -> int:
-    machine = load_machine(args.machine)
-    check_budget(machine, args.budget)
-    _check_workers(args.workers)
-    config = {
-        "command": "density",
-        "machine": args.machine,
-        "mode": args.mode,
-        "length": args.length,
-        "budget": args.budget,
-    }
+def _cmd_density(machine: Machine, args: argparse.Namespace) -> dict:
     if args.mode == "exclusion":
         report = density_mod.random_stop_report(machine, args.length, args.budget)
-        _emit(
-            {
-                "config": config,
-                "threshold": report.threshold,
-                "candidates": [list(pair) for pair in report.candidates],
-                "violations": [list(pair) for pair in report.violations],
-                "unresolved": [list(pair) for pair in report.unresolved],
-                "holds": report.holds,
-            }
-        )
-        return 0
-    if args.horizon is None:
-        raise ConfigError("--horizon is required for window mode")
-    config["horizon"] = args.horizon
-    report = density_mod.density_report(machine, args.length, args.horizon, args.budget)
-    _emit(
-        {
-            "config": config,
-            "m": report.m,
-            "s": report.s,
-            "window": [report.window_start, report.horizon],
-            "window_size": report.window_size,
-            "nonrandom_count": report.nonrandom_count,
-            "random_count": report.random_count,
-            "random_fraction": format_fraction(report.random_fraction),
-            "rare_bound": format_fraction(report.rare_bound),
-            "exact": report.exact,
+        return {
+            "config": _config(args, "mode", "length", "budget"),
+            "threshold": report.threshold,
+            "candidates": [list(pair) for pair in report.candidates],
+            "violations": [list(pair) for pair in report.violations],
+            "unresolved": [list(pair) for pair in report.unresolved],
             "holds": report.holds,
         }
-    )
-    return 0
+    if args.horizon is None:
+        raise ConfigError("--horizon is required for window mode")
+    report = density_mod.density_report(machine, args.length, args.horizon, args.budget)
+    return {
+        "config": _config(args, "mode", "length", "budget", "horizon"),
+        "m": report.m,
+        "s": report.s,
+        "window": [report.window_start, report.horizon],
+        "window_size": report.window_size,
+        "nonrandom_count": report.nonrandom_count,
+        "random_count": report.random_count,
+        "random_fraction": format_fraction(report.random_fraction),
+        "rare_bound": format_fraction(report.rare_bound),
+        "exact": report.exact,
+        "holds": report.holds,
+    }
 
 
-def _cmd_probcurve(args: argparse.Namespace) -> int:
-    machine = load_machine(args.machine)
-    check_budget(machine, args.budget)
-    _check_workers(args.workers)
+def _cmd_probcurve(machine: Machine, args: argparse.Namespace) -> dict | str:
     curve = halting_prob.domain_prob_curve(machine, args.max_len, args.budget)
     if args.format == "csv":
-        sys.stdout.write(curve.to_csv())
-        return 0
+        return curve.to_csv()
     kraft = sum((p.fraction for p in curve.points), Fraction(0))
-    payload = {
-        "config": {
-            "command": "probcurve",
-            "machine": args.machine,
-            "max_len": args.max_len,
-            "budget": args.budget,
-        },
+    return {
+        "config": _config(args, "max_len", "budget"),
         "points": [
             {
                 "length": p.length,
@@ -272,26 +211,13 @@ def _cmd_probcurve(args: argparse.Namespace) -> int:
         ],
         "kraft_weight": format_fraction(kraft),
     }
-    _emit(payload)
-    return 0
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    machine = load_machine(args.machine)
-    check_budget(machine, args.budget)
-    _check_workers(args.workers)
+def _cmd_decompose(machine: Machine, args: argparse.Namespace) -> dict:
     dist = _load_distribution(machine, args)
     split = runtime_dist.split_halting_set(machine, dist, args.k, args.max_len, budget=args.budget)
-    payload = {
-        "config": {
-            "command": "decompose",
-            "machine": args.machine,
-            "k": args.k,
-            "max_len": args.max_len,
-            "precision": args.precision,
-            "budget": args.budget,
-            "distribution": args.distribution,
-        },
+    return {
+        "config": _config(args, "k", "max_len", "precision", "budget", "distribution"),
         "kind": dist.kind,
         "normalizer": _interval_dict(dist.normalizer),
         "cutoffs": {str(n): c for n, c in sorted(split.cutoffs.items())},
@@ -300,8 +226,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         "residual_measure_hi": format_fraction(split.residual_measure_hi),
         "residual_bound": format_fraction(split.residual_bound),
     }
-    _emit(payload)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +247,13 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="accepted for compatibility and checked to be >= 1; has no effect",
     )
+
+
+def _add_distribution(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-k", type=int, required=True, help="tail target exponent: mass < 2^-k")
+    parser.add_argument("--precision", type=int, default=runtime_dist.DEFAULT_PRECISION_BITS)
+    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--distribution", default=None, help="user-table weight file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,19 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="tail-mass stopping horizon")
     _add_machine(p)
-    p.add_argument("-k", type=int, required=True, help="tail target exponent: mass < 2^-k")
-    p.add_argument("--precision", type=int, default=runtime_dist.DEFAULT_PRECISION_BITS)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--distribution", default=None, help="user-table weight file")
+    _add_distribution(p)
     p.set_defaults(handler=_cmd_threshold)
 
     p = sub.add_parser("decide", help="run a program to the tail threshold")
     _add_machine(p)
     p.add_argument("--program", required=True, help="bit string to run")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--precision", type=int, default=runtime_dist.DEFAULT_PRECISION_BITS)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--distribution", default=None)
+    _add_distribution(p)
     p.set_defaults(handler=_cmd_decide)
 
     p = sub.add_parser("density", help="random stop-time density and exclusions")
@@ -386,27 +311,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="computable/rare halting split")
     _add_machine(p)
     _add_workers(p)
-    p.add_argument("-k", type=int, required=True)
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--precision", type=int, default=runtime_dist.DEFAULT_PRECISION_BITS)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--distribution", default=None)
+    _add_distribution(p)
     p.set_defaults(handler=_cmd_decompose)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        machine = load_machine(args.machine)
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        result = args.handler(machine, args)
+        text = _json(result) if isinstance(result, dict) else result
     except HaltlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ConfigError.exit_code
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -174,6 +174,7 @@ def density_report(
     """
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
+    check_budget(machine, budget)
     m = 2 * length + 2 * TIME_WRAP_EXTRA_BITS + 1
     s = (horizon + 1).bit_length() - 1 - m
     if s < 1:
@@ -185,7 +186,6 @@ def density_report(
         raise ResourceLimitError(
             f"horizon {horizon} exceeds the window cap {HORIZON_CAP}"
         )
-    check_budget(machine, budget)
     transparent = is_transparent(machine)
     window_start = 2**m
     window_size = horizon - window_start + 1

@@ -4,6 +4,8 @@ Each class maps to a fixed process exit code so that scripted callers can
 distinguish "you asked wrong" from "this would not fit on a desk".
 """
 
+import sys
+
 
 class HaltlabError(Exception):
     """Base class for all haltlab errors."""
@@ -29,6 +31,14 @@ class ResourceLimitError(HaltlabError):
     """
 
     exit_code = 3
+
+
+def digit_limit_error() -> ResourceLimitError:
+    """The refusal for printing an int past Python's int-to-str digit limit."""
+    return ResourceLimitError(
+        f"the result holds a number of more than {sys.get_int_max_str_digits()} "
+        "decimal digits; raise PYTHONINTMAXSTRDIGITS to print it"
+    )
 
 
 class DegenerateDistributionError(HaltlabError):

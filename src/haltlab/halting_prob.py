@@ -74,8 +74,8 @@ def domain_prob_curve(
     """Halting fraction per length, exact when the machine is transparent."""
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    check_enum_cap(max_len)
     check_budget(machine, budget)
+    check_enum_cap(max_len)
     transparent = is_transparent(machine)
     points = []
     for length in range(1, max_len + 1):

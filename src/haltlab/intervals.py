@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from haltlab.errors import digit_limit_error
+
 
 def as_fraction(value: Rational | int | str) -> Fraction:
     """Coerce ints, Fractions, and "num/den" strings to Fraction."""
@@ -26,7 +28,10 @@ def as_fraction(value: Rational | int | str) -> Fraction:
 def format_fraction(value: Fraction) -> str:
     """Render as "num/den" (always with a denominator, also for integers)."""
     f = Fraction(value)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:
+        raise digit_limit_error() from exc
 
 
 @dataclass(frozen=True)

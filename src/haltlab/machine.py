@@ -43,6 +43,8 @@ TIME_WRAP_STEP_OVERHEAD = 1
 DISPATCH_STEP_OVERHEAD = 0
 
 DEFAULT_OUTPUT_CAP = 1 << 20
+# the compiled kernel counts steps in an unsigned 64-bit integer
+MAX_BUDGET = 2**64 - 1
 # loop-free programs always halt; this cap turns a too-expensive exact run
 # into a refusal instead of a wrong verdict
 LOOP_FREE_STEP_CAP = 10**7
@@ -85,7 +87,7 @@ class ToyVM:
 
     def __post_init__(self) -> None:
         if self.isa_version != 1:
-            raise ConfigError(f"unknown isa_version {self.isa_version}")
+            raise ConfigError(f"unknown isa_version {self.isa_version!r}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ class PrefixFreeVM:
 
     def __post_init__(self) -> None:
         if self.isa_version != 1:
-            raise ConfigError(f"unknown isa_version {self.isa_version}")
+            raise ConfigError(f"unknown isa_version {self.isa_version!r}")
 
 
 @dataclass(frozen=True)
@@ -234,8 +236,8 @@ def run(
 ) -> RunOutcome:
     """Run program for at most budget steps; budget-relative by design."""
     _check_bits(program, "program")
-    if budget < 0:
-        raise ConfigError(f"budget must be >= 0, got {budget}")
+    if not 0 <= budget <= MAX_BUDGET:
+        raise ConfigError(f"budget must be in [0, 2^64 - 1], got {budget}")
     if isinstance(machine, (ToyVM, PrefixFreeVM)):
         return _run_vm(machine, program, budget, output_cap)
     if isinstance(machine, TableMachine):
@@ -428,6 +430,16 @@ _BUILTINS = {
 }
 
 
+def read_json(path: str | Path, what: str) -> object:
+    """Parse a JSON file; an unreadable or malformed file is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_machine(source: str | Path) -> Machine:
     """Load from a JSON file path or a builtin:NAME alias."""
     text = str(source)
@@ -438,11 +450,4 @@ def load_machine(source: str | Path) -> Machine:
                 f"unknown builtin machine {name!r}; available: {', '.join(sorted(_BUILTINS))}"
             )
         return _BUILTINS[name]
-    path = Path(source)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read machine file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"machine file {path} is not valid JSON: {exc}") from exc
-    return machine_from_dict(data)
+    return machine_from_dict(read_json(source, "machine file"))

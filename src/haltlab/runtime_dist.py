@@ -5,10 +5,13 @@ default dyadic weights w(i) = 2^-i. Dividing each term by the normalizer
 turns stop times into a probability distribution over indices; its tail decay
 is what makes "has not stopped by T" quantitatively informative.
 
-Every quantity is an Interval certificate. On transparent machines with a
-finite domain the intervals are points; on an infinite transparent domain only
-series truncation widens them; on opaque machines unresolved runs contribute
-honest [0, w/budget] slack.
+Every quantity is an Interval certificate. On machines with a finite domain
+the intervals are points; on an infinite transparent domain only series
+truncation widens them; on opaque machines unresolved runs contribute honest
+[0, w/budget] slack. The series, the distributions and the split apply the
+one budget policy (haltlab.machine.check_budget) themselves, so callers pass
+the budget through unchecked: none on a transparent machine, a positive one
+on an opaque machine.
 """
 
 from __future__ import annotations
@@ -18,30 +21,13 @@ from fractions import Fraction
 from typing import Union
 
 from haltlab.codec import bits_of_index, index_of_bits
-from haltlab.errors import (
-    ConfigError,
-    DegenerateDistributionError,
-    InvariantViolation,
-)
-from haltlab.intervals import Interval, as_fraction
+from haltlab.errors import ConfigError, DegenerateDistributionError, InvariantViolation
+from haltlab.intervals import Interval
 from haltlab.machine import Machine, check_budget, finite_domain, is_transparent, observe
 from haltlab.sweep import check_enum_cap, sweep
 
 OPAQUE_PRECISION_CAP = 16
 DEFAULT_PRECISION_BITS = 8
-
-
-def floor_log2(value: Fraction) -> int:
-    """Largest e with 2^e <= value, for value > 0 (exact)."""
-    f = as_fraction(value)
-    if f <= 0:
-        raise ValueError(f"floor_log2 needs a positive value, got {f}")
-    e = f.numerator.bit_length() - f.denominator.bit_length()
-    while Fraction(2) ** e > f:
-        e -= 1
-    while Fraction(2) ** (e + 1) <= f:
-        e += 1
-    return e
 
 
 @dataclass(frozen=True)
@@ -107,40 +93,55 @@ def weights_from_dict(data: dict) -> GeometricTableWeights:
         raise ConfigError("user-table needs a non-empty 'weights' list")
     prefix = []
     for pair in raw:
-        if not isinstance(pair, list) or len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, str) for x in pair):
             raise ConfigError(f"weight entries are [num, den] string pairs, got {pair!r}")
         try:
             prefix.append(Fraction(int(pair[0]), int(pair[1])))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad weight {pair!r}: {exc}") from exc
     modulus = data.get("tail_modulus")
     if not isinstance(modulus, dict) or modulus.get("type") != "geometric" or "ratio" not in modulus:
         raise ConfigError("tail_modulus must be {'type': 'geometric', 'ratio': ...}")
+    text = modulus["ratio"]
+    if not isinstance(text, str):
+        raise ConfigError(f"the tail ratio is a string like \"1/2\", got {text!r}")
     try:
-        ratio = Fraction(modulus["ratio"])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad tail ratio {modulus['ratio']!r}: {exc}") from exc
+        ratio = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad tail ratio {text!r}: {exc}") from exc
     return GeometricTableWeights(prefix=tuple(prefix), ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
 # the normalizer series
 
-def _weighted_stops(
+def _tail_sum(
     machine: Machine, weights: Weights, start: int, count: int, budget: int | None
-) -> tuple[Fraction, Fraction]:
-    """Over indices start .. start+count-1: the sum of w(i)/t_i for those seen
-    halting, and the budget slack sum of w(i)/budget for those still running
-    (zero when budget is None, where not halting is certain)."""
-    total = Fraction(0)
-    slack = Fraction(0)
+) -> Interval:
+    """Certified enclosure of the sum of w(i)/t_i over halting indices i >= start.
+
+    A finite domain gives the exact sum. Otherwise the indices start ..
+    start+count-1 are observed: those seen halting add their terms, those still
+    running after budget steps add w(i)/budget of slack (none when budget is
+    None, where not halting is certain), and the weight tail from start+count
+    on bounds the rest.
+    """
+    domain = finite_domain(machine)
+    if domain is not None:
+        total = sum(
+            (weights.weight(i) / t for p, t, _ in domain if (i := index_of_bits(p)) >= start),
+            Fraction(0),
+        )
+        return Interval.exact(total)
+    check_enum_cap(max(0, (start + count - 1).bit_length() - 1))
+    total = slack = Fraction(0)
     for i in range(start, start + count):
         hit = observe(machine, bits_of_index(i), budget)
         if hit is not None:
             total += weights.weight(i) / hit[0]
         elif budget is not None:
             slack += weights.weight(i) / budget
-    return total, slack
+    return Interval(total, total + slack + weights.tail_bound(start + count))
 
 
 def _series_certificate(
@@ -149,35 +150,17 @@ def _series_certificate(
     precision_bits: int,
     budget: int | None,
 ) -> Interval:
-    """Certified enclosure of sum of w(i)/t_i over halting indices.
-
-    A finite transparent domain gives a point; otherwise series truncation,
-    and on opaque machines the per-run budget slack, widen the result.
-    """
-    if is_transparent(machine) and (domain := finite_domain(machine)) is not None:
-        total = sum(
-            (weights.weight(index_of_bits(p)) / t for p, t, _ in domain),
-            Fraction(0),
-        )
-        return Interval.exact(total)
+    """Certified enclosure of sum of w(i)/t_i over halting indices, from the
+    first precision+2 indices. An opaque machine's budget must reach
+    2^(precision+2) so that the slack stays within the truncation tail."""
+    check_budget(machine, budget)
     terms = precision_bits + 2
-    check_enum_cap(max(0, terms.bit_length() - 1))
-    if budget is not None and budget < 2**terms:
+    if budget is not None and budget.bit_length() <= terms:
         raise ConfigError(
-            f"budget {budget} is below 2^(precision+2) = {2**terms}; "
+            f"budget {budget} is below 2^(precision+2) = 2^{terms}; "
             "the width certificate needs at least that many steps per run"
         )
-    lo, slack = _weighted_stops(machine, weights, 1, terms, budget)
-    return Interval(lo, lo + slack + weights.tail_bound(terms + 1))
-
-
-def _run_budget(machine: Machine, precision_bits: int, budget: int | None) -> int | None:
-    """Per-run budget of a series: none on a transparent machine; on an opaque
-    one the given budget, by default 2^(precision+2)."""
-    if budget is None and not is_transparent(machine):
-        return 2 ** (precision_bits + 2)
-    check_budget(machine, budget)
-    return budget
+    return _tail_sum(machine, weights, 1, terms, budget)
 
 
 def halting_series(
@@ -194,7 +177,6 @@ def halting_series(
             f"opaque precision capped at {OPAQUE_PRECISION_CAP} bits "
             f"(cost grows as 2^precision); pass force=True to override"
         )
-    budget = _run_budget(machine, precision_bits, budget)
     interval = _series_certificate(machine, DyadicWeights(), precision_bits, budget)
     if interval.width >= Fraction(1, 2**precision_bits):
         raise InvariantViolation(
@@ -236,53 +218,33 @@ class RuntimeDistribution:
             return Interval.exact(0)
         return Interval(Fraction(0), w / (self.budget * lo_n))
 
-    def tail_index(self, k: int) -> int:
-        """Least start index with certified tail mass below 2^-k."""
-        if k < 0:
-            raise ConfigError(f"k must be >= 0, got {k}")
-        target = Fraction(1, 2**k)
-        n = 1
-        while self.weights.tail_bound(n) / self.normalizer.lo >= target:
-            n += 1
-            if n > 10**6:
-                raise InvariantViolation("tail modulus search did not converge")
-        return n
-
     def tail_mass(self, start: int, terms: int | None = None) -> Interval:
         """Certificate for the mass at indices >= start."""
         if start < 1:
             raise ConfigError(f"start must be >= 1, got {start}")
+        count = terms if terms is not None else self.precision_bits + 2
+        tail = _tail_sum(self.machine, self.weights, start, count, self.budget)
         lo_n, hi_n = self.normalizer.lo, self.normalizer.hi
         cap = self.weights.tail_bound(start) / lo_n
-        if is_transparent(self.machine) and (domain := finite_domain(self.machine)) is not None:
-            total = sum(
-                (
-                    self.weights.weight(index_of_bits(p)) / t
-                    for p, t, _ in domain
-                    if index_of_bits(p) >= start
-                ),
-                Fraction(0),
-            )
-            if self.normalizer.is_point:
-                return Interval.exact(total / lo_n)
-            return Interval(total / hi_n, min(total / lo_n, cap))
-        count = terms if terms is not None else self.precision_bits + 2
-        sum_lo, slack = _weighted_stops(self.machine, self.weights, start, count, self.budget)
-        tail = self.weights.tail_bound(start + count)
-        hi = (sum_lo + slack + tail) / lo_n
-        return Interval(sum_lo / hi_n, min(hi, cap))
+        return Interval(tail.lo / hi_n, min(tail.hi / lo_n, cap))
 
     def total_mass(self) -> Interval:
         return self.tail_mass(1)
 
 
-def _check_normalizer(normalizer: Interval) -> Interval:
+def _distribution(
+    machine: Machine,
+    weights: Weights,
+    normalizer: Interval,
+    precision_bits: int,
+    budget: int | None,
+) -> RuntimeDistribution:
     if normalizer.lo <= 0:
         raise DegenerateDistributionError(
             "no halting program found among the enumerated indices; "
             "the runtime distribution has no certified mass"
         )
-    return normalizer
+    return RuntimeDistribution(machine, weights, normalizer, precision_bits, budget)
 
 
 def induced_distribution(
@@ -292,15 +254,8 @@ def induced_distribution(
     force: bool = False,
 ) -> RuntimeDistribution:
     """Distribution with dyadic weights and the machine's own stop times."""
-    budget = _run_budget(machine, precision_bits, budget)
-    normalizer = _check_normalizer(halting_series(machine, precision_bits, budget, force))
-    return RuntimeDistribution(
-        machine=machine,
-        weights=DyadicWeights(),
-        normalizer=normalizer,
-        precision_bits=precision_bits,
-        budget=budget,
-    )
+    normalizer = halting_series(machine, precision_bits, budget, force)
+    return _distribution(machine, DyadicWeights(), normalizer, precision_bits, budget)
 
 
 def user_table_distribution(
@@ -311,40 +266,36 @@ def user_table_distribution(
 ) -> RuntimeDistribution:
     """Distribution with declared weights and a geometric tail modulus."""
     weights = weights_from_dict(data)
-    budget = _run_budget(machine, precision_bits, budget)
-    normalizer = _check_normalizer(
-        _series_certificate(machine, weights, precision_bits, budget)
-    )
-    return RuntimeDistribution(
-        machine=machine,
-        weights=weights,
-        normalizer=normalizer,
-        precision_bits=precision_bits,
-        budget=budget,
-    )
+    normalizer = _series_certificate(machine, weights, precision_bits, budget)
+    return _distribution(machine, weights, normalizer, precision_bits, budget)
 
 
 # ---------------------------------------------------------------------------
 # tail thresholds
 
-def tail_threshold(dist: RuntimeDistribution, k: int) -> int:
-    """Least horizon T whose certified tail mass from T on is below 2^-k.
+def tail_certificate(dist: RuntimeDistribution, horizon: int) -> Fraction:
+    """Closed-form upper bound for the tail mass from horizon on. It does not
+    increase with the horizon."""
+    return dist.weights.tail_bound(horizon) / dist.normalizer.lo
 
-    Computed as the least integer exceeding k - floor_log2(normalizer_lo),
-    nudged up in the knife-edge case where that bound is not strict.
+
+def tail_threshold(dist: RuntimeDistribution, k: int) -> int:
+    """Least horizon T >= 1 whose certified tail mass from T on is below 2^-k.
+
+    The certificate does not increase with T, so doubling brackets the least
+    such T and bisection finds it.
     """
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
-    threshold = k - floor_log2(dist.normalizer.lo) + 1
     target = Fraction(1, 2**k)
-    while dist.weights.tail_bound(threshold) / dist.normalizer.lo >= target:
-        threshold += 1
-    return threshold
-
-
-def tail_certificate(dist: RuntimeDistribution, horizon: int) -> Fraction:
-    """Closed-form upper bound for the tail mass from horizon on."""
-    return dist.weights.tail_bound(horizon) / dist.normalizer.lo
+    # hi meets the target; lo is 0 or a horizon that misses it
+    lo, hi = 0, 1
+    while tail_certificate(dist, hi) >= target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail_certificate(dist, mid) < target else (mid, hi)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -372,23 +323,19 @@ def split_halting_set(
     budget: int | None = None,
 ) -> HaltSplit:
     """Split halting pairs (p, t_p), 1 <= len(p) <= max_len, at the cutoff
-    t < 2^b(k + len(p) + 2); the remainder is certified to carry little mass."""
+    t < 2^T(k + len(p) + 2) with T = tail_threshold; the remainder is
+    certified to carry little mass."""
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     check_budget(machine, budget)
-    cutoffs = {n: 2 ** dist.tail_index(k + n + 2) for n in range(1, max_len + 1)}
-    pairs: list[tuple[str, int]] = []
+    cutoffs = {n: 2 ** tail_threshold(dist, k + n + 2) for n in range(1, max_len + 1)}
+    computable: list[tuple[str, int]] = []
+    residual: list[tuple[str, int]] = []
     for length in range(1, max_len + 1):
-        pairs.extend(sweep(machine, length, budget).stops.items())
-    computable = []
-    residual = []
-    for program, stop in pairs:
-        if stop < cutoffs[len(program)]:
-            computable.append((program, stop))
-        else:
-            residual.append((program, stop))
+        for pair in sweep(machine, length, budget).stops.items():
+            (computable if pair[1] < cutoffs[length] else residual).append(pair)
     measure_hi = sum(
         (Fraction(1, 2 ** len(p)) * dist.mass(t).hi for p, t in residual),
         Fraction(0),

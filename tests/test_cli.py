@@ -5,13 +5,19 @@ argument, so machine files are named relative to the repository root and the
 tests run from there.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 import pytest
 
 from haltlab import cli
+from haltlab.errors import ConfigError
+from haltlab.machine import is_transparent, load_machine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -83,8 +89,19 @@ GOLDEN = [
     ("budget-missing", "upsilon --machine builtin:toy-vm --precision 4", 2, EMPTY),
     ("budget-on-transparent", "upsilon --machine fixtures/table1.json --budget 10", 2, EMPTY),
     ("budget-zero", "upsilon --machine builtin:prefix-free-vm --budget 0", 2, EMPTY),
+    ("budget-over-64-bits",
+     "upsilon --machine builtin:toy-vm --precision 4 --budget 18446744073709551616", 2, EMPTY),
+    ("distribution-is-a-directory",
+     "threshold --machine fixtures/table1.json -k 1 --distribution fixtures", 2, EMPTY),
     ("workers-zero", "probcurve --machine builtin:toy-vm --max-len 4 --budget 64 --workers 0",
      2, EMPTY),
+    # results that hold a number past Python's int-to-str digit limit: the
+    # target 2^-k at -k 15000, and at -k 14278 only the cutoffs 2^T
+    ("threshold-k-too-long", "threshold --machine fixtures/table1.json -k 15000", 3, EMPTY),
+    ("decompose-k-too-long", "decompose --machine fixtures/table1.json -k 15000 --max-len 3",
+     3, EMPTY),
+    ("decompose-cutoffs-too-long", "decompose --machine fixtures/table1.json -k 14278 --max-len 3",
+     3, EMPTY),
 ]
 
 
@@ -147,8 +164,19 @@ GOOD_WEIGHTS = {
         ("weights.json", {**GOOD_WEIGHTS, "tail_modulus": {"type": "geometric"}}),
         ("machine.json", {"kind": "table", "entries": [{"program": "0", "stop_time": 1, "output": 5}]}),
         ("machine.json", {"kind": "table", "entries": [{"program": "0", "stop_time": True}]}),
+        ("weights.json", {**GOOD_WEIGHTS, "weights": [[1.9, 2]]}),
+        ("weights.json", {**GOOD_WEIGHTS, "tail_modulus": {"type": "geometric", "ratio": 0.5}}),
+        ("machine.json", {"kind": "toy-vm", "isa_version": "\n"}),
     ],
-    ids=["zero-denominator", "no-ratio", "output-not-string", "stop-time-bool"],
+    ids=[
+        "zero-denominator",
+        "no-ratio",
+        "output-not-string",
+        "stop-time-bool",
+        "float-weight",
+        "float-ratio",
+        "isa-version-newline",
+    ],
 )
 def test_malformed_json_is_a_usage_error(name, data, tmp_path, capsys):
     (tmp_path / name).write_text(json.dumps(data))
@@ -159,3 +187,134 @@ def test_malformed_json_is_a_usage_error(name, data, tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert_one_line_error(err)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: machine, table and weight JSON with a junk scalar in any field
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 2**70),
+    st.floats(),
+    st.text(max_size=3),
+)
+
+
+def field(valid):
+    """The valid strategy, with a junk scalar one time in eight."""
+    return st.integers(0, 7).flatmap(lambda r: JUNK if r == 7 else valid)
+
+
+BITS = st.text("01", max_size=4)
+ENTRIES = st.lists(
+    st.fixed_dictionaries(
+        {"program": field(BITS), "stop_time": field(st.integers(1, 300))},
+        optional={"output": field(BITS)},
+    ),
+    max_size=4,
+)
+TABLES = st.fixed_dictionaries({"kind": field(st.just("table")), "entries": field(ENTRIES)})
+VMS = st.fixed_dictionaries(
+    {"kind": field(st.sampled_from(["toy-vm", "prefix-free-vm"]))},
+    optional={
+        "variant": field(st.sampled_from(["full", "loop-free"])),
+        "isa_version": field(st.just(1)),
+    },
+)
+LEAVES = st.one_of(TABLES, VMS)
+MACHINES = field(st.one_of(
+    LEAVES,
+    st.fixed_dictionaries(
+        {"kind": field(st.just("dispatcher")), "submachines": field(st.lists(LEAVES, max_size=3))}
+    ),
+))
+NUMBERS = field(st.sampled_from(["0", "1", "2", "3", "16", "-1", "1.5"]))
+WEIGHTS = st.fixed_dictionaries(
+    {
+        "kind": field(st.just("user-table")),
+        "weights": field(st.lists(field(st.lists(NUMBERS, min_size=2, max_size=2)), max_size=3)),
+        "tail_modulus": field(
+            st.fixed_dictionaries(
+                {
+                    "type": field(st.just("geometric")),
+                    "ratio": field(st.sampled_from(["1/2", "1/16", "3/4", "0", "1", "2/0", "x"])),
+                }
+            )
+        ),
+    }
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """argv of one subcommand at small sizes, without --budget. MACHINE and
+    WEIGHTS stand for the files."""
+    small = st.integers(1, 4)
+    command = draw(st.sampled_from(
+        ["decompose", "threshold", "decide", "upsilon", "density", "probcurve", "history"]
+    ))
+    argv = [command, "--machine", "MACHINE"]
+    if command == "history":
+        argv += ["--length", draw(st.integers(0, 4)), "--horizon", draw(st.integers(1, 20))]
+        argv += ["--format", draw(st.sampled_from(["json", "csv", "matrix"]))]
+        if draw(st.booleans()):
+            argv += ["--t0", draw(st.integers(0, 20)), "--t1", draw(st.integers(0, 20))]
+    elif command == "density":
+        argv += ["--mode", draw(st.sampled_from(["window", "exclusion"])), "--length", draw(small)]
+        argv += ["--horizon", draw(st.integers(255, 300))]
+    elif command == "probcurve":
+        argv += ["--max-len", draw(small), "--format", draw(st.sampled_from(["json", "csv"]))]
+    else:
+        argv += ["--precision", draw(small)]
+        if command != "upsilon":
+            argv += ["-k", draw(st.integers(0, 6))]
+            if draw(st.booleans()):
+                argv += ["--distribution", "WEIGHTS"]
+        if command == "decide":
+            argv.append(f"--program={draw(field(BITS))}")
+        if command == "decompose":
+            argv += ["--max-len", draw(small)]
+    return [str(a) for a in argv]
+
+
+def fitting_budget(path):
+    """None for a transparent machine, 256 for an opaque one (the policy's
+    choice), None when the file is not a machine at all."""
+    try:
+        return None if is_transparent(load_machine(path)) else 256
+    except ConfigError:
+        return None
+
+
+# small or refused budgets only: an opaque run may spin up to its budget
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    machine=st.one_of(MACHINES, st.sampled_from(["builtin:toy-vm", "builtin:loop-free-vm"])),
+    weights=WEIGHTS,
+    argv=cli_calls(),
+    budget=st.sampled_from(["fit", "fit", "fit", None, 0, 64, 2**64]),
+)
+def test_fuzzed_json_never_escapes_the_exit_codes(machine, weights, argv, budget, tmp_path_factory):
+    tmp = tmp_path_factory.getbasetemp()
+    (tmp / "machine.json").write_text(json.dumps(machine))
+    (tmp / "weights.json").write_text(json.dumps(weights))
+    path = str(tmp / "machine.json")
+    if isinstance(machine, str) and machine.startswith("builtin:"):
+        path = machine
+    if budget == "fit":
+        budget = fitting_budget(path)
+    files = {"MACHINE": path, "WEIGHTS": str(tmp / "weights.json")}
+    argv = [files.get(a, a) for a in argv]
+    if budget is not None and argv[0] != "history":
+        argv += ["--budget", str(budget)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in {0, 2, 3, 4, 5}
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert_one_line_error(err.getvalue())

@@ -93,6 +93,14 @@ def test_budget_zero_observes_nothing(toy_vm):
     assert not run(toy_vm, "0000", 0).halted
 
 
+def test_run_rejects_budgets_over_64_bits(toy_vm, table1):
+    # the compiled kernel counts steps in 64 bits, so both kernels refuse more
+    for machine in (toy_vm, table1):
+        assert run(machine, "0101", 2**64 - 1) == run(machine, "0101", 4096)
+        with pytest.raises(ConfigError):
+            run(machine, "0101", 2**64)
+
+
 # ---------------------------------------------------------------------------
 # the timing wrapper
 

@@ -1,15 +1,11 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
 import pytest
 
 from haltlab.errors import ConfigError, DegenerateDistributionError
-from haltlab.machine import TableMachine, machine_from_dict
+from haltlab.machine import TableMachine
 from haltlab.runtime_dist import (
-    DyadicWeights,
     GeometricTableWeights,
-    floor_log2,
     halting_series,
     induced_distribution,
     split_halting_set,
@@ -22,24 +18,6 @@ from haltlab.runtime_dist import (
 
 def table_of(stops):
     return TableMachine.from_stops(stops)
-
-
-# ---------------------------------------------------------------------------
-# floor_log2
-
-@given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6), max_denominator=10**6))
-def test_floor_log2_brackets(f):
-    e = floor_log2(f)
-    assert Fraction(2) ** e <= f < Fraction(2) ** (e + 1)
-
-
-def test_floor_log2_powers():
-    assert floor_log2(Fraction(1)) == 0
-    assert floor_log2(Fraction(1, 2)) == -1
-    assert floor_log2(Fraction(5, 8)) == -1
-    assert floor_log2(Fraction(8)) == 3
-    with pytest.raises(ValueError):
-        floor_log2(Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +93,32 @@ def test_degenerate_prefix_free_at_low_precision(prefix_free_vm):
     assert dist.normalizer.lo > 0
 
 
-def test_tail_index_is_minimal_and_monotone(fixture_f):
-    dist = induced_distribution(fixture_f)
-    previous = 0
-    for k in range(0, 21):
-        b = dist.tail_index(k)
+# weights 2^-i, and weights that decay as 16^-i past 1/2, where a closed form
+# from the dyadic case overshoots the least horizon
+FAST_WEIGHTS = {
+    "kind": "user-table",
+    "weights": [["1", "2"]],
+    "tail_modulus": {"type": "geometric", "ratio": "1/16"},
+}
+
+
+@pytest.mark.parametrize(
+    "weights, at_k4", [(None, 6), (FAST_WEIGHTS, 3)], ids=["induced", "fast-table"]
+)
+def test_tail_threshold_is_minimal_and_monotone(fixture_f, weights, at_k4):
+    if weights is None:
+        dist = induced_distribution(fixture_f)
+    else:
+        dist = user_table_distribution(fixture_f, weights)
+    previous = 1
+    for k in range(0, 41):
+        b = tail_threshold(dist, k)
         target = Fraction(1, 2**k)
-        assert dist.weights.tail_bound(b) / dist.normalizer.lo < target
-        if b > 1:
-            assert dist.weights.tail_bound(b - 1) / dist.normalizer.lo >= target
+        assert tail_certificate(dist, b) < target
+        assert b == 1 or tail_certificate(dist, b - 1) >= target
         assert b >= previous
         previous = b
+    assert tail_threshold(dist, 4) == at_k4
 
 
 def test_fixture_f_thresholds(fixture_f):
@@ -140,8 +133,8 @@ def test_fixture_f_thresholds(fixture_f):
 
 
 def test_threshold_knife_edge_bump():
-    # normalizer exactly 1/2 puts the closed-form bound on the boundary,
-    # so the strictness nudge must fire
+    # normalizer exactly 1/2 puts the certificate at T = k + 2 exactly on
+    # the target, so the strict bound first holds at k + 3
     dist = induced_distribution(table_of({"": 1}))
     assert dist.normalizer.lo == Fraction(1, 2)
     for k in range(0, 10):
