@@ -1,10 +1,16 @@
 """Build script: compiles the optional stepping kernel when a toolchain exists.
 
+The kernel is built from the shipped, Cython-generated src/haltlab/_stepper.c,
+so no Cython is needed at install time. After editing _stepper.pyx, regenerate
+the C file by hand and commit both:
+
+    cython -3 src/haltlab/_stepper.pyx -o src/haltlab/_stepper.c
+
 The package is fully functional without the extension; haltlab.vm falls back to
 the pure-Python kernel at import time.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -24,15 +30,7 @@ class OptionalBuildExt(build_ext):
             print(f"haltlab: skipping {ext.name} ({exc!r})")
 
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/haltlab/_stepper.pyx"],
-        language_level="3",
-    )
-except Exception as exc:  # noqa: BLE001 - Cython missing is fine
-    print(f"haltlab: Cython unavailable, pure-Python kernel only ({exc!r})")
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[Extension("haltlab._stepper", ["src/haltlab/_stepper.c"])],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

@@ -36,6 +36,7 @@ from haltlab.errors import ConfigError, HaltlabError, digit_limit_error
 from haltlab.intervals import Interval, format_fraction
 from haltlab.machine import Machine, load_machine, read_json, run
 from haltlab.sweep import (
+    check_matrix_cells,
     conditional_probs,
     eventual_fraction,
     history_to_csv,
@@ -85,6 +86,8 @@ def _load_distribution(
 # subcommand handlers
 
 def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
+    if args.format == "matrix":
+        check_matrix_cells(args.length, args.horizon)  # before the sweep runs
     history = sweep(machine, args.length, args.horizon)
     if args.format == "csv":
         return history_to_csv(history)
@@ -168,7 +171,7 @@ def _cmd_density(machine: Machine, args: argparse.Namespace) -> dict:
         report = density_mod.random_stop_report(machine, args.length, args.budget)
         return {
             "config": _config(args, "mode", "length", "budget"),
-            "threshold": report.threshold,
+            "threshold": density_mod.exclusion_threshold(args.length),
             "candidates": [list(pair) for pair in report.candidates],
             "violations": [list(pair) for pair in report.violations],
             "unresolved": [list(pair) for pair in report.unresolved],

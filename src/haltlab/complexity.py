@@ -2,15 +2,15 @@
 
 The complexity of a string x relative to a machine is the least index n whose
 program produces x. Indices double as time values, so a time t is called
-random when the code of t has complexity at least 2^len / len; random times
-cannot be hit by short programs that stop late. On transparent machines the
-verdicts are exact; on opaque machines a found witness certifies "nonrandom"
-but absence of one only yields "unknown".
+random when no index at or below short_index_cap(len), the largest index
+under 2^len / len, produces code(t). Late stop times of short programs are
+never random, because the timing wrapper 11p (wrapper_witness) compresses
+them. On transparent machines the verdicts are exact; on opaque machines a
+found witness certifies "nonrandom" but absence of one only yields "unknown".
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -77,23 +77,33 @@ def natural_complexity(
     )
 
 
-def randomness_threshold(t: int) -> Fraction:
-    """A time t >= 2 is random when no index below 2^len/len produces code(t)."""
-    if t < 2:
-        raise ConfigError(f"randomness is defined for t >= 2, got {t}")
-    length = len(bits_of_index(t))
-    return Fraction(2**length, length)
+def short_index_cap(length: int) -> int:
+    """Largest index below 2^length / length: a string of this length is
+    non-random when some index at or under this cap produces it."""
+    if length < 1:
+        raise ConfigError(f"randomness is defined for code lengths >= 1, got {length}")
+    return (2**length - 1) // length
 
 
 def time_randomness(machine: Machine, t: int, budget: int | None = None) -> str:
     """Classify stop time t as random / nonrandom / unknown."""
     check_budget(machine, budget)
-    threshold = randomness_threshold(t)
-    cap = math.ceil(threshold) - 1
-    witness = min_index_map(machine, cap, budget).get(bits_of_index(t))
-    if witness is not None:
+    if t < 2:
+        raise ConfigError(f"randomness is defined for t >= 2, got {t}")
+    code = bits_of_index(t)
+    if min_index_map(machine, short_index_cap(len(code)), budget).get(code) is not None:
         return NONRANDOM  # witness halts, so the bound holds even under budget
     return RANDOM if is_transparent(machine) else UNKNOWN
+
+
+def wrapper_witness(machine: Machine, program: str, stop: int, budget: int | None) -> int | None:
+    """Index of the timing wrapper 11p when it outputs code(stop) within
+    budget + TIME_WRAP_STEP_OVERHEAD steps; None on the kinds without it."""
+    if not isinstance(machine, (ToyVM, PrefixFreeVM)):
+        return None
+    wrapped = time_wrap(program)
+    hit = observe(machine, wrapped, None if budget is None else budget + TIME_WRAP_STEP_OVERHEAD)
+    return index_of_bits(wrapped) if hit is not None and hit[1] == bits_of_index(stop) else None
 
 
 @dataclass(frozen=True)
@@ -111,8 +121,8 @@ class BoundCheck:
 def stop_time_bound_holds(machine: Machine, program: str, budget: int) -> BoundCheck:
     """Check that the code of the stop time has complexity <= 2^(len(p)+c+1).
 
-    On the VM kinds the timing wrapper supplies the witness directly; on
-    table-style machines we fall back to enumeration below the cap.
+    On the VM kinds the timing wrapper is the witness; on the other kinds
+    the least producing index at or below the cap is.
     """
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
@@ -121,16 +131,10 @@ def stop_time_bound_holds(machine: Machine, program: str, budget: int) -> BoundC
     if not outcome.halted:
         return BoundCheck(program, False, None, cap, None, None)
     stop = outcome.stop_time
-    target = bits_of_index(stop)
-    if isinstance(machine, (ToyVM, PrefixFreeVM)):
-        wrapped = time_wrap(program)
-        wrapped_outcome = run(machine, wrapped, budget + TIME_WRAP_STEP_OVERHEAD)
-        witness = None
-        if wrapped_outcome.halted and wrapped_outcome.output == target:
-            witness = index_of_bits(wrapped)
-    else:
+    witness = wrapper_witness(machine, program, stop, budget)
+    if witness is None:  # not a VM kind, so the machine has no wrapper
         budget_arg = None if is_transparent(machine) else budget
-        witness = min_index_map(machine, cap, budget_arg).get(target)
+        witness = min_index_map(machine, cap, budget_arg).get(bits_of_index(stop))
     holds = witness is not None and witness <= cap
     return BoundCheck(program, True, stop, cap, witness, holds)
 
@@ -155,9 +159,7 @@ def random_string_density(machine: Machine, length: int) -> RandomStringDensity:
         raise ConfigError(f"length must be >= 1, got {length}")
     if not is_transparent(machine):
         raise ConfigError("random_string_density requires a transparent machine")
-    threshold = Fraction(2**length, length)
-    cap = math.ceil(threshold) - 1
-    reached = min_index_map(machine, cap, None)
+    reached = min_index_map(machine, short_index_cap(length), None)
     nonrandom = sum(1 for output in reached if len(output) == length)
     total = 2**length
     return RandomStringDensity(

@@ -1,11 +1,14 @@
 """Density of random stop times inside dyadic windows.
 
-A time t >= 2 counts as random when no producing index sits below
-2^len / len for its code (see complexity.time_randomness). Two families of
-results live here:
+A time t >= 2 counts as random when no index at or below
+short_index_cap(|code(t)|) produces its code (see complexity). Two families
+of results live here, both at the exponent m = 2*length + 2c + 1 with c the
+wrapper overhead:
 
-* exclusion: stop times of short programs that exceed an exponential
-  threshold are never random, because the timing wrapper compresses them;
+* exclusion: stop times of length-n programs at or past 2^m are never
+  random, because the timing wrapper compresses them. random_stop_report
+  (one length) and exponential_stop_density (lengths 0..max_len up to a
+  horizon) are two parameterisations of one check;
 * window density: within [2^m, T] the non-random times are so sparse that
   the random fraction provably exceeds 1 - 5/(m+s-1), where s is the number
   of doublings the window spans.
@@ -17,6 +20,7 @@ upper bound and the density claim is left unverified.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,21 +29,18 @@ from haltlab.complexity import (
     RANDOM,
     UNKNOWN,
     min_index_map,
-    randomness_threshold,
+    short_index_cap,
+    stop_time_bound_holds,
     time_randomness,
+    wrapper_witness,
 )
 from haltlab.errors import ConfigError, InvariantViolation, ResourceLimitError
 from haltlab.machine import (
     Machine,
-    PrefixFreeVM,
     TableMachine,
     TIME_WRAP_EXTRA_BITS,
-    TIME_WRAP_STEP_OVERHEAD,
-    ToyVM,
     check_budget,
     is_transparent,
-    observe,
-    time_wrap,
 )
 from haltlab.sweep import sweep
 
@@ -71,34 +72,22 @@ def power_gap_holds(n: int, t: int) -> bool:
     return 2**length > 2**n * length
 
 
-def exclusion_threshold(length: int) -> int:
-    """Stop times at or above this are provably non-random for programs
-    of the given length: 2^(2*length + 2c + 1) with c the wrapper overhead."""
+def _exponent(length: int) -> int:
+    """m = 2*length + 2c + 1, where the late stops of this length start."""
     if length < 0:
         raise ConfigError(f"length must be >= 0, got {length}")
-    return 2 ** (2 * length + 2 * TIME_WRAP_EXTRA_BITS + 1)
+    return 2 * length + 2 * TIME_WRAP_EXTRA_BITS + 1
 
 
-def _wrapper_witness(
-    machine: Machine, program: str, stop: int, budget: int | None
-) -> int | None:
-    """Index of the timing wrapper when it certifies code(stop), else None."""
-    if not isinstance(machine, (ToyVM, PrefixFreeVM)):
-        return None
-    wrapped = time_wrap(program)
-    index = index_of_bits(wrapped)
-    if Fraction(index) >= randomness_threshold(stop):
-        return None
-    hit = observe(machine, wrapped, None if budget is None else budget + TIME_WRAP_STEP_OVERHEAD)
-    return index if hit is not None and hit[1] == bits_of_index(stop) else None
+def exclusion_threshold(length: int) -> int:
+    """2^m: stop times at or above it are provably non-random at this length."""
+    return 2 ** _exponent(length)
 
 
 @dataclass(frozen=True)
 class ExclusionReport:
-    """Randomness verdicts for over-threshold stop times at one length."""
+    """Randomness verdicts for stop times past the exclusion threshold."""
 
-    length: int
-    threshold: int  # candidate stop times are >= this
     candidates: tuple[tuple[str, int], ...]
     violations: tuple[tuple[str, int], ...]  # provably random (should be empty)
     unresolved: tuple[tuple[str, int], ...]  # opaque, no witness within budget
@@ -106,6 +95,36 @@ class ExclusionReport:
     @property
     def holds(self) -> bool:
         return not self.violations
+
+
+def _exclusion_report(
+    machine: Machine, lengths: Iterable[int], horizon: int | None, budget: int | None
+) -> ExclusionReport:
+    """Sweep each length, keep the stops in [threshold, horizon] (no upper
+    end when horizon is None) and check that each one is non-random: the
+    wrapper witness first, then the least producing index."""
+    check_budget(machine, budget)
+    candidates: list[tuple[str, int]] = []
+    for length in lengths:
+        threshold = exclusion_threshold(length)
+        if horizon is not None and threshold > horizon:
+            continue
+        stops = sweep(machine, length, budget).stops
+        candidates.extend(
+            (p, t) for p, t in stops.items() if threshold <= t and (horizon is None or t <= horizon)
+        )
+    violations = []
+    unresolved = []
+    for program, stop in candidates:
+        witness = wrapper_witness(machine, program, stop, budget)
+        if witness is not None and witness <= short_index_cap(len(bits_of_index(stop))):
+            continue
+        verdict = time_randomness(machine, stop, budget)
+        if verdict == RANDOM:
+            violations.append((program, stop))
+        elif verdict == UNKNOWN:
+            unresolved.append((program, stop))
+    return ExclusionReport(tuple(candidates), tuple(violations), tuple(unresolved))
 
 
 def random_stop_report(
@@ -116,27 +135,7 @@ def random_stop_report(
     """Check that every late stop time at this length is non-random."""
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
-    threshold = exclusion_threshold(length)
-    check_budget(machine, budget)
-    stops = sweep(machine, length, budget).stops
-    candidates = tuple((p, t) for p, t in stops.items() if t >= threshold)
-    violations = []
-    unresolved = []
-    for program, stop in candidates:
-        if _wrapper_witness(machine, program, stop, budget) is not None:
-            continue
-        verdict = time_randomness(machine, stop, budget)
-        if verdict == RANDOM:
-            violations.append((program, stop))
-        elif verdict == UNKNOWN:
-            unresolved.append((program, stop))
-    return ExclusionReport(
-        length=length,
-        threshold=threshold,
-        candidates=candidates,
-        violations=tuple(violations),
-        unresolved=tuple(unresolved),
-    )
+    return _exclusion_report(machine, (length,), None, budget)
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def density_report(
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
     check_budget(machine, budget)
-    m = 2 * length + 2 * TIME_WRAP_EXTRA_BITS + 1
+    m = _exponent(length)
     s = (horizon + 1).bit_length() - 1 - m
     if s < 1:
         raise ConfigError(
@@ -189,19 +188,17 @@ def density_report(
     transparent = is_transparent(machine)
     window_start = 2**m
     window_size = horizon - window_start + 1
-    # every non-random t in the window has its witness below the cap for the
-    # largest threshold the window can reach, 2^(m+s)/(m+s)
-    cap = -(-(2 ** (m + s)) // (m + s)) - 1
-    witness_map = min_index_map(machine, cap, budget)
-    nonrandom = 0
-    for output, index in witness_map.items():
-        if not output:
-            continue  # empty output codes t = 1, never in the window
-        t = index_of_bits(output)
-        if window_start <= t <= horizon and Fraction(index) < randomness_threshold(t):
-            nonrandom += 1
+    # every non-random t in the window has its witness at or below the cap
+    # of the longest code the window reaches, m + s bits
+    witness_map = min_index_map(machine, short_index_cap(m + s), budget)
+    nonrandom = sum(
+        1
+        for output, index in witness_map.items()
+        if window_start <= index_of_bits(output) <= horizon
+        and index <= short_index_cap(len(output))
+    )
     fraction = Fraction(window_size - nonrandom, window_size)
-    bound = Fraction(5, m + s - 1)
+    bound = stratum_average_bound(m, s)
     holds: bool | None
     if transparent:
         holds = fraction > 1 - bound
@@ -231,7 +228,7 @@ def required_horizon(length: int, k: int) -> int:
     """Smallest horizon whose window certifies a random fraction above 1 - 2^-k."""
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
-    m = 2 * length + 2 * TIME_WRAP_EXTRA_BITS + 1
+    m = _exponent(length)
     s = 5 * 2**k + 2 - m
     if s < 1:
         raise ConfigError(
@@ -256,58 +253,19 @@ def density_with_margin(
     return report
 
 
-@dataclass(frozen=True)
-class ExponentialStops:
-    """Late stop times (past the per-length exponential threshold) up to a horizon."""
-
-    max_len: int
-    horizon: int
-    pairs: tuple[tuple[str, int], ...]
-    violations: tuple[tuple[str, int], ...]
-    unresolved: tuple[tuple[str, int], ...]
-
-    @property
-    def holds(self) -> bool:
-        return not self.violations
-
-
 def exponential_stop_density(
     machine: Machine,
     max_len: int,
     horizon: int,
     budget: int | None = None,
-) -> ExponentialStops:
+) -> ExclusionReport:
     """Collect stop times t_p <= horizon with t_p >= 2^(2|p|+2c+1) for
     |p| <= max_len and confirm each is non-random."""
     if max_len < 0:
         raise ConfigError(f"max_len must be >= 0, got {max_len}")
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    check_budget(machine, budget)
-    late: list[tuple[str, int]] = []
-    for length in range(max_len + 1):
-        threshold = exclusion_threshold(length)
-        if threshold > horizon:
-            continue
-        stops = sweep(machine, length, budget).stops
-        late.extend((p, t) for p, t in stops.items() if threshold <= t <= horizon)
-    violations = []
-    unresolved = []
-    for program, stop in late:
-        if _wrapper_witness(machine, program, stop, budget) is not None:
-            continue
-        verdict = time_randomness(machine, stop, budget)
-        if verdict == RANDOM:
-            violations.append((program, stop))
-        elif verdict == UNKNOWN:
-            unresolved.append((program, stop))
-    return ExponentialStops(
-        max_len=max_len,
-        horizon=horizon,
-        pairs=tuple(late),
-        violations=tuple(violations),
-        unresolved=tuple(unresolved),
-    )
+    return _exclusion_report(machine, range(max_len + 1), horizon, budget)
 
 
 def stop_code_violations(machine: TableMachine) -> tuple[str, ...]:
@@ -315,10 +273,8 @@ def stop_code_violations(machine: TableMachine) -> tuple[str, ...]:
     index at or below 2^(len+c+1); an empty result lints the table clean."""
     if not isinstance(machine, TableMachine):
         raise ConfigError("the stop-code lint applies to finite tables only")
-    bad = []
-    for program, stop, _ in machine.entries:
-        cap = 2 ** (len(program) + TIME_WRAP_EXTRA_BITS + 1)
-        witness = min_index_map(machine, cap, None).get(bits_of_index(stop))
-        if witness is None:
-            bad.append(program)
-    return tuple(bad)
+    return tuple(
+        program
+        for program, stop, _ in machine.entries
+        if not stop_time_bound_holds(machine, program, stop).holds
+    )

@@ -48,6 +48,9 @@ MAX_BUDGET = 2**64 - 1
 # loop-free programs always halt; this cap turns a too-expensive exact run
 # into a refusal instead of a wrong verdict
 LOOP_FREE_STEP_CAP = 10**7
+# run() and the analyses recurse once per dispatcher level; a descriptor
+# nested deeper than this is refused before it can exhaust the stack
+MAX_DISPATCH_NESTING = 64
 
 _BITSET = frozenset("01")
 
@@ -394,6 +397,11 @@ def _variant_flag(data: dict) -> bool:
 
 
 def machine_from_dict(data: dict) -> Machine:
+    return _machine_from_dict(data, MAX_DISPATCH_NESTING)
+
+
+def _machine_from_dict(data: dict, levels: int) -> Machine:
+    """Build the machine; `levels` is how many more dispatchers may nest."""
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError(f"machine descriptor must be an object with 'kind': {data!r}")
     kind = data["kind"]
@@ -415,10 +423,12 @@ def machine_from_dict(data: dict) -> Machine:
     if kind == "prefix-free-vm":
         return PrefixFreeVM(isa_version=data.get("isa_version", 1), loop_free=_variant_flag(data))
     if kind == "dispatcher":
+        if levels == 0:
+            raise ConfigError(f"dispatchers nest deeper than {MAX_DISPATCH_NESTING} levels")
         subs = data.get("submachines")
         if not isinstance(subs, list) or not subs:
             raise ConfigError("dispatcher needs a non-empty 'submachines' list")
-        return Dispatcher(tuple(machine_from_dict(sub) for sub in subs))
+        return Dispatcher(tuple(_machine_from_dict(sub, levels - 1) for sub in subs))
     raise ConfigError(f"unknown machine kind {kind!r}")
 
 
@@ -438,6 +448,8 @@ def read_json(path: str | Path, what: str) -> object:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an over-long integer
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{what} {path} nests too deeply to parse") from exc
 
 
 def load_machine(source: str | Path) -> Machine:

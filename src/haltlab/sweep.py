@@ -25,6 +25,8 @@ from haltlab.machine import Machine, observe
 
 DEFAULT_ENUM_CAP_BITS = 24
 ENUM_CAP_ENV = "HALTLAB_ENUM_CAP"
+# history_to_matrix builds one cell per (program, time), about 100 bytes each
+MATRIX_CELL_CAP = 2**20
 
 
 def enum_cap_bits() -> int:
@@ -179,9 +181,19 @@ def history_to_csv(history: HaltingHistory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_matrix_cells(length: int, horizon: int) -> None:
+    """Refuse a matrix of more than MATRIX_CELL_CAP cells, 2^length x horizon."""
+    if length >= 0 and horizon > MATRIX_CELL_CAP >> length:
+        raise ResourceLimitError(
+            f"a matrix of 2^{length} programs x {horizon} times exceeds "
+            f"{MATRIX_CELL_CAP} cells; use the csv or json format"
+        )
+
+
 def history_to_matrix(history: HaltingHistory) -> dict:
     """Grid form: cell (p, t) holds "h" once p has stopped by t."""
     horizon = _horizon(history)
+    check_matrix_cells(history.length, horizon)
     rows = []
     for program in history.programs():
         stop = history.stops.get(program)

@@ -95,6 +95,10 @@ GOLDEN = [
      "threshold --machine fixtures/table1.json -k 1 --distribution fixtures", 2, EMPTY),
     ("workers-zero", "probcurve --machine builtin:toy-vm --max-len 4 --budget 64 --workers 0",
      2, EMPTY),
+    # 16 programs x 65537 times is 16 cells past the matrix cap of 2^20
+    ("history-matrix-too-large",
+     "history --machine builtin:loop-free-vm --length 4 --horizon 65537 --format matrix",
+     3, EMPTY),
     # results that hold a number past Python's int-to-str digit limit: the
     # target 2^-k at -k 15000, and at -k 14278 only the cutoffs 2^T
     ("threshold-k-too-long", "threshold --machine fixtures/table1.json -k 15000", 3, EMPTY),
@@ -150,6 +154,13 @@ def test_exclusion_with_violations(tmp_path, capsys, monkeypatch):
     assert not report["holds"] and report["violations"] == report["candidates"]
 
 
+def nested_dispatchers(depth):
+    """A loop-free VM inside `depth` dispatchers, as JSON text: json.dumps
+    cannot encode thousands of levels."""
+    head = '{"kind": "dispatcher", "submachines": [' * depth
+    return head + '{"kind": "toy-vm", "variant": "loop-free"}' + "]}" * depth
+
+
 GOOD_WEIGHTS = {
     "kind": "user-table",
     "weights": [["1", "2"]],
@@ -167,6 +178,8 @@ GOOD_WEIGHTS = {
         ("weights.json", {**GOOD_WEIGHTS, "weights": [[1.9, 2]]}),
         ("weights.json", {**GOOD_WEIGHTS, "tail_modulus": {"type": "geometric", "ratio": 0.5}}),
         ("machine.json", {"kind": "toy-vm", "isa_version": "\n"}),
+        ("machine.json", nested_dispatchers(500)),
+        ("machine.json", nested_dispatchers(5000)),
     ],
     ids=[
         "zero-denominator",
@@ -176,10 +189,12 @@ GOOD_WEIGHTS = {
         "float-weight",
         "float-ratio",
         "isa-version-newline",
+        "dispatchers-500-deep",
+        "dispatchers-5000-deep",
     ],
 )
 def test_malformed_json_is_a_usage_error(name, data, tmp_path, capsys):
-    (tmp_path / name).write_text(json.dumps(data))
+    (tmp_path / name).write_text(data if isinstance(data, str) else json.dumps(data))
     machine = tmp_path / name if name == "machine.json" else ROOT / "fixtures" / "table1.json"
     argv = ["threshold", "-k", "1", "--machine", str(machine)]
     if name == "weights.json":

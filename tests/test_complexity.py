@@ -9,7 +9,7 @@ from haltlab.complexity import (
     UNKNOWN,
     natural_complexity,
     random_string_density,
-    randomness_threshold,
+    short_index_cap,
     stop_time_bound_holds,
     time_randomness,
 )
@@ -59,23 +59,26 @@ def test_counting_bound(loop_free_vm):
         assert len(set(reached.values())) == len(reached)
 
 
+def time_cap(t):
+    return short_index_cap(len(bits_of_index(t)))
+
+
 def test_thresholds():
-    assert randomness_threshold(2) == Fraction(2, 1)
-    assert randomness_threshold(4) == Fraction(4, 2)
-    assert randomness_threshold(8) == Fraction(8, 3)
+    # the largest indices below 2^len/len for t = 2, 4, 8: 2/1, 4/2 and 8/3
+    assert time_cap(2) == 1
+    assert time_cap(4) == 1
+    assert time_cap(8) == 2
     with pytest.raises(ConfigError):
-        randomness_threshold(1)
+        time_cap(1)
+    for length in range(1, 80):
+        cap = short_index_cap(length)
+        assert cap < Fraction(2**length, length) <= cap + 1
 
 
 def test_time_randomness_matches_reference(loop_free_vm):
-    import math
-
     for t in range(2, 40):
         verdict = time_randomness(loop_free_vm, t)
-        threshold = randomness_threshold(t)
-        witness = ref_least_index(
-            bits_of_index(t), math.ceil(threshold) - 1, allow_loops=False
-        )
+        witness = ref_least_index(bits_of_index(t), time_cap(t), allow_loops=False)
         assert verdict == (NONRANDOM if witness is not None else RANDOM)
 
 
@@ -85,9 +88,7 @@ def test_time_randomness_opaque_is_sound(toy_vm):
         assert verdict in (NONRANDOM, UNKNOWN)
         if verdict == NONRANDOM:
             # sound: some index under the threshold really produces bin(t)
-            import math
-
-            witness = ref_least_index(bits_of_index(t), math.ceil(randomness_threshold(t)) - 1)
+            witness = ref_least_index(bits_of_index(t), time_cap(t))
             assert witness is not None
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from haltlab.codec import bits_of_index, index_of_bits
-from haltlab.complexity import randomness_threshold
+from haltlab.complexity import short_index_cap
 from haltlab.density import (
     DensityReport,
     density_report,
@@ -150,7 +150,7 @@ def test_density_window_counts_witnesses():
     expected = 0
     for t in range(512, 2**12 + 1):
         witness = least.get(bits_of_index(t))
-        if witness is not None and witness < randomness_threshold(t):
+        if witness is not None and witness <= short_index_cap(len(bits_of_index(t))):
             expected += 1
     assert report.nonrandom_count == expected
     assert report.holds  # sparse even with genuine witnesses in the window
@@ -194,16 +194,16 @@ def test_density_margin_k2_large_window(loop_free_vm):
 # exponential stopping times
 
 def test_exponential_stops_empty_on_fixtures(table1, toy_vm):
-    assert not exponential_stop_density(table1, 3, 2**12).pairs
+    assert not exponential_stop_density(table1, 3, 2**12).candidates
     report = exponential_stop_density(toy_vm, 4, 2**13, budget=2**13)
-    assert report.holds and not report.pairs
+    assert report.holds and not report.candidates
 
 
 def test_exponential_stops_with_candidates():
     table = late_stop_table()
     u = dispatch_spec([table, timed_table(table)])
     report = exponential_stop_density(u, 4, 2**12)
-    assert len(report.pairs) == 2  # the 600 stop is not exponential for length 3
+    assert len(report.candidates) == 2  # the 600 stop is not exponential for length 3
     assert report.holds
 
 

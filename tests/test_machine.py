@@ -7,6 +7,7 @@ import pytest
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError
 from haltlab.machine import (
+    MAX_DISPATCH_NESTING,
     Dispatcher,
     PrefixFreeVM,
     TableMachine,
@@ -253,6 +254,17 @@ def test_machine_dict_roundtrip(table1, toy_vm, prefix_free_vm, loop_free_vm):
         data = machine_to_dict(machine)
         json.dumps(data)  # must be plain JSON types
         assert machine_from_dict(data) == machine
+
+
+def test_dispatcher_nesting_limit(loop_free_vm):
+    machine = loop_free_vm
+    for _ in range(MAX_DISPATCH_NESTING):
+        machine = dispatch_spec([machine])
+    data = machine_to_dict(machine)
+    assert machine_from_dict(data) == machine
+    assert run(machine, "1" * MAX_DISPATCH_NESTING + "0000", 100).halted
+    with pytest.raises(ConfigError, match="nest deeper"):
+        machine_from_dict({"kind": "dispatcher", "submachines": [data]})
 
 
 def test_load_machine_builtins():
