@@ -1,10 +1,9 @@
 """Build script: compiles the optional stepping kernel when a toolchain exists.
 
-The kernel is built from the shipped, Cython-generated src/haltlab/_stepper.c,
-so no Cython is needed at install time. After editing _stepper.pyx, regenerate
-the C file by hand and commit both:
+The kernel is the hand-written CPython extension src/haltlab/_stepper.c; it
+needs only a C compiler and the Python headers. Build it in place with
 
-    cython -3 src/haltlab/_stepper.pyx -o src/haltlab/_stepper.c
+    python3 setup.py build_ext --inplace
 
 The package is fully functional without the extension; haltlab.vm falls back to
 the pure-Python kernel at import time.

@@ -1,8 +1,9 @@
 """Pure-Python stepping kernel for the bit-program machine.
 
-This module and the compiled twin (_stepper.pyx) implement byte-identical
-semantics; haltlab.vm picks one at import time. The instruction stream is the
-"ladder" prefix code documented in docs/machine-isa.md:
+This module and its compiled twin, the C extension _stepper.c, implement
+byte-identical semantics and one argument contract; haltlab.vm picks one at
+import time. The instruction stream is the "ladder" prefix code documented in
+docs/machine-isa.md:
 
     "1"          INC     accumulator += 1 (saturating)
     "00"         END     halt
@@ -35,6 +36,7 @@ OUTPUT_LIMIT = 3
 ACC_SATURATION = 2**63 - 1
 
 _ONE = 0x31  # ord("1")
+_BUDGET_MAX = 2**64 - 1  # the compiled kernel counts steps in 64 unsigned bits
 
 # opcode ids; ladder position j (number of ones after the leading 0) for j <= 6
 _END, _OUT0, _OUT1, _DBL, _SPIN, _TIMER, _LOOP = range(7)
@@ -56,7 +58,16 @@ def run_stream(
     Returns (status, steps, output). Output is only meaningful for HALTED.
     steps is the stop time for HALTED and the consumed budget for RUNNING.
     LOOP outside the allowed subset behaves like an undecodable code.
+    Raises ValueError unless 0 <= start <= total <= len(bits) and
+    output_cap >= 0, and OverflowError for a budget outside [0, 2^64 - 1].
     """
+    if not (0 <= start <= total <= len(bits) and output_cap >= 0):
+        raise ValueError(
+            f"need 0 <= start <= total <= len(bits) and output_cap >= 0, got "
+            f"start={start}, total={total}, len={len(bits)}, output_cap={output_cap}"
+        )
+    if not 0 <= budget <= _BUDGET_MAX:
+        raise OverflowError(f"budget must be in [0, 2^64 - 1], got {budget}")
     pc = start
     consumed = start
     steps = 0

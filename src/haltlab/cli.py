@@ -13,12 +13,11 @@ Subcommands:
 Each subcommand has a handler _cmd_NAME(machine, args) that only builds its
 result: a dict, written as JSON (sorted keys, two-space indent), or a str,
 written as is (CSV). Rationals are always "numerator/denominator" strings.
-main loads the machine, validates --workers and writes the result, so stdout
-stays empty on any error. The library applies the one budget policy
+main loads the machine and writes the result, so stdout stays empty on any
+error. The library applies the one budget policy
 (haltlab.machine.check_budget) to --budget: opaque machines need a positive
 budget, transparent machines are read exactly and take none, and run()
-refuses budgets above 2^64 - 1. --workers is accepted and validated but has
-no effect: runs are sequential. It is not echoed in the config block.
+refuses budgets above 2^64 - 1.
 Exit codes: 0 ok, 2 usage, 3 resource limit (also for a number too long to
 print), 4 degenerate distribution, 5 violated invariant.
 """
@@ -243,15 +242,6 @@ def _add_machine(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workers(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="accepted for compatibility and checked to be >= 1; has no effect",
-    )
-
-
 def _add_distribution(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-k", type=int, required=True, help="tail target exponent: mass < 2^-k")
     parser.add_argument("--precision", type=int, default=runtime_dist.DEFAULT_PRECISION_BITS)
@@ -268,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("history", help="sweep one length up to a horizon")
     _add_machine(p)
-    _add_workers(p)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--t0", type=int, default=None, help="condition on surviving past t0")
@@ -296,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="random stop-time density and exclusions")
     _add_machine(p)
-    _add_workers(p)
     p.add_argument("--mode", choices=["window", "exclusion"], default="window")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None, help="window end (window mode)")
@@ -305,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probcurve", help="halting fraction per length")
     _add_machine(p)
-    _add_workers(p)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -313,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="computable/rare halting split")
     _add_machine(p)
-    _add_workers(p)
     p.add_argument("--max-len", type=int, required=True)
     _add_distribution(p)
     p.set_defaults(handler=_cmd_decompose)
@@ -325,8 +311,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         machine = load_machine(args.machine)
-        if getattr(args, "workers", 1) < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         result = args.handler(machine, args)
         text = _json(result) if isinstance(result, dict) else result
     except HaltlabError as exc:

@@ -1,8 +1,11 @@
 """Kernel selection: compiled extension when available, pure Python otherwise.
 
-Set HALTLAB_KERNEL=pure or HALTLAB_KERNEL=compiled to force a choice (the
-latter raises if the extension was not built). Both kernels implement the
-instruction set in docs/machine-isa.md with identical observable behavior.
+The compiled kernel is the C extension haltlab._stepper, built from
+_stepper.c by setup.py; the pure kernel is haltlab._stepper_py. Set
+HALTLAB_KERNEL=pure or HALTLAB_KERNEL=compiled to force a choice (the latter
+raises if the extension was not built). Both kernels implement the
+instruction set and the argument contract in docs/machine-isa.md with
+identical observable behavior.
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ GOLDEN = [
     ("probcurve-total-csv", "probcurve --machine builtin:loop-free-vm --max-len 6 --format csv",
      0, "752392c311e4a07fc1b47570e98901b711a056865c5ef4c32d8ace5ed716bbd2"),
     ("probcurve-opaque",
-     "probcurve --machine builtin:prefix-free-vm --max-len 6 --budget 256 --workers 3",
+     "probcurve --machine builtin:prefix-free-vm --max-len 6 --budget 256",
      0, "a4107d79b796cbdef78ec3838557a7ea652ebcba3721766b35610c4255c58c49"),
     ("probcurve-table1", "probcurve --machine fixtures/table1.json --max-len 4",
      0, "9776ae744ec09a0b8463a57b04bc3b0738999f2ca6619f050866b8fd7f62cfa3"),
@@ -93,8 +93,6 @@ GOLDEN = [
      "upsilon --machine builtin:toy-vm --precision 4 --budget 18446744073709551616", 2, EMPTY),
     ("distribution-is-a-directory",
      "threshold --machine fixtures/table1.json -k 1 --distribution fixtures", 2, EMPTY),
-    ("workers-zero", "probcurve --machine builtin:toy-vm --max-len 4 --budget 64 --workers 0",
-     2, EMPTY),
     # 16 programs x 65537 times is 16 cells past the matrix cap of 2^20
     ("history-matrix-too-large",
      "history --machine builtin:loop-free-vm --length 4 --horizon 65537 --format matrix",
@@ -132,12 +130,6 @@ def test_golden(command, code, digest, capsys, monkeypatch):
         assert err == ""
     else:
         assert_one_line_error(err)
-
-
-def test_workers_flag_changes_nothing(capsys):
-    argv = "decompose --machine builtin:toy-vm -k 2 --max-len 5 --budget 1024".split()
-    outputs = {run_cli(argv + ["--workers", w], capsys)[1] for w in ("1", "4")}
-    assert len(outputs) == 1
 
 
 def test_exclusion_with_violations(tmp_path, capsys, monkeypatch):

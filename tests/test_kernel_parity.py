@@ -7,8 +7,10 @@ the doc, the production code, and an independent reading all coincide.
 
 import importlib.machinery
 import importlib.util
+import itertools
 import pathlib
 import shlex
+import shutil
 import subprocess
 import sysconfig
 
@@ -27,22 +29,28 @@ SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "haltlab"
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The compiled kernel: the installed extension if there is one, else
-    _stepper.c built into a temporary directory. Skips when neither works."""
+    _stepper.c built into a temporary directory. Skips only when there is no
+    C compiler or no Python.h; a file that does not compile fails."""
     try:
         from haltlab import _stepper
 
         return _stepper
     except ImportError:
         pass
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()["include"]
+    if shutil.which(compiler[0]) is None:
+        pytest.skip(f"no C compiler: {compiler[0]}")
+    if not (pathlib.Path(include) / "Python.h").is_file():
+        pytest.skip(f"no Python.h in {include}")
     target = tmp_path_factory.mktemp("kernel") / ("_stepper" + sysconfig.get_config_var("EXT_SUFFIX"))
-    command = shlex.split(sysconfig.get_config_var("CC") or "cc") + [
-        "-O2", "-shared", "-fPIC", "-I" + sysconfig.get_paths()["include"],
+    command = compiler + [
+        "-O2", "-Wall", "-Werror", "-shared", "-fPIC", "-I" + include,
         str(SOURCE / "_stepper.c"), "-o", str(target),
     ]
-    try:
-        subprocess.run(command, check=True, capture_output=True, timeout=300)
-    except (OSError, subprocess.SubprocessError) as exc:
-        pytest.skip(f"cannot compile the kernel: {exc}")
+    built = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    if built.returncode != 0:
+        pytest.fail(f"_stepper.c does not compile:\n{built.stderr}")
     loader = importlib.machinery.ExtensionFileLoader("haltlab._stepper", str(target))
     module = importlib.util.module_from_spec(
         importlib.util.spec_from_loader("haltlab._stepper", loader, origin=str(target))
@@ -70,45 +78,60 @@ def test_machine_matches_reference(program, budget, variant):
     assert (outcome.halted, outcome.stop_time, outcome.output) == expected
 
 
+@st.composite
+def streams(draw):
+    """A program and the offset its core starts at, anywhere up to its end."""
+    program = draw(bits)
+    return program, draw(st.integers(min_value=0, max_value=len(program)))
+
+
 @settings(max_examples=300, deadline=None)
-@given(bits, budgets, st.booleans(), st.booleans())
-def test_kernels_agree_bit_for_bit(compiled, program, budget, prefix_free, allow_loops):
-    args = (program.encode("ascii"), 0, len(program), prefix_free, allow_loops, budget, 1 << 20)
-    assert compiled.run_stream(*args) == _stepper_py.run_stream(*args)
+@given(streams(), budgets, st.booleans(), st.booleans(), st.sampled_from([0, 1, 2, 5, 16, 1 << 20]))
+def test_kernels_agree_bit_for_bit(compiled, stream, budget, prefix_free, allow_loops, output_cap):
+    program, start = stream
+    args = (program.encode("ascii"), start, len(program), prefix_free, allow_loops)
+    expected = _stepper_py.run_stream(*args, budget, output_cap)
+    assert compiled.run_stream(*args, budget, output_cap) == expected
+    if expected[0] != _stepper_py.RUNNING:
+        # a run that stops within its budget stops the same way at the
+        # largest budget, which only the unsigned 64-bit path can hold
+        for kernel in (compiled, _stepper_py):
+            assert kernel.run_stream(*args, 2**64 - 1, output_cap) == expected
 
 
 def test_kernels_agree_exhaustively_short(compiled):
-    # all streams up to 12 bits, both disciplines, tight and loose budgets
+    # all streams up to 12 bits, from the start of the stream and past a
+    # two-bit mode prefix, both disciplines, tight and loose budgets and caps
     for length in range(13):
         for value in range(2**length):
-            program = format(value, f"0{length}b") if length else ""
-            raw = program.encode("ascii")
-            for prefix_free in (False, True):
-                for budget in (3, 64):
-                    args = (raw, 0, length, prefix_free, True, budget, 1 << 20)
-                    assert compiled.run_stream(*args) == _stepper_py.run_stream(*args)
+            raw = (format(value, f"0{length}b") if length else "").encode("ascii")
+            for start, prefix_free, budget, output_cap in itertools.product(
+                {0, min(2, length)}, (False, True), (3, 64), (2, 1 << 20)
+            ):
+                args = (raw, start, length, prefix_free, True, budget, output_cap)
+                assert compiled.run_stream(*args) == _stepper_py.run_stream(*args)
 
 
 def test_status_constants_match(compiled):
-    for name in ("RUNNING", "HALTED", "DIVERGED", "OUTPUT_LIMIT"):
+    for name in ("RUNNING", "HALTED", "DIVERGED", "OUTPUT_LIMIT", "ACC_SATURATION"):
         assert getattr(compiled, name) == getattr(_stepper_py, name)
 
 
-def test_generated_c_matches_the_pyx():
-    """Each `/* "haltlab/_stepper.pyx":N` block in the shipped C file marks
-    line N of the .pyx with `# <<<<<<<<<<<<<<`; a stale C file shows here."""
-    pyx = (SOURCE / "_stepper.pyx").read_text().splitlines()
-    c_lines = (SOURCE / "_stepper.c").read_text().splitlines()
-    blocks = 0
-    for i, line in enumerate(c_lines):
-        head = line.strip()
-        if not head.startswith('/* "haltlab/_stepper.pyx":'):
-            continue
-        blocks += 1
-        number = int(head.rsplit(":", 1)[1])
-        end = next(j for j in range(i + 1, len(c_lines)) if c_lines[j].strip() == "*/")
-        marked = [text for text in c_lines[i + 1 : end] if text.endswith("# <<<<<<<<<<<<<<")]
-        assert len(marked) == 1, f"block at C line {i + 1}"
-        source = marked[0].strip()[2:].removesuffix("# <<<<<<<<<<<<<<").rstrip()
-        assert source == pyx[number - 1].rstrip(), f"_stepper.pyx line {number}"
-    assert blocks > 0
+# (id, arguments, error): the argument contract of docs/machine-isa.md
+BAD_ARGUMENTS = [
+    ("start-negative", (b"0101", -1, 4, False, True, 64, 16), ValueError),
+    ("total-past-the-end", (b"0101", 0, 5, False, True, 64, 16), ValueError),
+    ("start-past-total", (b"0101", 3, 2, True, True, 64, 16), ValueError),
+    ("output-cap-negative", (b"0101", 0, 4, False, True, 64, -1), ValueError),
+    ("budget-negative", (b"0101", 0, 4, False, True, -1, 16), OverflowError),
+    ("budget-over-64-bits", (b"0101", 0, 4, False, True, 2**64, 16), OverflowError),
+]
+
+
+@pytest.mark.parametrize(
+    "args, error", [case[1:] for case in BAD_ARGUMENTS], ids=[case[0] for case in BAD_ARGUMENTS]
+)
+def test_kernels_refuse_the_same_arguments(compiled, args, error):
+    for kernel in (compiled, _stepper_py):
+        with pytest.raises(error):
+            kernel.run_stream(*args)
