@@ -85,6 +85,8 @@ def _load_distribution(
 # subcommand handlers
 
 def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
+    if args.t1 is not None and args.t0 is None:
+        raise ConfigError("--t1 needs --t0")
     if args.format == "matrix":
         check_matrix_cells(args.length, args.horizon)  # before the sweep runs
     history = sweep(machine, args.length, args.horizon)
@@ -134,7 +136,7 @@ def _cmd_threshold(machine: Machine, args: argparse.Namespace) -> dict:
     horizon = runtime_dist.tail_threshold(dist, args.k)
     return {
         "config": _config(args, "k", "precision", "budget", "distribution"),
-        "kind": dist.kind,
+        "kind": dist.weights.kind,
         "normalizer": _interval_dict(dist.normalizer),
         "threshold": horizon,
         "tail_certificate": format_fraction(
@@ -167,6 +169,8 @@ def _cmd_decide(machine: Machine, args: argparse.Namespace) -> dict:
 
 def _cmd_density(machine: Machine, args: argparse.Namespace) -> dict:
     if args.mode == "exclusion":
+        if args.horizon is not None:
+            raise ConfigError("--horizon applies to window mode only")
         report = density_mod.random_stop_report(machine, args.length, args.budget)
         return {
             "config": _config(args, "mode", "length", "budget"),
@@ -220,7 +224,7 @@ def _cmd_decompose(machine: Machine, args: argparse.Namespace) -> dict:
     split = runtime_dist.split_halting_set(machine, dist, args.k, args.max_len, budget=args.budget)
     return {
         "config": _config(args, "k", "max_len", "precision", "budget", "distribution"),
-        "kind": dist.kind,
+        "kind": dist.weights.kind,
         "normalizer": _interval_dict(dist.normalizer),
         "cutoffs": {str(n): c for n, c in sorted(split.cutoffs.items())},
         "computable": [list(pair) for pair in split.computable],

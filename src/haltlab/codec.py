@@ -9,8 +9,6 @@ gives len(bits_of_index(n)) == n.bit_length() - 1 and the sandwich
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 _BITSET = frozenset("01")
 
 
@@ -27,17 +25,3 @@ def index_of_bits(x: str) -> int:
         raise ValueError(f"not a bit string: {x!r}")
     return int("1" + x, 2)
 
-
-def enumerate_program_bits(limit: int) -> Iterator[str]:
-    """Yield the codes of indices 1..limit in index (= length-lex) order."""
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    for n in range(1, limit + 1):
-        yield bits_of_index(n)
-
-
-def code_length_of_index(n: int) -> int:
-    """len(bits_of_index(n)) without building the string."""
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    return n.bit_length() - 1

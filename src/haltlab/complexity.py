@@ -53,30 +53,6 @@ def min_index_map(machine: Machine, cap: int, budget: int | None) -> dict[str, i
     return found
 
 
-@dataclass(frozen=True)
-class ComplexityResult:
-    """Outcome of a capped search for the least producing index."""
-
-    index: int | None  # least index found; None = no witness at or below the cap
-    exact: bool  # True: verdict is exact; False: index (if any) only bounds from above
-    search_cap: int
-    budget: int | None
-
-
-def natural_complexity(
-    machine: Machine, target: str, search_cap: int, budget: int | None = None
-) -> ComplexityResult:
-    """Least index n <= search_cap with machine(code(n)) = target."""
-    check_budget(machine, budget)
-    found = min_index_map(machine, search_cap, budget).get(target)
-    return ComplexityResult(
-        index=found,
-        exact=is_transparent(machine),
-        search_cap=search_cap,
-        budget=budget,
-    )
-
-
 def short_index_cap(length: int) -> int:
     """Largest index below 2^length / length: a string of this length is
     non-random when some index at or under this cap produces it."""

@@ -39,20 +39,6 @@ class ProbCurve:
     budget: int | None
     points: tuple[ProbCurvePoint, ...]
 
-    def point(self, length: int) -> ProbCurvePoint:
-        for p in self.points:
-            if p.length == length:
-                return p
-        raise KeyError(length)
-
-    def fractions(self) -> list[Fraction]:
-        return [p.fraction for p in self.points]
-
-    def nonincreasing_over(self, lo: int, hi: int) -> bool:
-        """Whether the fractions are weakly decreasing on lengths [lo, hi]."""
-        values = [self.point(n).fraction for n in range(lo, hi + 1)]
-        return all(a >= b for a, b in zip(values, values[1:]))
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("length,halting,total,fraction\r\n")

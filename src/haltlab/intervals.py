@@ -1,8 +1,8 @@
 """Closed rational intervals used as certificates for series values.
 
 An Interval is a pair of Fractions lo <= hi asserting that the true value lies
-inside. Arithmetic is the usual monotone endpoint arithmetic; nothing here
-ever rounds, so a chain of operations yields another honest certificate.
+inside. The analyses build the endpoints from exact Fractions, so nothing
+is ever rounded.
 """
 
 from __future__ import annotations
@@ -59,41 +59,6 @@ class Interval:
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def __add__(self, other: "Interval | Rational | int") -> "Interval":
-        if isinstance(other, Interval):
-            return Interval(self.lo + other.lo, self.hi + other.hi)
-        v = as_fraction(other)
-        return Interval(self.lo + v, self.hi + v)
-
-    __radd__ = __add__
-
-    def scale(self, factor: Rational | int) -> "Interval":
-        """Multiply by an exact scalar (sign-aware)."""
-        f = as_fraction(factor)
-        if f >= 0:
-            return Interval(self.lo * f, self.hi * f)
-        return Interval(self.hi * f, self.lo * f)
-
-    def reciprocal(self) -> "Interval":
-        """1/x for an interval strictly above zero."""
-        if self.lo <= 0:
-            raise ZeroDivisionError(f"reciprocal of interval touching 0: {self}")
-        return Interval(1 / self.hi, 1 / self.lo)
-
-    def contains(self, value: Rational | int) -> bool:
-        v = as_fraction(value)
-        return self.lo <= v <= self.hi
-
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def cap_hi(self, bound: Rational | int) -> "Interval":
-        """Tighten the upper endpoint with an independently certified bound."""
-        b = as_fraction(bound)
-        if b < self.lo:
-            raise ValueError(f"bound {b} below certified lower endpoint {self.lo}")
-        return Interval(self.lo, min(self.hi, b))
 
     def to_strings(self) -> dict[str, str]:
         return {"lo": format_fraction(self.lo), "hi": format_fraction(self.hi)}

@@ -54,9 +54,6 @@ MAX_DISPATCH_NESTING = 64
 
 _BITSET = frozenset("01")
 
-TRANSPARENT = "transparent"
-OPAQUE = "opaque"
-
 
 def _check_bits(s: str, what: str) -> str:
     if not isinstance(s, str) or set(s) - _BITSET:
@@ -124,14 +121,6 @@ class TableMachine:
             seen[program] = (stop_time, output)
         object.__setattr__(self, "_lookup", seen)
 
-    @classmethod
-    def from_stops(cls, stops: dict[str, int], outputs: dict[str, str] | None = None) -> "TableMachine":
-        outputs = outputs or {}
-        entries = tuple(
-            (p, t, outputs.get(p, "")) for p, t in sorted(stops.items(), key=lambda kv: index_of_bits(kv[0]))
-        )
-        return cls(entries)
-
     def lookup(self, program: str) -> tuple[int, str] | None:
         return self._lookup.get(program)
 
@@ -150,32 +139,22 @@ class Dispatcher:
 Machine = Union[ToyVM, PrefixFreeVM, TableMachine, Dispatcher]
 
 
-def dispatch_spec(submachines: list[Machine] | tuple[Machine, ...]) -> Dispatcher:
-    """Build a dispatcher over contiguously indexed submachines."""
-    return Dispatcher(tuple(submachines))
-
-
 def time_wrap(program: str) -> str:
     """The timing wrapper: same halting behavior, output = code of stop time."""
     _check_bits(program, "program")
     return "11" + program
 
 
-def decidability(machine: Machine) -> str:
-    """Classify as transparent (halting decidable by construction) or opaque."""
-    if isinstance(machine, TableMachine):
-        return TRANSPARENT
-    if isinstance(machine, (ToyVM, PrefixFreeVM)):
-        return TRANSPARENT if machine.loop_free else OPAQUE
-    if isinstance(machine, Dispatcher):
-        if all(decidability(sub) == TRANSPARENT for sub in machine.submachines):
-            return TRANSPARENT
-        return OPAQUE
-    raise ConfigError(f"unknown machine {machine!r}")
-
-
 def is_transparent(machine: Machine) -> bool:
-    return decidability(machine) == TRANSPARENT
+    """Whether halting is decidable by construction: tables, loop-free VMs,
+    and dispatchers over transparent machines. All others are opaque."""
+    if isinstance(machine, TableMachine):
+        return True
+    if isinstance(machine, (ToyVM, PrefixFreeVM)):
+        return machine.loop_free
+    if isinstance(machine, Dispatcher):
+        return all(is_transparent(sub) for sub in machine.submachines)
+    raise ConfigError(f"unknown machine {machine!r}")
 
 
 def _split_modes(program: str) -> tuple[int, int]:
@@ -360,34 +339,7 @@ def timed_table(machine: TableMachine) -> TableMachine:
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-def machine_to_dict(machine: Machine) -> dict:
-    if isinstance(machine, TableMachine):
-        entries = []
-        for program, stop, output in machine.entries:
-            entry: dict = {"program": program, "stop_time": stop}
-            if output:
-                entry["output"] = output
-            entries.append(entry)
-        return {"kind": "table", "entries": entries}
-    if isinstance(machine, ToyVM):
-        d: dict = {"kind": "toy-vm", "isa_version": machine.isa_version}
-        if machine.loop_free:
-            d["variant"] = "loop-free"
-        return d
-    if isinstance(machine, PrefixFreeVM):
-        d = {"kind": "prefix-free-vm", "isa_version": machine.isa_version}
-        if machine.loop_free:
-            d["variant"] = "loop-free"
-        return d
-    if isinstance(machine, Dispatcher):
-        return {
-            "kind": "dispatcher",
-            "submachines": [machine_to_dict(sub) for sub in machine.submachines],
-        }
-    raise ConfigError(f"unknown machine {machine!r}")
-
+# descriptors
 
 def _variant_flag(data: dict) -> bool:
     variant = data.get("variant", "full")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import ClassVar, Union
 
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, DegenerateDistributionError, InvariantViolation
@@ -34,7 +34,7 @@ DEFAULT_PRECISION_BITS = 8
 class DyadicWeights:
     """Default weight system w(i) = 2^-i."""
 
-    kind: str = "upsilon-induced"
+    kind: ClassVar[str] = "upsilon-induced"
 
     def weight(self, i: int) -> Fraction:
         return Fraction(1, 2**i)
@@ -52,7 +52,7 @@ class GeometricTableWeights:
 
     prefix: tuple[Fraction, ...]
     ratio: Fraction
-    kind: str = "user-table"
+    kind: ClassVar[str] = "user-table"
 
     def __post_init__(self) -> None:
         if not self.prefix:
@@ -153,6 +153,8 @@ def _series_certificate(
     """Certified enclosure of sum of w(i)/t_i over halting indices, from the
     first precision+2 indices. An opaque machine's budget must reach
     2^(precision+2) so that the slack stays within the truncation tail."""
+    if precision_bits < 1:
+        raise ConfigError(f"precision_bits must be >= 1, got {precision_bits}")
     check_budget(machine, budget)
     terms = precision_bits + 2
     if budget is not None and budget.bit_length() <= terms:
@@ -170,8 +172,6 @@ def halting_series(
     force: bool = False,
 ) -> Interval:
     """Normalizer certificate with width below 2^-precision_bits."""
-    if precision_bits < 1:
-        raise ConfigError(f"precision_bits must be >= 1, got {precision_bits}")
     if not is_transparent(machine) and precision_bits > OPAQUE_PRECISION_CAP and not force:
         raise ConfigError(
             f"opaque precision capped at {OPAQUE_PRECISION_CAP} bits "
@@ -198,13 +198,6 @@ class RuntimeDistribution:
     precision_bits: int
     budget: int | None
 
-    @property
-    def kind(self) -> str:
-        return self.weights.kind
-
-    def weight(self, i: int) -> Fraction:
-        return self.weights.weight(i)
-
     def mass(self, i: int) -> Interval:
         """Certificate for the normalized mass at index i."""
         if i < 1:
@@ -227,9 +220,6 @@ class RuntimeDistribution:
         lo_n, hi_n = self.normalizer.lo, self.normalizer.hi
         cap = self.weights.tail_bound(start) / lo_n
         return Interval(tail.lo / hi_n, min(tail.hi / lo_n, cap))
-
-    def total_mass(self) -> Interval:
-        return self.tail_mass(1)
 
 
 def _distribution(

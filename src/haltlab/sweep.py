@@ -63,10 +63,6 @@ class HaltingHistory:
     def space_size(self) -> int:
         return 2**self.length
 
-    def programs(self) -> list[str]:
-        """All length-N programs in lexicographic (= index) order."""
-        return all_programs(self.length)
-
 
 def all_programs(length: int) -> list[str]:
     if length == 0:
@@ -109,21 +105,6 @@ def prob_by(history: HaltingHistory) -> Fraction:
     horizon = _horizon(history)
     weight = sum(horizon - t + 1 for t in history.stops.values())
     return Fraction(weight, history.space_size * horizon)
-
-
-# ---------------------------------------------------------------------------
-# program-space fractions (the per-history halting statistics)
-
-def halted_exactly_fraction(history: HaltingHistory, t: int) -> Fraction:
-    """Fraction of programs stopping exactly at step t."""
-    count = sum(1 for stop in history.stops.values() if stop == t)
-    return Fraction(count, history.space_size)
-
-
-def halted_by_fraction(history: HaltingHistory, t: int) -> Fraction:
-    """Fraction of programs that have stopped by step t."""
-    count = sum(1 for stop in history.stops.values() if stop <= t)
-    return Fraction(count, history.space_size)
 
 
 def eventual_fraction(history: HaltingHistory) -> Fraction:
@@ -175,7 +156,7 @@ def conditional_probs(history: HaltingHistory, t0: int, t1: int | None = None) -
 def history_to_csv(history: HaltingHistory) -> str:
     """One row per program in index order; running programs marked RUNNING."""
     lines = ["program,stop_time"]
-    for program in history.programs():
+    for program in all_programs(history.length):
         stop = history.stops.get(program)
         lines.append(f"{program},{stop if stop is not None else 'RUNNING'}")
     return "\n".join(lines) + "\n"
@@ -195,7 +176,7 @@ def history_to_matrix(history: HaltingHistory) -> dict:
     horizon = _horizon(history)
     check_matrix_cells(history.length, horizon)
     rows = []
-    for program in history.programs():
+    for program in all_programs(history.length):
         stop = history.stops.get(program)
         cells = [
             "h" if stop is not None and t >= stop else ""
@@ -209,15 +190,3 @@ def history_to_matrix(history: HaltingHistory) -> dict:
         "rows": rows,
     }
 
-
-def budget_extension_consistent(
-    earlier: HaltingHistory, later: HaltingHistory
-) -> bool:
-    """Stops found at a smaller horizon must persist verbatim at a larger one
-    (an exact sweep counts as the largest horizon)."""
-    def reach(history: HaltingHistory) -> float:
-        return float("inf") if history.horizon is None else history.horizon
-
-    if reach(earlier) > reach(later):
-        earlier, later = later, earlier
-    return all(later.stops.get(p) == t for p, t in earlier.stops.items())

@@ -2,9 +2,16 @@ import pathlib
 
 import pytest
 
-from haltlab.machine import load_machine
+from haltlab.codec import index_of_bits
+from haltlab.machine import TableMachine, load_machine
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def table_from_stops(stops):
+    """Table machine with these stop times and empty outputs, in index order."""
+    programs = sorted(stops, key=index_of_bits)
+    return TableMachine(tuple((p, stops[p], "") for p in programs))
 
 
 @pytest.fixture(scope="session")

@@ -93,6 +93,18 @@ GOLDEN = [
      "upsilon --machine builtin:toy-vm --precision 4 --budget 18446744073709551616", 2, EMPTY),
     ("distribution-is-a-directory",
      "threshold --machine fixtures/table1.json -k 1 --distribution fixtures", 2, EMPTY),
+    # --precision must be positive on the user-table path too
+    ("threshold-precision-zero",
+     "threshold --machine builtin:toy-vm -k 2 --precision 0 --budget 64 "
+     "--distribution fixtures/dyadic_weights.json", 2, EMPTY),
+    ("decide-precision-negative",
+     "decide --machine builtin:toy-vm --program 0101 -k 2 --precision -1 --budget 64 "
+     "--distribution fixtures/dyadic_weights.json", 2, EMPTY),
+    # a flag the command would not use is refused, not dropped
+    ("history-t1-without-t0", "history --machine builtin:toy-vm --length 3 --horizon 9 --t1 5",
+     2, EMPTY),
+    ("density-exclusion-horizon",
+     "density --machine builtin:loop-free-vm --mode exclusion --length 1 --horizon 9", 2, EMPTY),
     # 16 programs x 65537 times is 16 cells past the matrix cap of 2^20
     ("history-matrix-too-large",
      "history --machine builtin:loop-free-vm --length 4 --horizon 65537 --format matrix",
@@ -268,8 +280,10 @@ def cli_calls(draw):
         if draw(st.booleans()):
             argv += ["--t0", draw(st.integers(0, 20)), "--t1", draw(st.integers(0, 20))]
     elif command == "density":
-        argv += ["--mode", draw(st.sampled_from(["window", "exclusion"])), "--length", draw(small)]
-        argv += ["--horizon", draw(st.integers(255, 300))]
+        mode = draw(st.sampled_from(["window", "exclusion"]))
+        argv += ["--mode", mode, "--length", draw(small)]
+        if mode == "window":
+            argv += ["--horizon", draw(st.integers(255, 300))]
     elif command == "probcurve":
         argv += ["--max-len", draw(small), "--format", draw(st.sampled_from(["json", "csv"]))]
     else:

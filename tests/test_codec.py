@@ -2,12 +2,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from haltlab.codec import (
-    bits_of_index,
-    code_length_of_index,
-    enumerate_program_bits,
-    index_of_bits,
-)
+from haltlab.codec import bits_of_index, index_of_bits
 
 
 # first rows of the index <-> string table, written out by hand
@@ -28,15 +23,15 @@ def test_roundtrip(n):
 @given(st.integers(min_value=1, max_value=10**9))
 def test_length_sandwich(n):
     # 2^len <= n < 2^(len+1)
-    length = code_length_of_index(n)
+    length = n.bit_length() - 1
     assert len(bits_of_index(n)) == length
     assert 2**length <= n < 2 ** (length + 1)
 
 
 def test_enumeration_is_numeric_order():
     """Length-then-lex order over strings is plain numeric order over indices."""
-    strings = list(enumerate_program_bits(32))
-    assert [index_of_bits(s) for s in strings] == list(range(1, 33))
+    strings = [bits_of_index(n) for n in range(1, 33)]
+    assert strings == sorted(strings, key=lambda s: (len(s), s))
     # and within one length the order is lexicographic
     assert strings[3:7] == ["00", "01", "10", "11"]
 
@@ -44,7 +39,7 @@ def test_enumeration_is_numeric_order():
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=0, max_value=12))
 def test_block_prepend_identity(m, i):
     """0^i 1 bin(m) = bin(2^(i+1+|bin(m)|) + m), the dispatcher index identity."""
-    length = code_length_of_index(m)
+    length = len(bits_of_index(m))
     assert "0" * i + "1" + bits_of_index(m) == bits_of_index(2 ** (i + 1 + length) + m)
 
 

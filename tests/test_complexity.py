@@ -7,14 +7,14 @@ from haltlab.complexity import (
     NONRANDOM,
     RANDOM,
     UNKNOWN,
-    natural_complexity,
+    min_index_map,
     random_string_density,
     short_index_cap,
     stop_time_bound_holds,
     time_randomness,
 )
 from haltlab.errors import ConfigError
-from haltlab.machine import TableMachine, dispatch_spec, run, timed_table
+from haltlab.machine import Dispatcher, TableMachine, run, timed_table
 
 from oracles.ref_vm import ref_run
 
@@ -36,23 +36,20 @@ def identity_table(count):
 
 
 def test_least_index_on_identity_table():
-    machine = identity_table(12)
-    assert natural_complexity(machine, bits_of_index(5), 64).index == 5
-    assert natural_complexity(machine, "0000", 64).index is None
-    assert natural_complexity(machine, bits_of_index(5), 64).exact
+    least = min_index_map(identity_table(12), 64, None)
+    assert least.get(bits_of_index(5)) == 5
+    assert least.get("0000") is None
 
 
 def test_least_index_on_table1(table1):
     # every table1 entry outputs the empty string; the least program is 000
-    result = natural_complexity(table1, "", 64)
-    assert result.index == index_of_bits("000") == 8
-    assert natural_complexity(table1, "0", 64).index is None
+    least = min_index_map(table1, 64, None)
+    assert least.get("") == index_of_bits("000") == 8
+    assert least.get("0") is None
 
 
 def test_counting_bound(loop_free_vm):
     """At most N strings have complexity below N (least indices are distinct)."""
-    from haltlab.complexity import min_index_map
-
     for cap in (1, 7, 63, 255, 2048):
         reached = min_index_map(loop_free_vm, cap, None)
         assert len(reached) <= cap
@@ -117,7 +114,7 @@ def test_bare_table_misses_the_bound(table1):
     bad = stop_time_bound_holds(table1, "011", 100)
     assert bad.applicable and not bad.holds
 
-    u = dispatch_spec([table1, timed_table(table1)])
+    u = Dispatcher((table1, timed_table(table1)))
     good = stop_time_bound_holds(u, "1011", 100)
     assert good.applicable and good.holds
     assert run(u, "1011", 100).stop_time == 8

@@ -18,12 +18,14 @@ from haltlab.density import (
     stratum_average_bound,
 )
 from haltlab.errors import ConfigError, ResourceLimitError
-from haltlab.machine import TableMachine, dispatch_spec, finite_domain, timed_table
+from haltlab.machine import Dispatcher, finite_domain, timed_table
+
+from conftest import table_from_stops
 
 
 def late_stop_table():
     """Stop times chosen to exceed the exponential exclusion threshold."""
-    return TableMachine.from_stops({"00": 600, "01": 2048, "10": 3000})
+    return table_from_stops({"00": 600, "01": 2048, "10": 3000})
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +112,7 @@ def test_exclusion_with_real_candidates():
     """A dispatcher that registers the timed twin of a late-stopping table
     satisfies the exclusion with actual over-threshold candidates."""
     table = late_stop_table()
-    u = dispatch_spec([table, timed_table(table)])
+    u = Dispatcher((table, timed_table(table)))
     report = random_stop_report(u, 3)  # dispatcher programs are '1' + 2 bits
     # '00' stops at 600, below the length-3 threshold 2^11; the other two qualify
     assert len(report.candidates) == 2
@@ -140,7 +142,7 @@ def test_density_window_transparent(loop_free_vm):
 
 def test_density_window_counts_witnesses():
     table = late_stop_table()
-    u = dispatch_spec([table, timed_table(table)])
+    u = Dispatcher((table, timed_table(table)))
     report = density_report(u, 2, 2**12)
     assert report.nonrandom_count > 0
     # independent recount: walk the dispatcher's own finite domain
@@ -201,7 +203,7 @@ def test_exponential_stops_empty_on_fixtures(table1, toy_vm):
 
 def test_exponential_stops_with_candidates():
     table = late_stop_table()
-    u = dispatch_spec([table, timed_table(table)])
+    u = Dispatcher((table, timed_table(table)))
     report = exponential_stop_density(u, 4, 2**12)
     assert len(report.candidates) == 2  # the 600 stop is not exponential for length 3
     assert report.holds
@@ -210,5 +212,5 @@ def test_exponential_stops_with_candidates():
 def test_stop_code_lint(table1):
     # bare table1 cannot compress its own late stop times
     assert stop_code_violations(table1) == ("010", "011", "100", "111")
-    clean = TableMachine.from_stops({"0": 1, "1": 1})
+    clean = table_from_stops({"0": 1, "1": 1})
     assert stop_code_violations(clean) == ()

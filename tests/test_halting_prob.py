@@ -10,7 +10,7 @@ from haltlab.sweep import all_programs
 
 def test_kraft_weight_below_one_on_prefix_free(prefix_free_loop_free_vm):
     curve = domain_prob_curve(prefix_free_loop_free_vm, 12)
-    kraft = sum(curve.fractions(), Fraction(0))
+    kraft = sum((p.fraction for p in curve.points), Fraction(0))
     assert 0 < kraft < 1
     assert all(p.exact for p in curve.points)
 
@@ -36,11 +36,8 @@ def test_opaque_points_are_lower_bounds(toy_vm, prefix_free_vm):
 
 def test_curve_on_a_finite_table(table1):
     curve = domain_prob_curve(table1, 4)
-    assert [p.halting for p in curve.points] == [0, 0, 6, 0]
-    assert curve.point(3).fraction == Fraction(3, 4)
-    assert curve.nonincreasing_over(3, 4)
-    with pytest.raises(KeyError):
-        curve.point(5)
+    assert [p.length for p in curve.points] == [1, 2, 3, 4]
+    assert [p.fraction for p in curve.points] == [0, 0, Fraction(3, 4), 0]
 
 
 def test_budget_policy(toy_vm, table1):

@@ -1,5 +1,3 @@
-import json
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -12,14 +10,11 @@ from haltlab.machine import (
     PrefixFreeVM,
     TableMachine,
     ToyVM,
-    decidability,
-    dispatch_spec,
     exact_run,
     finite_domain,
     is_transparent,
     load_machine,
     machine_from_dict,
-    machine_to_dict,
     run,
     time_wrap,
     timed_table,
@@ -152,8 +147,8 @@ def test_decidability_labels(toy_vm, loop_free_vm, prefix_free_vm, table1):
     assert not is_transparent(toy_vm)
     assert not is_transparent(prefix_free_vm)
     assert is_transparent(loop_free_vm)
-    assert is_transparent(table1)
-    assert decidability(table1) != decidability(toy_vm)
+    assert is_transparent(table1) is True
+    assert is_transparent(toy_vm) is False
 
 
 def test_exact_run_refuses_opaque(toy_vm):
@@ -207,7 +202,7 @@ def test_timed_table_derivation(table1):
 # dispatchers
 
 def test_dispatcher_routing(table1):
-    u = dispatch_spec([table1, timed_table(table1)])
+    u = Dispatcher((table1, timed_table(table1)))
     # slot 0: '1' + x, slot 1: '01' + x
     assert run(u, "1011", 10**6).stop_time == 8
     assert run(u, "01011", 10**6).stop_time == 9
@@ -220,8 +215,8 @@ def test_dispatcher_routing(table1):
 def test_dispatcher_index_inflation_bound(table1):
     """The least dispatcher index for x is at most (2^(i+1)+1) times the
     least submachine index, via the block-prepend identity on codes."""
-    subs = [table1, timed_table(table1)]
-    u = dispatch_spec(subs)
+    subs = (table1, timed_table(table1))
+    u = Dispatcher(subs)
     udom = finite_domain(u)
     uleast = {}
     for p, _, out in sorted(udom, key=lambda e: index_of_bits(e[0])):
@@ -236,31 +231,47 @@ def test_dispatcher_index_inflation_bound(table1):
 
 
 def test_dispatcher_transparency(table1, toy_vm, loop_free_vm):
-    assert is_transparent(dispatch_spec([table1, loop_free_vm]))
-    assert not is_transparent(dispatch_spec([table1, toy_vm]))
+    assert is_transparent(Dispatcher((table1, loop_free_vm)))
+    assert not is_transparent(Dispatcher((table1, toy_vm)))
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def test_machine_dict_roundtrip(table1, toy_vm, prefix_free_vm, loop_free_vm):
-    for machine in [
-        table1,
-        toy_vm,
-        prefix_free_vm,
-        loop_free_vm,
-        dispatch_spec([table1, timed_table(table1)]),
-    ]:
-        data = machine_to_dict(machine)
-        json.dumps(data)  # must be plain JSON types
+# one hand-written descriptor per kind, and the machine it describes
+DESCRIPTORS = [
+    (
+        {"kind": "table", "entries": [
+            {"program": "01", "stop_time": 3, "output": "1"},
+            {"program": "0", "stop_time": 1},
+        ]},
+        TableMachine((("0", 1, ""), ("01", 3, "1"))),
+    ),
+    ({"kind": "toy-vm"}, ToyVM()),
+    ({"kind": "toy-vm", "isa_version": 1, "variant": "loop-free"}, ToyVM(loop_free=True)),
+    ({"kind": "prefix-free-vm", "variant": "full"}, PrefixFreeVM()),
+    ({"kind": "prefix-free-vm", "variant": "loop-free"}, PrefixFreeVM(loop_free=True)),
+    (
+        {"kind": "dispatcher", "submachines": [
+            {"kind": "table", "entries": [{"program": "", "stop_time": 2}]},
+            {"kind": "toy-vm"},
+        ]},
+        Dispatcher((TableMachine((("", 2, ""),)), ToyVM())),
+    ),
+]
+
+
+def test_machine_dict_roundtrip():
+    for data, machine in DESCRIPTORS:
         assert machine_from_dict(data) == machine
 
 
 def test_dispatcher_nesting_limit(loop_free_vm):
+    data = {"kind": "toy-vm", "variant": "loop-free"}
     machine = loop_free_vm
     for _ in range(MAX_DISPATCH_NESTING):
-        machine = dispatch_spec([machine])
-    data = machine_to_dict(machine)
+        data = {"kind": "dispatcher", "submachines": [data]}
+        machine = Dispatcher((machine,))
     assert machine_from_dict(data) == machine
     assert run(machine, "1" * MAX_DISPATCH_NESTING + "0000", 100).halted
     with pytest.raises(ConfigError, match="nest deeper"):

@@ -15,9 +15,7 @@ from haltlab.runtime_dist import (
     weights_from_dict,
 )
 
-
-def table_of(stops):
-    return TableMachine.from_stops(stops)
+from conftest import table_from_stops
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +40,7 @@ def test_series_width_and_nesting_transparent(loop_free_vm):
         interval = halting_series(loop_free_vm, precision)
         assert interval.width < Fraction(1, 2**precision)
         if previous is not None:
-            assert previous.encloses(interval)
+            assert previous.lo <= interval.lo and interval.hi <= previous.hi
         previous = interval
 
 
@@ -53,7 +51,7 @@ def test_series_width_and_nesting_opaque(toy_vm):
         interval = halting_series(toy_vm, precision, budget=budget)
         assert interval.width < Fraction(1, 2**precision)
         if previous is not None:
-            assert previous.encloses(interval)
+            assert previous.lo <= interval.lo and interval.hi <= previous.hi
         previous = interval
 
 
@@ -75,7 +73,7 @@ def test_fixture_f_masses(fixture_f):
     assert dist.mass(1).lo == Fraction(4, 5)
     assert dist.mass(2).lo == Fraction(1, 5)
     assert dist.mass(3).lo == Fraction(0)
-    assert dist.total_mass().lo == 1  # finite transparent: the masses sum exactly
+    assert dist.tail_mass(1).lo == 1  # finite transparent: the masses sum exactly
 
 
 def test_degenerate_distribution():
@@ -135,7 +133,7 @@ def test_fixture_f_thresholds(fixture_f):
 def test_threshold_knife_edge_bump():
     # normalizer exactly 1/2 puts the certificate at T = k + 2 exactly on
     # the target, so the strict bound first holds at k + 3
-    dist = induced_distribution(table_of({"": 1}))
+    dist = induced_distribution(table_from_stops({"": 1}))
     assert dist.normalizer.lo == Fraction(1, 2)
     for k in range(0, 10):
         horizon = tail_threshold(dist, k)
@@ -164,9 +162,9 @@ def test_user_table_matches_induced_when_dyadic(fixture_f):
     induced = induced_distribution(fixture_f)
     assert user.normalizer == induced.normalizer
     for i in range(1, 12):
-        assert user.weight(i) == induced.weight(i)
+        assert user.weights.weight(i) == induced.weights.weight(i)
         assert user.mass(i) == induced.mass(i)
-    assert user.kind == "user-table" and induced.kind == "upsilon-induced"
+    assert user.weights.kind == "user-table" and induced.weights.kind == "upsilon-induced"
 
 
 def test_geometric_tail_identity():
@@ -228,7 +226,7 @@ def test_split_with_nonempty_residual():
 
     # "1" stops late enough to land past the cutoff, and the code of its stop
     # time is itself in the domain so the residual mass is strictly positive
-    machine = table_of({"0": 1, "1": 5000, bits_of_index(5000): 7})
+    machine = table_from_stops({"0": 1, "1": 5000, bits_of_index(5000): 7})
     dist = induced_distribution(machine)
     split = split_halting_set(machine, dist, 5, 1)
     assert split.cutoffs[1] <= 5000
