@@ -18,6 +18,12 @@ docs/machine-isa.md:
 Every executed instruction costs one step. The code is Kraft-complete, so the
 only decoding failure is running out of bits mid-code.
 
+This kernel does not always take those steps one at a time. A taken LOOP
+jump whose iteration provably repeats forever adds every whole further
+iteration that fits under the budget and the output cap in one go (see
+run_stream). (status, steps, output) is exactly what stepping one at a time
+gives; the compiled kernel does step one at a time.
+
 Halting disciplines:
   plain       running off the end of the stream, or a truncated code, halts
               immediately (one step) with empty output; END halts anywhere.
@@ -58,6 +64,17 @@ def run_stream(
     Returns (status, steps, output). Output is only meaningful for HALTED.
     steps is the stop time for HALTED and the consumed budget for RUNNING.
     LOOP outside the allowed subset behaves like an undecodable code.
+
+    An iteration, from the stream start (at acc = 0, or after a taken LOOP
+    jump) to the next taken jump, repeats forever when only INC, OUT0 and
+    OUT1 ran in between and acc did not fall: each further iteration runs
+    the same instructions and takes the jump again. All whole iterations
+    that still fit under the budget and the output cap are then added at
+    once. The next one cannot reach its LOOP, so acc is never read again
+    and the run ends RUNNING or OUTPUT_LIMIT. Its output is never returned:
+    the skipped output is only counted, by lowering output_cap by its
+    length.
+
     Raises ValueError unless 0 <= start <= total <= len(bits) and
     output_cap >= 0, and OverflowError for a budget outside [0, 2^64 - 1].
     """
@@ -73,6 +90,10 @@ def run_stream(
     steps = 0
     acc = 0
     out = bytearray()
+    # acc, steps and output length after the last taken jump, and whether
+    # only INC/OUT0/OUT1 ran since then
+    jump_acc = jump_steps = jump_len = 0
+    only_inc_out = True
     while steps < budget:
         # fetch + decode
         if pc >= total:
@@ -135,22 +156,37 @@ def run_stream(
             acc <<= 1
             if acc > ACC_SATURATION:
                 acc = ACC_SATURATION
+            only_inc_out = False
             pc = npc
         elif op == _SPIN:
+            only_inc_out = False
             if acc > 0:
                 acc -= 1
             else:
                 pc = npc
         elif op == _TIMER:
             acc = steps
+            only_inc_out = False
             pc = npc
         elif op == _LOOP:
             if acc > 0:
                 acc -= 1
                 pc = start
+                if only_inc_out and acc >= jump_acc:
+                    span = steps - jump_steps
+                    grown = len(out) - jump_len
+                    whole = (budget - steps) // span
+                    if grown:
+                        whole = min(whole, (output_cap - len(out)) // grown)
+                    steps += whole * span
+                    output_cap -= whole * grown
+                jump_acc, jump_steps, jump_len = acc, steps, len(out)
+                only_inc_out = True
             else:
+                only_inc_out = False
                 pc = npc
         else:  # _ZEROS
+            only_inc_out = False
             if acc > output_cap - len(out):
                 return (OUTPUT_LIMIT, steps, None)
             out.extend(b"0" * acc)

@@ -33,7 +33,7 @@ from haltlab import density as density_mod
 from haltlab import halting_prob, runtime_dist
 from haltlab.errors import ConfigError, HaltlabError, digit_limit_error
 from haltlab.intervals import Interval, format_fraction
-from haltlab.machine import Machine, load_machine, read_json, run
+from haltlab.machine import Machine, is_transparent, load_machine, read_json, run
 from haltlab.sweep import (
     check_matrix_cells,
     conditional_probs,
@@ -87,6 +87,8 @@ def _load_distribution(
 def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
     if args.t1 is not None and args.t0 is None:
         raise ConfigError("--t1 needs --t0")
+    if args.t0 is not None and args.format != "json":
+        raise ConfigError("--t0/--t1 apply to --format json only")
     if args.format == "matrix":
         check_matrix_cells(args.length, args.horizon)  # before the sweep runs
     history = sweep(machine, args.length, args.horizon)
@@ -122,6 +124,8 @@ def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
 
 
 def _cmd_upsilon(machine: Machine, args: argparse.Namespace) -> dict:
+    if args.force and is_transparent(machine):
+        raise ConfigError("--force applies to opaque machines only")
     interval = runtime_dist.halting_series(
         machine, precision_bits=args.precision, budget=args.budget, force=args.force
     )

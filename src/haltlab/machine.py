@@ -17,8 +17,10 @@ So time_wrap(p) = "11"+p costs TIME_WRAP_EXTRA_BITS = 2 program bits and
 TIME_WRAP_STEP_OVERHEAD = 1 extra step per nesting level. All other mode
 values execute the rest directly on the base ISA.
 
-A RunOutcome never says "never halts": not halting within the budget is all
-that can be observed. Machines whose halting is decidable by construction
+A RunOutcome is a named tuple (halted, stop_time, output); every run that is
+not seen halting returns one shared instance, equal to RunOutcome.running().
+It never says "never halts": not halting within the budget is all that can be
+observed. Machines whose halting is decidable by construction
 (tables, loop-free VM variants, dispatchers over those) are "transparent" and
 additionally support exact_run / finite_domain.
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 from haltlab import vm
 from haltlab.codec import bits_of_index, index_of_bits
@@ -52,17 +54,14 @@ LOOP_FREE_STEP_CAP = 10**7
 # nested deeper than this is refused before it can exhaust the stack
 MAX_DISPATCH_NESTING = 64
 
-_BITSET = frozenset("01")
-
 
 def _check_bits(s: str, what: str) -> str:
-    if not isinstance(s, str) or set(s) - _BITSET:
+    if not isinstance(s, str) or s.strip("01"):
         raise ConfigError(f"{what} must be a bit string, got {s!r}")
     return s
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """Budget-relative observation of one run."""
 
     halted: bool
@@ -70,12 +69,11 @@ class RunOutcome:
     output: str | None = None
 
     @classmethod
-    def stopped(cls, stop_time: int, output: str) -> "RunOutcome":
-        return cls(True, stop_time, output)
-
-    @classmethod
     def running(cls) -> "RunOutcome":
         return cls(False)
+
+
+_NOT_HALTED = RunOutcome.running()
 
 
 @dataclass(frozen=True)
@@ -178,16 +176,14 @@ def _run_vm(
     depth, pos = _split_modes(program)
     n = len(program)
     core_budget = budget - depth * TIME_WRAP_STEP_OVERHEAD
+    if core_budget < 1:
+        return _NOT_HALTED
     if n - pos < 2:
         # program ends inside a mode field
         if prefix_free:
-            return RunOutcome.running()
-        if core_budget < 1:
-            return RunOutcome.running()
+            return _NOT_HALTED
         status, stop, out = vm.HALTED, 1, b""
     else:
-        if core_budget < 1:
-            return RunOutcome.running()
         status, stop, out = vm.run_stream(
             program.encode("ascii"),
             pos + 2,
@@ -202,12 +198,12 @@ def _run_vm(
             f"output exceeded {output_cap} bits at step {stop}; raise output_cap to proceed"
         )
     if status != vm.HALTED:
-        return RunOutcome.running()
+        return _NOT_HALTED
     output = out.decode("ascii")
     for _ in range(depth):
         output = bits_of_index(stop)
         stop += TIME_WRAP_STEP_OVERHEAD
-    return RunOutcome.stopped(stop, output)
+    return RunOutcome(True, stop, output)
 
 
 def run(
@@ -225,17 +221,15 @@ def run(
     if isinstance(machine, TableMachine):
         hit = machine.lookup(program)
         if hit is not None and hit[0] <= budget:
-            return RunOutcome.stopped(hit[0], hit[1])
-        return RunOutcome.running()
+            return RunOutcome(True, hit[0], hit[1])
+        return _NOT_HALTED
     if isinstance(machine, Dispatcher):
         first_one = program.find("1")
-        if first_one < 0:
-            return RunOutcome.running()
-        if first_one >= len(machine.submachines):
-            return RunOutcome.running()
+        if first_one < 0 or first_one >= len(machine.submachines):
+            return _NOT_HALTED
         inner = run(machine.submachines[first_one], program[first_one + 1 :], budget, output_cap)
         if inner.halted:
-            return RunOutcome.stopped(inner.stop_time + DISPATCH_STEP_OVERHEAD, inner.output)
+            return RunOutcome(True, inner.stop_time + DISPATCH_STEP_OVERHEAD, inner.output)
         return inner
     raise ConfigError(f"unknown machine {machine!r}")
 

@@ -105,6 +105,9 @@ GOLDEN = [
      2, EMPTY),
     ("density-exclusion-horizon",
      "density --machine builtin:loop-free-vm --mode exclusion --length 1 --horizon 9", 2, EMPTY),
+    ("history-csv-t0",
+     "history --machine builtin:toy-vm --length 2 --horizon 9 --t0 3 --format csv", 2, EMPTY),
+    ("upsilon-force-transparent", "upsilon --machine fixtures/table1.json --force", 2, EMPTY),
     # 16 programs x 65537 times is 16 cells past the matrix cap of 2^20
     ("history-matrix-too-large",
      "history --machine builtin:loop-free-vm --length 4 --horizon 65537 --format matrix",
@@ -276,8 +279,9 @@ def cli_calls(draw):
     argv = [command, "--machine", "MACHINE"]
     if command == "history":
         argv += ["--length", draw(st.integers(0, 4)), "--horizon", draw(st.integers(1, 20))]
-        argv += ["--format", draw(st.sampled_from(["json", "csv", "matrix"]))]
-        if draw(st.booleans()):
+        fmt = draw(st.sampled_from(["json", "csv", "matrix"]))
+        argv += ["--format", fmt]
+        if fmt == "json" and draw(st.booleans()):
             argv += ["--t0", draw(st.integers(0, 20)), "--t1", draw(st.integers(0, 20))]
     elif command == "density":
         mode = draw(st.sampled_from(["window", "exclusion"]))

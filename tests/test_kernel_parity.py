@@ -13,6 +13,8 @@ import shlex
 import shutil
 import subprocess
 import sysconfig
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,95 @@ def test_kernels_agree_bit_for_bit(compiled, stream, budget, prefix_free, allow_
             assert kernel.run_stream(*args, 2**64 - 1, output_cap) == expected
 
 
+# code words of docs/machine-isa.md, weighted toward the instructions of
+# loops that repeat: INC, OUT0, OUT1, LOOP and SPIN
+INC, END, OUT0, OUT1, DBL, SPIN, TIMER, LOOP, ZEROS = (
+    "1", "00", "010", "0110", "01110", "011110", "0111110", "01111110", "01111111"
+)
+WORDS = [INC] * 6 + [OUT0] * 3 + [OUT1] * 3 + [LOOP] * 4 + [SPIN] * 3 + [DBL, TIMER, ZEROS, END]
+
+
+@st.composite
+def word_streams(draw):
+    """A stream of whole code words, sometimes cut off inside its last word."""
+    stream = "".join(draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=8)))
+    if draw(st.integers(0, 4)) == 0:
+        stream = stream[: draw(st.integers(0, len(stream)))]
+    return stream
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    word_streams(),
+    st.one_of(budgets, st.integers(min_value=0, max_value=10**6)),
+    st.booleans(),
+    st.sampled_from([0, 1, 2, 5, 16, 1 << 20]),
+)
+def test_kernels_agree_on_loops(compiled, stream, budget, prefix_free, output_cap):
+    # the pure kernel skips repeating LOOP iterations in bulk; the compiled
+    # kernel takes every step
+    args = (stream.encode("ascii"), 0, len(stream), prefix_free, True, budget, output_cap)
+    assert compiled.run_stream(*args) == _stepper_py.run_stream(*args)
+
+
+# loops at the edge of the skip rule, each with output so that the step at
+# which the cap refuses it shows how many iterations were skipped
+EDGE_LOOPS = [
+    # acc is the same after every jump, but TIMER makes SPIN run longer
+    ("timer-before-spin", TIMER + SPIN + INC + OUT0 + LOOP),
+    # jumps alternate between acc 1 and 0: an iteration with only OUT0 lets
+    # acc fall, and one with a LOOP not taken is not a pure INC/OUT iteration
+    ("acc-falls", OUT0 + LOOP + INC + INC + LOOP),
+    # acc grows and ZEROS writes more every time
+    ("zeros-grow", INC + INC + ZEROS + LOOP),
+    # acc grows by one per iteration with a fixed output: skipped
+    ("inc-out-grows", INC + INC + OUT1 + OUT0 + LOOP),
+    # the first SPIN counts down one unit and every later one two
+    ("spin-grows", INC + OUT0 + SPIN + INC + INC + LOOP),
+    # acc returns to the same value after DBL and SPIN: not skipped
+    ("dbl-spin-repeat", INC + DBL + SPIN + OUT1 + INC + LOOP),
+]
+
+
+@pytest.mark.parametrize("stream", [case[1] for case in EDGE_LOOPS], ids=[c[0] for c in EDGE_LOOPS])
+def test_kernels_agree_on_edge_loops(compiled, stream):
+    raw = stream.encode("ascii")
+    for budget, output_cap in itertools.product((4096, 50_000), (0, 1, 2, 5, 16, 100, 1 << 20)):
+        args = (raw, 0, len(raw), False, True, budget, output_cap)
+        assert compiled.run_stream(*args) == _stepper_py.run_stream(*args)
+
+
+INC_INC_LOOP = (INC + INC + LOOP).encode("ascii")
+INC_OUT0_LOOP = (INC + OUT0 + LOOP).encode("ascii")
+
+
+def test_pure_kernel_skips_a_repeating_loop():
+    assert INC_INC_LOOP == b"1101111110"
+    began = time.perf_counter()
+    got = _stepper_py.run_stream(INC_INC_LOOP, 0, 10, False, True, 2**64 - 1, 1 << 20)
+    assert time.perf_counter() - began < 1
+    assert got == (_stepper_py.RUNNING, 2**64 - 1, None)
+
+
+def test_pure_kernel_counts_skipped_output_without_building_it():
+    # each iteration is 3 steps and one output bit; 2^24 of them fit under
+    # the cap and the next one's OUT0 is refused
+    expected = (_stepper_py.OUTPUT_LIMIT, 3 * 2**24 + 2, None)
+    tracemalloc.start()
+    try:
+        got = _stepper_py.run_stream(INC_OUT0_LOOP, 0, 12, False, True, 2**64 - 1, 1 << 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 1 << 20
+
+
+def test_compiled_kernel_refuses_the_skipped_output_at_the_same_step(compiled):
+    got = compiled.run_stream(INC_OUT0_LOOP, 0, 12, False, True, 2**64 - 1, 1 << 24)
+    assert got == (compiled.OUTPUT_LIMIT, 3 * 2**24 + 2, None)
+
+
 def test_kernels_agree_exhaustively_short(compiled):
     # all streams up to 12 bits, from the start of the stream and past a
     # two-bit mode prefix, both disciplines, tight and loose budgets and caps
@@ -106,7 +197,7 @@ def test_kernels_agree_exhaustively_short(compiled):
         for value in range(2**length):
             raw = (format(value, f"0{length}b") if length else "").encode("ascii")
             for start, prefix_free, budget, output_cap in itertools.product(
-                {0, min(2, length)}, (False, True), (3, 64), (2, 1 << 20)
+                {0, min(2, length)}, (False, True), (3, 64, 4096), (2, 1 << 20)
             ):
                 args = (raw, start, length, prefix_free, True, budget, output_cap)
                 assert compiled.run_stream(*args) == _stepper_py.run_stream(*args)

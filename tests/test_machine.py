@@ -8,6 +8,7 @@ from haltlab.machine import (
     MAX_DISPATCH_NESTING,
     Dispatcher,
     PrefixFreeVM,
+    RunOutcome,
     TableMachine,
     ToyVM,
     exact_run,
@@ -78,11 +79,25 @@ def test_loop_free_goldens(loop_free_vm, prefix_free_loop_free_vm, program, pref
     assert (outcome.halted, outcome.stop_time, outcome.output) == expected
 
 
+@pytest.mark.parametrize("program", ["01x", "0a1", "2", 5, None])
+def test_run_refuses_what_is_not_a_bit_string(toy_vm, table1, program):
+    for machine in (toy_vm, table1, Dispatcher((table1,))):
+        with pytest.raises(ConfigError):
+            run(machine, program, 10)
+
+
 def test_run_input_validation(toy_vm):
     with pytest.raises(ConfigError):
-        run(toy_vm, "01x", 10)
-    with pytest.raises(ConfigError):
         run(toy_vm, "0", -1)
+
+
+def test_run_outcome_fields(toy_vm):
+    assert RunOutcome.running() == RunOutcome(False)
+    still = run(toy_vm, "00101111110", 64)
+    assert still == RunOutcome.running()
+    assert (still.halted, still.stop_time, still.output) == (False, None, None)
+    stopped = run(toy_vm, "0101000", 64)
+    assert (stopped.halted, stopped.stop_time, stopped.output) == (True, 2, "0")
 
 
 def test_budget_zero_observes_nothing(toy_vm):
@@ -151,9 +166,11 @@ def test_decidability_labels(toy_vm, loop_free_vm, prefix_free_vm, table1):
     assert is_transparent(toy_vm) is False
 
 
-def test_exact_run_refuses_opaque(toy_vm):
-    with pytest.raises(ConfigError):
-        exact_run(toy_vm, "0000")
+def test_exact_run_refuses_opaque(toy_vm, table1, loop_free_vm):
+    for machine in (toy_vm, load_machine("builtin:prefix-free-vm"),
+                    Dispatcher((table1, loop_free_vm, toy_vm))):
+        with pytest.raises(ConfigError, match="transparent"):
+            exact_run(machine, "0000")
 
 
 @settings(max_examples=60)
