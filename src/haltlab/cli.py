@@ -60,6 +60,10 @@ def _config(args: argparse.Namespace, *names: str) -> dict:
     return config
 
 
+def _kind(args: argparse.Namespace) -> str:
+    return "upsilon-induced" if args.distribution is None else "user-table"
+
+
 def _interval_dict(interval: Interval) -> dict:
     payload = dict(interval.to_strings())
     payload["width"] = format_fraction(interval.width)
@@ -129,10 +133,10 @@ def _cmd_upsilon(machine: Machine, args: argparse.Namespace) -> dict:
     interval = runtime_dist.halting_series(
         machine, precision_bits=args.precision, budget=args.budget, force=args.force
     )
-    return {
-        "config": _config(args, "precision", "budget"),
-        "normalizer": _interval_dict(interval),
-    }
+    config = _config(args, "precision", "budget")
+    if args.force:
+        config["force"] = True
+    return {"config": config, "normalizer": _interval_dict(interval)}
 
 
 def _cmd_threshold(machine: Machine, args: argparse.Namespace) -> dict:
@@ -140,7 +144,7 @@ def _cmd_threshold(machine: Machine, args: argparse.Namespace) -> dict:
     horizon = runtime_dist.tail_threshold(dist, args.k)
     return {
         "config": _config(args, "k", "precision", "budget", "distribution"),
-        "kind": dist.weights.kind,
+        "kind": _kind(args),
         "normalizer": _interval_dict(dist.normalizer),
         "threshold": horizon,
         "tail_certificate": format_fraction(
@@ -228,7 +232,7 @@ def _cmd_decompose(machine: Machine, args: argparse.Namespace) -> dict:
     split = runtime_dist.split_halting_set(machine, dist, args.k, args.max_len, budget=args.budget)
     return {
         "config": _config(args, "k", "max_len", "precision", "budget", "distribution"),
-        "kind": dist.weights.kind,
+        "kind": _kind(args),
         "normalizer": _interval_dict(dist.normalizer),
         "cutoffs": {str(n): c for n, c in sorted(split.cutoffs.items())},
         "computable": [list(pair) for pair in split.computable],

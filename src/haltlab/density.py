@@ -42,7 +42,7 @@ from haltlab.machine import (
     check_budget,
     is_transparent,
 )
-from haltlab.sweep import sweep
+from haltlab.sweep import check_enum_cap, sweep
 
 HORIZON_CAP = 2**26
 
@@ -104,11 +104,13 @@ def _exclusion_report(
     end when horizon is None) and check that each one is non-random: the
     wrapper witness first, then the least producing index."""
     check_budget(machine, budget)
+    # only lengths whose late stops can reach the horizon are swept; refuse
+    # the longest of them before the first sweep runs
+    swept = [n for n in lengths if horizon is None or exclusion_threshold(n) <= horizon]
+    check_enum_cap(max(swept, default=0))
     candidates: list[tuple[str, int]] = []
-    for length in lengths:
+    for length in swept:
         threshold = exclusion_threshold(length)
-        if horizon is not None and threshold > horizon:
-            continue
         stops = sweep(machine, length, budget).stops
         candidates.extend(
             (p, t) for p, t in stops.items() if threshold <= t and (horizon is None or t <= horizon)
@@ -142,7 +144,6 @@ def random_stop_report(
 class DensityReport:
     """Random-time census over the window [2^m, horizon]."""
 
-    length: int
     m: int
     s: int
     window_start: int
@@ -210,7 +211,6 @@ def density_report(
     else:
         holds = None
     return DensityReport(
-        length=length,
         m=m,
         s=s,
         window_start=window_start,

@@ -19,6 +19,7 @@ values execute the rest directly on the base ISA.
 
 A RunOutcome is a named tuple (halted, stop_time, output); every run that is
 not seen halting returns one shared instance, equal to RunOutcome.running().
+A VM run whose output passes the fixed DEFAULT_OUTPUT_CAP bits is refused.
 It never says "never halts": not halting within the budget is all that can be
 observed. Machines whose halting is decidable by construction
 (tables, loop-free VM variants, dispatchers over those) are "transparent" and
@@ -80,24 +81,14 @@ _NOT_HALTED = RunOutcome.running()
 class ToyVM:
     """Ladder-ISA machine with lenient (dense-domain) halting."""
 
-    isa_version: int = 1
     loop_free: bool = False
-
-    def __post_init__(self) -> None:
-        if self.isa_version != 1:
-            raise ConfigError(f"unknown isa_version {self.isa_version!r}")
 
 
 @dataclass(frozen=True)
 class PrefixFreeVM:
     """Ladder-ISA machine with strict END-at-boundary halting."""
 
-    isa_version: int = 1
     loop_free: bool = False
-
-    def __post_init__(self) -> None:
-        if self.isa_version != 1:
-            raise ConfigError(f"unknown isa_version {self.isa_version!r}")
 
 
 @dataclass(frozen=True)
@@ -166,12 +157,7 @@ def _split_modes(program: str) -> tuple[int, int]:
     return depth, pos
 
 
-def _run_vm(
-    machine: ToyVM | PrefixFreeVM,
-    program: str,
-    budget: int,
-    output_cap: int,
-) -> RunOutcome:
+def _run_vm(machine: ToyVM | PrefixFreeVM, program: str, budget: int) -> RunOutcome:
     prefix_free = isinstance(machine, PrefixFreeVM)
     depth, pos = _split_modes(program)
     n = len(program)
@@ -191,12 +177,10 @@ def _run_vm(
             prefix_free,
             not machine.loop_free,
             core_budget,
-            output_cap,
+            DEFAULT_OUTPUT_CAP,
         )
     if status == vm.OUTPUT_LIMIT:
-        raise ResourceLimitError(
-            f"output exceeded {output_cap} bits at step {stop}; raise output_cap to proceed"
-        )
+        raise ResourceLimitError(f"output exceeded {DEFAULT_OUTPUT_CAP} bits at step {stop}")
     if status != vm.HALTED:
         return _NOT_HALTED
     output = out.decode("ascii")
@@ -206,18 +190,13 @@ def _run_vm(
     return RunOutcome(True, stop, output)
 
 
-def run(
-    machine: Machine,
-    program: str,
-    budget: int,
-    output_cap: int = DEFAULT_OUTPUT_CAP,
-) -> RunOutcome:
+def run(machine: Machine, program: str, budget: int) -> RunOutcome:
     """Run program for at most budget steps; budget-relative by design."""
     _check_bits(program, "program")
     if not 0 <= budget <= MAX_BUDGET:
         raise ConfigError(f"budget must be in [0, 2^64 - 1], got {budget}")
     if isinstance(machine, (ToyVM, PrefixFreeVM)):
-        return _run_vm(machine, program, budget, output_cap)
+        return _run_vm(machine, program, budget)
     if isinstance(machine, TableMachine):
         hit = machine.lookup(program)
         if hit is not None and hit[0] <= budget:
@@ -227,7 +206,7 @@ def run(
         first_one = program.find("1")
         if first_one < 0 or first_one >= len(machine.submachines):
             return _NOT_HALTED
-        inner = run(machine.submachines[first_one], program[first_one + 1 :], budget, output_cap)
+        inner = run(machine.submachines[first_one], program[first_one + 1 :], budget)
         if inner.halted:
             return RunOutcome(True, inner.stop_time + DISPATCH_STEP_OVERHEAD, inner.output)
         return inner
@@ -288,8 +267,10 @@ def observe(machine: Machine, program: str, budget: int | None) -> tuple[int, st
 
 
 def _certainly_diverges_loop_free(machine: PrefixFreeVM, program: str) -> bool:
-    """Re-run with a tiny budget: the strict-discipline divergence cases are
-    detected by the kernel in at most one pass over the stream."""
+    """Repeat the kernel call of exact_run, at LOOP_FREE_STEP_CAP, to read
+    its status: the strict-discipline divergence cases end as DIVERGED within
+    one pass over the stream. The repeat stays until the benchmark stops
+    pinning the kernel call count (ROADMAP item 3)."""
     depth, pos = _split_modes(program)
     if len(program) - pos < 2:
         return True
@@ -364,10 +345,10 @@ def _machine_from_dict(data: dict, levels: int) -> Machine:
             rows.append((program, entry["stop_time"], entry.get("output", "")))
         rows.sort(key=lambda r: index_of_bits(r[0]))
         return TableMachine(tuple(rows))
-    if kind == "toy-vm":
-        return ToyVM(isa_version=data.get("isa_version", 1), loop_free=_variant_flag(data))
-    if kind == "prefix-free-vm":
-        return PrefixFreeVM(isa_version=data.get("isa_version", 1), loop_free=_variant_flag(data))
+    if kind in ("toy-vm", "prefix-free-vm"):
+        if data.get("isa_version", 1) != 1:
+            raise ConfigError(f"unknown isa_version {data['isa_version']!r}")
+        return (ToyVM if kind == "toy-vm" else PrefixFreeVM)(loop_free=_variant_flag(data))
     if kind == "dispatcher":
         if levels == 0:
             raise ConfigError(f"dispatchers nest deeper than {MAX_DISPATCH_NESTING} levels")

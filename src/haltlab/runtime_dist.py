@@ -1,9 +1,10 @@
 """Runtime distributions induced by weighted halting series.
 
 The normalizer is the series sum of w(i)/t_i over halting indices i, with the
-default dyadic weights w(i) = 2^-i. Dividing each term by the normalizer
-turns stop times into a probability distribution over indices; its tail decay
-is what makes "has not stopped by T" quantitatively informative.
+default dyadic weights w(i) = 2^-i: DYADIC, the weight table (1/2) continued
+at ratio 1/2. Dividing each term by the normalizer turns stop times into a
+probability distribution over indices; its tail decay is what makes "has not
+stopped by T" quantitatively informative.
 
 Every quantity is an Interval certificate. On machines with a finite domain
 the intervals are points; on an infinite transparent domain only series
@@ -16,34 +17,22 @@ on an opaque machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Union
 
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, DegenerateDistributionError, InvariantViolation
+from haltlab.errors import ResourceLimitError
 from haltlab.intervals import Interval
 from haltlab.machine import Machine, check_budget, finite_domain, is_transparent, observe
 from haltlab.sweep import check_enum_cap, sweep
 
 OPAQUE_PRECISION_CAP = 16
 DEFAULT_PRECISION_BITS = 8
-
-
-@dataclass(frozen=True)
-class DyadicWeights:
-    """Default weight system w(i) = 2^-i."""
-
-    kind: ClassVar[str] = "upsilon-induced"
-
-    def weight(self, i: int) -> Fraction:
-        return Fraction(1, 2**i)
-
-    def tail_bound(self, start: int) -> Fraction:
-        """Exact value of the weight tail sum from start on."""
-        if start < 1:
-            return Fraction(1)
-        return Fraction(1, 2 ** (start - 1))
+# bits of a tail power ratio^e past which the T(k) search refuses: such a
+# power takes about 0.13 s to build, so one search stays within seconds
+POWER_BIT_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -52,7 +41,6 @@ class GeometricTableWeights:
 
     prefix: tuple[Fraction, ...]
     ratio: Fraction
-    kind: ClassVar[str] = "user-table"
 
     def __post_init__(self) -> None:
         if not self.prefix:
@@ -69,18 +57,22 @@ class GeometricTableWeights:
             return self.prefix[i - 1]
         return self.prefix[-1] * self.ratio ** (i - len(self.prefix))
 
+    @property
+    def horizon_cap(self) -> int:
+        """Largest horizon the T(k) search tries: the tail power ratio^e,
+        whose denominator has about e*log2(den) bits, fits POWER_BIT_LIMIT."""
+        return len(self.prefix) + int(POWER_BIT_LIMIT / math.log2(self.ratio.denominator))
+
     def tail_bound(self, start: int) -> Fraction:
+        """Exact value of the weight tail sum from start on."""
         start = max(start, 1)
         listed = sum(self.prefix[start - 1 :], Fraction(0))
         n = len(self.prefix)
-        if start <= n:
-            geometric = self.prefix[-1] * self.ratio / (1 - self.ratio)
-        else:
-            geometric = self.prefix[-1] * self.ratio ** (start - n) / (1 - self.ratio)
+        geometric = self.prefix[-1] * self.ratio ** max(start - n, 1) / (1 - self.ratio)
         return listed + geometric
 
 
-Weights = Union[DyadicWeights, GeometricTableWeights]
+DYADIC = GeometricTableWeights((Fraction(1, 2),), Fraction(1, 2))
 
 
 def weights_from_dict(data: dict) -> GeometricTableWeights:
@@ -116,7 +108,7 @@ def weights_from_dict(data: dict) -> GeometricTableWeights:
 # the normalizer series
 
 def _tail_sum(
-    machine: Machine, weights: Weights, start: int, count: int, budget: int | None
+    machine: Machine, weights: GeometricTableWeights, start: int, count: int, budget: int | None
 ) -> Interval:
     """Certified enclosure of the sum of w(i)/t_i over halting indices i >= start.
 
@@ -146,7 +138,7 @@ def _tail_sum(
 
 def _series_certificate(
     machine: Machine,
-    weights: Weights,
+    weights: GeometricTableWeights,
     precision_bits: int,
     budget: int | None,
 ) -> Interval:
@@ -175,9 +167,9 @@ def halting_series(
     if not is_transparent(machine) and precision_bits > OPAQUE_PRECISION_CAP and not force:
         raise ConfigError(
             f"opaque precision capped at {OPAQUE_PRECISION_CAP} bits "
-            f"(cost grows as 2^precision); pass force=True to override"
+            "(cost grows as 2^precision)"
         )
-    interval = _series_certificate(machine, DyadicWeights(), precision_bits, budget)
+    interval = _series_certificate(machine, DYADIC, precision_bits, budget)
     if interval.width >= Fraction(1, 2**precision_bits):
         raise InvariantViolation(
             f"series certificate width {interval.width} >= 2^-{precision_bits}"
@@ -193,7 +185,7 @@ class RuntimeDistribution:
     """Normalized stop-time mass per index, with a certified tail modulus."""
 
     machine: Machine
-    weights: Weights
+    weights: GeometricTableWeights
     normalizer: Interval
     precision_bits: int
     budget: int | None
@@ -211,12 +203,11 @@ class RuntimeDistribution:
             return Interval.exact(0)
         return Interval(Fraction(0), w / (self.budget * lo_n))
 
-    def tail_mass(self, start: int, terms: int | None = None) -> Interval:
+    def tail_mass(self, start: int) -> Interval:
         """Certificate for the mass at indices >= start."""
         if start < 1:
             raise ConfigError(f"start must be >= 1, got {start}")
-        count = terms if terms is not None else self.precision_bits + 2
-        tail = _tail_sum(self.machine, self.weights, start, count, self.budget)
+        tail = _tail_sum(self.machine, self.weights, start, self.precision_bits + 2, self.budget)
         lo_n, hi_n = self.normalizer.lo, self.normalizer.hi
         cap = self.weights.tail_bound(start) / lo_n
         return Interval(tail.lo / hi_n, min(tail.hi / lo_n, cap))
@@ -224,7 +215,7 @@ class RuntimeDistribution:
 
 def _distribution(
     machine: Machine,
-    weights: Weights,
+    weights: GeometricTableWeights,
     normalizer: Interval,
     precision_bits: int,
     budget: int | None,
@@ -241,11 +232,10 @@ def induced_distribution(
     machine: Machine,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     budget: int | None = None,
-    force: bool = False,
 ) -> RuntimeDistribution:
     """Distribution with dyadic weights and the machine's own stop times."""
-    normalizer = halting_series(machine, precision_bits, budget, force)
-    return _distribution(machine, DyadicWeights(), normalizer, precision_bits, budget)
+    normalizer = halting_series(machine, precision_bits, budget)
+    return _distribution(machine, DYADIC, normalizer, precision_bits, budget)
 
 
 def user_table_distribution(
@@ -272,16 +262,23 @@ def tail_certificate(dist: RuntimeDistribution, horizon: int) -> Fraction:
 def tail_threshold(dist: RuntimeDistribution, k: int) -> int:
     """Least horizon T >= 1 whose certified tail mass from T on is below 2^-k.
 
-    The certificate does not increase with T, so doubling brackets the least
-    such T and bisection finds it.
+    The certificate does not increase with T, so doubling, capped at the
+    weights' horizon_cap, brackets the least such T and bisection finds it.
+    A T past the cap is refused.
     """
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
     target = Fraction(1, 2**k)
+    cap = dist.weights.horizon_cap
     # hi meets the target; lo is 0 or a horizon that misses it
     lo, hi = 0, 1
     while tail_certificate(dist, hi) >= target:
-        lo, hi = hi, 2 * hi
+        if hi == cap:
+            raise ResourceLimitError(
+                f"T({k}) lies past horizon {cap}, the last whose tail power "
+                f"fits {POWER_BIT_LIMIT} bits"
+            )
+        lo, hi = hi, min(2 * hi, cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if tail_certificate(dist, mid) < target else (mid, hi)
@@ -295,9 +292,6 @@ def tail_threshold(dist: RuntimeDistribution, k: int) -> int:
 class HaltSplit:
     """Partition of observed halting pairs by the per-length stop-time cutoff."""
 
-    k: int
-    max_len: int
-    budget: int | None
     cutoffs: dict[int, int]  # length -> strict stop-time cutoff
     computable: tuple[tuple[str, int], ...]  # stop_time < cutoff[len]
     residual: tuple[tuple[str, int], ...]  # stop_time >= cutoff[len]
@@ -320,6 +314,7 @@ def split_halting_set(
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     check_budget(machine, budget)
+    check_enum_cap(max_len)  # before any sweep of the shorter lengths
     cutoffs = {n: 2 ** tail_threshold(dist, k + n + 2) for n in range(1, max_len + 1)}
     computable: list[tuple[str, int]] = []
     residual: list[tuple[str, int]] = []
@@ -336,9 +331,6 @@ def split_halting_set(
             f"residual measure {measure_hi} not below the certified bound {bound}"
         )
     return HaltSplit(
-        k=k,
-        max_len=max_len,
-        budget=budget,
         cutoffs=cutoffs,
         computable=tuple(computable),
         residual=tuple(residual),

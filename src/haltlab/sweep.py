@@ -54,7 +54,6 @@ class HaltingHistory:
     """Result of one sweep: stop times of all halting length-N programs, in
     index order. horizon None marks an exact sweep of a transparent machine."""
 
-    machine: Machine
     length: int
     horizon: int | None
     stops: Mapping[str, int]
@@ -83,7 +82,7 @@ def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
         hit = observe(machine, program, horizon)
         if hit is not None:
             stops[program] = hit[0]
-    return HaltingHistory(machine=machine, length=length, horizon=horizon, stops=stops)
+    return HaltingHistory(length=length, horizon=horizon, stops=stops)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ KERNEL_NAME: str = "pure" if _impl.__name__.endswith("_py") else "compiled"
 
 run_stream = _impl.run_stream
 
-RUNNING: int = _impl.RUNNING
 HALTED: int = _impl.HALTED
 DIVERGED: int = _impl.DIVERGED
 OUTPUT_LIMIT: int = _impl.OUTPUT_LIMIT
-ACC_SATURATION: int = _impl.ACC_SATURATION

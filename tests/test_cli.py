@@ -42,6 +42,10 @@ GOLDEN = [
      0, "cc7559e8d03ffd6a5b5e44ed0ebe35734fe514da81fb735fb6b26594a67f6512"),
     ("upsilon-opaque", "upsilon --machine builtin:toy-vm --precision 4 --budget 64",
      0, "58da98443c24636b2075d8daf7d0c8da651bceb92f76fb9508bd14389a6c0597"),
+    # --force lifts the opaque precision cap of 16 bits and is echoed
+    ("upsilon-opaque-force",
+     "upsilon --machine builtin:toy-vm --precision 17 --budget 524288 --force",
+     0, "e1e2e1ce1f0ef490e58bfaee642fbf0c743ca91994f9b59220e54e569785346d"),
     ("threshold-table1", "threshold --machine fixtures/table1.json -k 3",
      0, "e07556ca06e0a731323a7b79b4403cf22d25843a5cf028bbcde94e4e8cbabe58"),
     ("threshold-user-table",
@@ -119,6 +123,33 @@ GOLDEN = [
      3, EMPTY),
     ("decompose-cutoffs-too-long", "decompose --machine fixtures/table1.json -k 14278 --max-len 3",
      3, EMPTY),
+    # a tail ratio of 99999/100000 puts T(2) past a million: the T(k) search
+    # refuses at the horizon whose tail power passes POWER_BIT_LIMIT bits
+    ("threshold-tail-near-one",
+     "threshold --machine fixtures/table1.json -k 2 --distribution fixtures/near_one_weights.json",
+     3, EMPTY),
+    ("decompose-tail-near-one",
+     "decompose --machine fixtures/table1.json -k 2 --max-len 3 "
+     "--distribution fixtures/near_one_weights.json", 3, EMPTY),
+    ("decide-tail-near-one",
+     "decide --machine fixtures/table1.json --program 0101 -k 2 "
+     "--distribution fixtures/near_one_weights.json", 3, EMPTY),
+    # at ratio 999/1000, T(86) = 65,653 is past the doubling step 65,536 but
+    # within the power limit: the search stops doubling at the limit
+    ("decide-tail-999-k86",
+     "decide --machine fixtures/table1.json --program 0101 -k 86 "
+     "--distribution fixtures/slow_tail_weights.json",
+     0, "d1438c32c0100def314e1c03511706683be57bfa7222da0eb95c6a1d407e84a7"),
+    # the power limit binds only the T(k) search: the weight 2^-i of a
+    # 20-bit program and the mass at stop time 600,000 are built exactly
+    ("decide-long-program-table",
+     "decide --machine fixtures/long_program_table.json --program 11010010110100101101 -k 5",
+     0, "9b0b1ee449d52b0b915a046948b79df02770af6d763841b0233edce3a3e4c92a"),
+    ("decompose-late-stop", "decompose --machine fixtures/late_stop_table.json -k 1 --max-len 1",
+     0, "3b01e5da5eec6bb2a3037b28f73af5b105ca3d9a61bb216fbbf7e73fb35b3f8c"),
+    # threshold, decide and decompose have no --force: they refuse past the opaque cap
+    ("threshold-opaque-precision-cap",
+     "threshold --machine builtin:toy-vm -k 2 --precision 17 --budget 524288", 2, EMPTY),
 ]
 
 
@@ -260,7 +291,9 @@ WEIGHTS = st.fixed_dictionaries(
             st.fixed_dictionaries(
                 {
                     "type": field(st.just("geometric")),
-                    "ratio": field(st.sampled_from(["1/2", "1/16", "3/4", "0", "1", "2/0", "x"])),
+                    "ratio": field(st.sampled_from(
+                        ["1/2", "1/16", "3/4", "999/1000", "99999/100000", "0", "1", "2/0", "x"]
+                    )),
                 }
             )
         ),

@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from haltlab.errors import ConfigError, DegenerateDistributionError
+from haltlab import runtime_dist
+from haltlab.errors import ConfigError, DegenerateDistributionError, ResourceLimitError
+from haltlab.intervals import Interval
 from haltlab.machine import TableMachine
 from haltlab.runtime_dist import (
     GeometricTableWeights,
@@ -60,8 +63,9 @@ def test_series_budget_rules(toy_vm, fixture_f):
         halting_series(fixture_f, 8, budget=100)  # transparent takes none
     with pytest.raises(ConfigError):
         halting_series(toy_vm, 8, budget=100)  # below 2^(8+2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as refusal:
         halting_series(toy_vm, 17, budget=2**19)  # over the opaque precision cap
+    assert "force" not in str(refusal.value)  # threshold, decide and decompose have none
     assert halting_series(toy_vm, 17, budget=2**19, force=True).width < Fraction(1, 2**17)
 
 
@@ -152,19 +156,61 @@ def test_opaque_tail_mass_certified(toy_vm):
 # ---------------------------------------------------------------------------
 # user-table weights
 
-def test_user_table_matches_induced_when_dyadic(fixture_f):
+def test_user_table_matches_induced_when_dyadic(fixture_f, toy_vm):
+    """A listed dyadic table and the default weights give the same
+    certificates, on a finite table and on an opaque machine; the default is
+    also the closed form w(i) = 2^-i with the tail 2^-(start-1), 1 below 2."""
     data = {
         "kind": "user-table",
         "weights": [["1", "2"], ["1", "4"], ["1", "8"]],
         "tail_modulus": {"type": "geometric", "ratio": "1/2"},
     }
-    user = user_table_distribution(fixture_f, data)
-    induced = induced_distribution(fixture_f)
-    assert user.normalizer == induced.normalizer
-    for i in range(1, 12):
-        assert user.weights.weight(i) == induced.weights.weight(i)
-        assert user.mass(i) == induced.mass(i)
-    assert user.weights.kind == "user-table" and induced.weights.kind == "upsilon-induced"
+    for machine, budget in ((fixture_f, None), (toy_vm, 4096)):
+        user = user_table_distribution(machine, data, budget=budget)
+        induced = induced_distribution(machine, budget=budget)
+        assert user.normalizer == induced.normalizer
+        for i in range(1, 12):
+            assert user.weights.weight(i) == induced.weights.weight(i) == Fraction(1, 2**i)
+            assert user.mass(i) == induced.mass(i)
+        for start in range(0, 65):
+            closed_form = Fraction(1, 2 ** (start - 1)) if start >= 1 else 1
+            assert user.weights.tail_bound(start) == induced.weights.tail_bound(start) == closed_form
+        for k in range(0, 21):
+            assert tail_threshold(user, k) == tail_threshold(induced, k)
+
+
+def test_tail_threshold_stops_doubling_at_the_power_limit(table1, monkeypatch):
+    """At ratio 999/1000 with a limit of 10^5 bits, T(4) and T(5) lie past the
+    doubling step 8192 but within horizon_cap, so they are found; T(6) lies
+    past the cap and is refused."""
+    monkeypatch.setattr(runtime_dist, "POWER_BIT_LIMIT", 100_000)
+    data = {
+        "kind": "user-table",
+        "weights": [["1", "2"]],
+        "tail_modulus": {"type": "geometric", "ratio": "999/1000"},
+    }
+    dist = user_table_distribution(table1, data)
+    cap = dist.weights.horizon_cap
+    assert cap == 1 + int(100_000 / math.log2(1000)) == 10035
+    for k in range(0, 6):
+        horizon = tail_threshold(dist, k)
+        assert tail_certificate(dist, horizon) < Fraction(1, 2**k)
+        assert tail_certificate(dist, horizon - 1) >= Fraction(1, 2**k)
+        assert horizon <= cap and (k < 4 or horizon > 8192)
+    assert tail_certificate(dist, cap) >= Fraction(1, 2**6)
+    with pytest.raises(ResourceLimitError):
+        tail_threshold(dist, 6)
+
+
+def test_long_program_weights_are_exact():
+    """Only the T(k) search has a power limit: a 20-bit program's weight
+    2^-i, i past 2^20, enters the normalizer exactly."""
+    long = "11010010110100101101"
+    table = table_from_stops({"0": 1, "10": 3, long: 5})
+    expected = Fraction(1, 2**2) + Fraction(1, 2**6) / 3 + Fraction(1, 2 ** int("1" + long, 2)) / 5
+    dist = induced_distribution(table)
+    assert dist.normalizer == Interval.exact(expected)
+    assert dist.mass(int("1" + long, 2)).lo == Fraction(1, 2 ** int("1" + long, 2)) / (5 * expected)
 
 
 def test_geometric_tail_identity():

@@ -140,6 +140,29 @@ def test_enum_cap_refuses(monkeypatch, toy_vm):
         sweep(toy_vm, 3, 10)
 
 
+def test_enum_cap_refuses_before_any_sweep(monkeypatch, toy_vm, table1):
+    """The multi-length censuses refuse a length past the cap before they
+    sweep the shorter ones."""
+    from haltlab import density, halting_prob, runtime_dist
+
+    swept = []
+    for module in (density, halting_prob, runtime_dist):
+        monkeypatch.setattr(module, "sweep", lambda *args: swept.append(args) or sweep(*args))
+    monkeypatch.setenv(ENUM_CAP_ENV, "6")
+    dist = runtime_dist.induced_distribution(toy_vm, budget=4096)
+    for census in (
+        lambda: runtime_dist.split_halting_set(toy_vm, dist, 2, 7, budget=4096),
+        lambda: density.exponential_stop_density(toy_vm, 7, 2**19, budget=4096),
+        lambda: halting_prob.domain_prob_curve(toy_vm, 7, 4096),
+    ):
+        with pytest.raises(ResourceLimitError):
+            census()
+        assert swept == []
+    # lengths whose late stops lie past the horizon are not swept, so not refused
+    assert density.exponential_stop_density(table1, 30, 2**12).holds
+    assert max(length for _, length, _ in swept) == 3
+
+
 def test_csv_golden(fixture_f):
     history = sweep(fixture_f, 1, 5)
     assert history_to_csv(history) == "program,stop_time\n0,2\n1,RUNNING\n"
