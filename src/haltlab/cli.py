@@ -25,9 +25,9 @@ print), 4 degenerate distribution, 5 violated invariant.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from haltlab import density as density_mod
 from haltlab import halting_prob, runtime_dist
@@ -47,10 +47,40 @@ from haltlab.sweep import (
 
 
 def _json(payload: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) for the types a handler
+    returns: dict with str keys, list, tuple, str, int, bool and None."""
     try:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json_text(payload, "\n") + "\n"
     except ValueError as exc:  # an int past Python's int-to-str digit limit
         raise digit_limit_error() from exc
+
+
+def _json_text(value: object, newline: str) -> str:
+    """The JSON text of value; newline ends the line before it and holds
+    its indent."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if kind is tuple or kind is list:
+        brackets, items = "[]", [_json_text(item, inner) for item in value]
+    elif kind is dict and all(type(key) is str for key in value):
+        brackets = "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+            for key in sorted(value)
+        ]
+    elif kind is bool:
+        return "true" if value else "false"
+    elif value is None:
+        return "null"
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} (or its keys) as JSON")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _config(args: argparse.Namespace, *names: str) -> dict:
@@ -104,7 +134,7 @@ def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
     payload = {
         "config": config,
         "space_size": history.space_size,
-        "stops": [[p, t] for p, t in history.stops.items()],
+        "stops": tuple(history.stops.items()),
         "eventual_fraction": format_fraction(eventual_fraction(history)),
         "prob_exact": format_fraction(prob_exact(history)),
         "prob_by": format_fraction(prob_by(history)),
@@ -183,9 +213,9 @@ def _cmd_density(machine: Machine, args: argparse.Namespace) -> dict:
         return {
             "config": _config(args, "mode", "length", "budget"),
             "threshold": density_mod.exclusion_threshold(args.length),
-            "candidates": [list(pair) for pair in report.candidates],
-            "violations": [list(pair) for pair in report.violations],
-            "unresolved": [list(pair) for pair in report.unresolved],
+            "candidates": report.candidates,
+            "violations": report.violations,
+            "unresolved": report.unresolved,
             "holds": report.holds,
         }
     if args.horizon is None:
@@ -235,8 +265,8 @@ def _cmd_decompose(machine: Machine, args: argparse.Namespace) -> dict:
         "kind": _kind(args),
         "normalizer": _interval_dict(dist.normalizer),
         "cutoffs": {str(n): c for n, c in sorted(split.cutoffs.items())},
-        "computable": [list(pair) for pair in split.computable],
-        "residual": [list(pair) for pair in split.residual],
+        "computable": split.computable,
+        "residual": split.residual,
         "residual_measure_hi": format_fraction(split.residual_measure_hi),
         "residual_bound": format_fraction(split.residual_bound),
     }

@@ -15,10 +15,13 @@ Every program is (2-bit mode)(rest). Mode "11" is the timing wrapper: run the
 rest as a full program and, if it stops, emit the bit-code of its stop time.
 So time_wrap(p) = "11"+p costs TIME_WRAP_EXTRA_BITS = 2 program bits and
 TIME_WRAP_STEP_OVERHEAD = 1 extra step per nesting level. All other mode
-values execute the rest directly on the base ISA.
+values execute the rest directly on the base ISA. Hence a program that starts
+with L ones is L // 2 wrappers deep.
 
 A RunOutcome is a named tuple (halted, stop_time, output); every run that is
 not seen halting returns one shared instance, equal to RunOutcome.running().
+run() builds a halted one with tuple.__new__, skipping the generated
+__new__, and refuses a budget that is not an int in [0, MAX_BUDGET].
 A VM run whose output passes the fixed DEFAULT_OUTPUT_CAP bits is refused.
 It never says "never halts": not halting within the budget is all that can be
 observed. Machines whose halting is decidable by construction
@@ -75,6 +78,8 @@ class RunOutcome(NamedTuple):
 
 
 _NOT_HALTED = RunOutcome.running()
+# builds a halted outcome without the generated __new__ and its defaults
+_new_outcome = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -146,21 +151,12 @@ def is_transparent(machine: Machine) -> bool:
     raise ConfigError(f"unknown machine {machine!r}")
 
 
-def _split_modes(program: str) -> tuple[int, int]:
-    """Count leading "11" mode fields; return (wrap_depth, offset_of_rest)."""
-    pos = 0
-    depth = 0
-    n = len(program)
-    while n - pos >= 2 and program[pos] == "1" and program[pos + 1] == "1":
-        depth += 1
-        pos += 2
-    return depth, pos
-
-
 def _run_vm(machine: ToyVM | PrefixFreeVM, program: str, budget: int) -> RunOutcome:
     prefix_free = isinstance(machine, PrefixFreeVM)
-    depth, pos = _split_modes(program)
     n = len(program)
+    # each pair of leading ones is one "11" mode field
+    depth = (n - len(program.lstrip("1"))) // 2
+    pos = 2 * depth
     core_budget = budget - depth * TIME_WRAP_STEP_OVERHEAD
     if core_budget < 1:
         return _NOT_HALTED
@@ -184,23 +180,25 @@ def _run_vm(machine: ToyVM | PrefixFreeVM, program: str, budget: int) -> RunOutc
     if status != vm.HALTED:
         return _NOT_HALTED
     output = out.decode("ascii")
-    for _ in range(depth):
+    while depth:
         output = bits_of_index(stop)
         stop += TIME_WRAP_STEP_OVERHEAD
-    return RunOutcome(True, stop, output)
+        depth -= 1
+    return _new_outcome(RunOutcome, (True, stop, output))
 
 
 def run(machine: Machine, program: str, budget: int) -> RunOutcome:
     """Run program for at most budget steps; budget-relative by design."""
-    _check_bits(program, "program")
-    if not 0 <= budget <= MAX_BUDGET:
-        raise ConfigError(f"budget must be in [0, 2^64 - 1], got {budget}")
+    if not isinstance(program, str) or program.strip("01"):
+        raise ConfigError(f"program must be a bit string, got {program!r}")
+    if not isinstance(budget, int) or not 0 <= budget <= MAX_BUDGET:
+        raise ConfigError(f"budget must be an int in [0, 2^64 - 1], got {budget!r}")
     if isinstance(machine, (ToyVM, PrefixFreeVM)):
         return _run_vm(machine, program, budget)
     if isinstance(machine, TableMachine):
         hit = machine.lookup(program)
         if hit is not None and hit[0] <= budget:
-            return RunOutcome(True, hit[0], hit[1])
+            return _new_outcome(RunOutcome, (True, hit[0], hit[1]))
         return _NOT_HALTED
     if isinstance(machine, Dispatcher):
         first_one = program.find("1")
@@ -208,18 +206,18 @@ def run(machine: Machine, program: str, budget: int) -> RunOutcome:
             return _NOT_HALTED
         inner = run(machine.submachines[first_one], program[first_one + 1 :], budget)
         if inner.halted:
-            return RunOutcome(True, inner.stop_time + DISPATCH_STEP_OVERHEAD, inner.output)
+            return _new_outcome(
+                RunOutcome, (True, inner.stop_time + DISPATCH_STEP_OVERHEAD, inner.output)
+            )
         return inner
     raise ConfigError(f"unknown machine {machine!r}")
 
 
 def exact_run(machine: Machine, program: str) -> tuple[int, str] | None:
     """Exact (stop_time, output) on a transparent machine, None = never halts."""
-    if not is_transparent(machine):
-        raise ConfigError("exact_run requires a transparent machine")
-    if isinstance(machine, TableMachine):
-        return machine.lookup(program)
     if isinstance(machine, (ToyVM, PrefixFreeVM)):
+        if not machine.loop_free:
+            raise ConfigError("exact_run requires a transparent machine")
         outcome = run(machine, program, LOOP_FREE_STEP_CAP)
         if outcome.halted:
             return (outcome.stop_time, outcome.output)
@@ -232,15 +230,18 @@ def exact_run(machine: Machine, program: str) -> tuple[int, str] | None:
         raise ResourceLimitError(
             f"loop-free run of {program!r} exceeded {LOOP_FREE_STEP_CAP} steps"
         )
-    if isinstance(machine, Dispatcher):
-        first_one = program.find("1")
-        if first_one < 0 or first_one >= len(machine.submachines):
-            return None
-        inner = exact_run(machine.submachines[first_one], program[first_one + 1 :])
-        if inner is None:
-            return None
-        return (inner[0] + DISPATCH_STEP_OVERHEAD, inner[1])
-    raise ConfigError(f"unknown machine {machine!r}")
+    if isinstance(machine, TableMachine):
+        return machine.lookup(program)
+    if not is_transparent(machine):
+        raise ConfigError("exact_run requires a transparent machine")
+    # a transparent machine that is not a VM or a table is a dispatcher
+    first_one = program.find("1")
+    if first_one < 0 or first_one >= len(machine.submachines):
+        return None
+    inner = exact_run(machine.submachines[first_one], program[first_one + 1 :])
+    if inner is None:
+        return None
+    return (inner[0] + DISPATCH_STEP_OVERHEAD, inner[1])
 
 
 def check_budget(machine: Machine, budget: int | None) -> None:
@@ -269,15 +270,17 @@ def observe(machine: Machine, program: str, budget: int | None) -> tuple[int, st
 def _certainly_diverges_loop_free(machine: PrefixFreeVM, program: str) -> bool:
     """Repeat the kernel call of exact_run, at LOOP_FREE_STEP_CAP, to read
     its status: the strict-discipline divergence cases end as DIVERGED within
-    one pass over the stream. The repeat stays until the benchmark stops
-    pinning the kernel call count (ROADMAP item 3)."""
-    depth, pos = _split_modes(program)
-    if len(program) - pos < 2:
+    one pass over the stream. As in _run_vm, the core starts two bits after
+    the wrappers, one per pair of leading ones. The repeat stays until the
+    benchmark stops pinning the kernel call count (ROADMAP item 3)."""
+    n = len(program)
+    pos = (n - len(program.lstrip("1"))) // 2 * 2
+    if n - pos < 2:
         return True
     status, _, _ = vm.run_stream(
         program.encode("ascii"),
         pos + 2,
-        len(program),
+        n,
         True,
         not machine.loop_free,
         LOOP_FREE_STEP_CAP,

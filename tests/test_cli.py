@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import pytest
 
 from haltlab import cli
-from haltlab.errors import ConfigError
+from haltlab.errors import ConfigError, HaltlabError
 from haltlab.machine import is_transparent, load_machine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -197,6 +197,55 @@ def nested_dispatchers(depth):
     cannot encode thousands of levels."""
     head = '{"kind": "dispatcher", "submachines": [' * depth
     return head + '{"kind": "toy-vm", "variant": "loop-free"}' + "]}" * depth
+
+
+# the characters json escapes, and some it passes through or writes as
+# surrogate pairs
+TRICKY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028\ud800\U0001f600\U0010ffff'),
+        st.characters(),
+    ),
+    max_size=8,
+)
+# the digit limit is 4,300 digits: 10^4299 prints, 10^4300 does not
+JSON_INTS = st.one_of(
+    st.integers(),
+    st.builds(lambda k, sign: sign * 10**k, st.integers(4290, 4310), st.sampled_from([1, -1])),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), JSON_INTS, TRICKY_TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(TRICKY_TEXT, inner, max_size=4),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(TRICKY_TEXT, JSON_VALUES, max_size=4))
+def test_json_writer_matches_json_dumps(payload):
+    try:
+        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    except ValueError:
+        with pytest.raises(HaltlabError) as refused:
+            cli._json(payload)
+        assert refused.value.exit_code == 3
+        assert isinstance(refused.value.__cause__, ValueError)
+    else:
+        assert cli._json(payload) == expected
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"a": 1.5}, {"a": [1, (2, 0.5)]}, {1: "a"}, {"a": {None: 1}}, {"a": {"b", "c"}}],
+    ids=["float", "nested-float", "int-key", "none-key", "set"],
+)
+def test_json_writer_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        cli._json(payload)
 
 
 GOOD_WEIGHTS = {

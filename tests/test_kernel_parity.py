@@ -20,8 +20,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haltlab import _stepper_py
-from haltlab.machine import PrefixFreeVM, ToyVM, run
+from haltlab import _stepper_py, vm
+from haltlab.errors import ConfigError
+from haltlab.machine import (
+    LOOP_FREE_STEP_CAP,
+    Dispatcher,
+    PrefixFreeVM,
+    RunOutcome,
+    ToyVM,
+    exact_run,
+    run,
+)
 
 from oracles.ref_vm import ref_run
 
@@ -78,6 +87,38 @@ def test_machine_matches_reference(program, budget, variant):
     expected = ref_run(program, prefix_free, allow_loops, budget)
     outcome = run(machine, program, budget)
     assert (outcome.halted, outcome.stop_time, outcome.output) == expected
+
+
+def test_machine_matches_reference_exhaustively_short():
+    # every program of at most 10 bits, which reaches the odd runs of
+    # leading ones ("1", "111", "11111") that end inside a mode field
+    programs = [format(v, f"0{n}b") if n else "" for n in range(11) for v in range(2**n)]
+    not_halted = set()
+    for machine, prefix_free, allow_loops in VARIANTS:
+        for program, budget in itertools.product(programs, (0, 1, 2, 4096)):
+            outcome = run(machine, program, budget)
+            assert tuple(outcome) == ref_run(program, prefix_free, allow_loops, budget), program
+            if outcome.halted:
+                assert type(outcome) is RunOutcome
+            else:
+                not_halted.add(id(outcome))
+        if not allow_loops:
+            for program in programs:
+                halted, stop, output = ref_run(program, prefix_free, False, LOOP_FREE_STEP_CAP)
+                assert exact_run(machine, program) == ((stop, output) if halted else None)
+    # a run not seen halting returns the one shared instance
+    assert len(not_halted) == 1
+
+
+@pytest.mark.parametrize("kernel", ["pure", "compiled"])
+@pytest.mark.parametrize("budget", [2.5, 4096.0, "64", None], ids=["2.5", "4096.0", "str", "none"])
+def test_run_refuses_a_budget_that_is_not_an_int(request, monkeypatch, table1, kernel, budget):
+    impl = _stepper_py if kernel == "pure" else request.getfixturevalue("compiled")
+    monkeypatch.setattr(vm, "run_stream", impl.run_stream)
+    assert run(ToyVM(), "001111110", 7) == (True, 7, "")
+    for machine in (ToyVM(), PrefixFreeVM(), table1, Dispatcher((table1,))):
+        with pytest.raises(ConfigError):
+            run(machine, "001111110", budget)
 
 
 @st.composite
