@@ -12,12 +12,12 @@ Subcommands:
 
 Each subcommand has a handler _cmd_NAME(machine, args) that only builds its
 result: a dict, written as JSON (sorted keys, two-space indent), or a str,
-written as is (CSV). Rationals are always "numerator/denominator" strings.
-main loads the machine and writes the result, so stdout stays empty on any
-error. The library applies the one budget policy
-(haltlab.machine.check_budget) to --budget: opaque machines need a positive
-budget, transparent machines are read exactly and take none, and run()
-refuses budgets above 2^64 - 1.
+written as is (CSV). The writer prints every rational as a "num/den" string
+and every Interval as {hi, lo, width}. main loads the machine and writes the
+result, so stdout stays empty on any error. The library applies the one
+budget policy (haltlab.machine.check_budget) to --budget: opaque machines
+need a positive budget, transparent machines are read exactly and take none,
+and run() refuses budgets above 2^64 - 1.
 Exit codes: 0 ok, 2 usage, 3 resource limit (also for a number too long to
 print), 4 degenerate distribution, 5 violated invariant.
 """
@@ -48,7 +48,8 @@ from haltlab.sweep import (
 
 def _json(payload: dict) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) for the types a handler
-    returns: dict with str keys, list, tuple, str, int, bool and None."""
+    returns: dict with str keys, list, tuple, str, int, bool, None, and
+    Fraction and Interval as the module docstring says."""
     try:
         return _json_text(payload, "\n") + "\n"
     except ValueError as exc:  # an int past Python's int-to-str digit limit
@@ -72,6 +73,10 @@ def _json_text(value: object, newline: str) -> str:
             encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
             for key in sorted(value)
         ]
+    elif kind is Fraction:
+        return '"' + format_fraction(value) + '"'
+    elif kind is Interval:
+        return _json_text({"hi": value.hi, "lo": value.lo, "width": value.width}, newline)
     elif kind is bool:
         return "true" if value else "false"
     elif value is None:
@@ -92,12 +97,6 @@ def _config(args: argparse.Namespace, *names: str) -> dict:
 
 def _kind(args: argparse.Namespace) -> str:
     return "upsilon-induced" if args.distribution is None else "user-table"
-
-
-def _interval_dict(interval: Interval) -> dict:
-    payload = dict(interval.to_strings())
-    payload["width"] = format_fraction(interval.width)
-    return payload
 
 
 def _load_distribution(
@@ -135,25 +134,15 @@ def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
         "config": config,
         "space_size": history.space_size,
         "stops": tuple(history.stops.items()),
-        "eventual_fraction": format_fraction(eventual_fraction(history)),
-        "prob_exact": format_fraction(prob_exact(history)),
-        "prob_by": format_fraction(prob_by(history)),
+        "eventual_fraction": eventual_fraction(history),
+        "prob_exact": prob_exact(history),
+        "prob_by": prob_by(history),
     }
     if args.t0 is not None:
         config["t0"] = args.t0
         if args.t1 is not None:
             config["t1"] = args.t1
-        report = conditional_probs(history, args.t0, args.t1)
-        payload["conditional"] = {
-            "t0": report.t0,
-            "t1": report.t1,
-            "survivors": report.survivors,
-            "eventual_given_not_by": format_fraction(report.eventual_given_not_by),
-            "not_by_and_eventual": format_fraction(report.not_by_and_eventual),
-            "by_t1_given_not_by": None
-            if report.by_t1_given_not_by is None
-            else format_fraction(report.by_t1_given_not_by),
-        }
+        payload["conditional"] = vars(conditional_probs(history, args.t0, args.t1))
     return payload
 
 
@@ -166,7 +155,7 @@ def _cmd_upsilon(machine: Machine, args: argparse.Namespace) -> dict:
     config = _config(args, "precision", "budget")
     if args.force:
         config["force"] = True
-    return {"config": config, "normalizer": _interval_dict(interval)}
+    return {"config": config, "normalizer": interval}
 
 
 def _cmd_threshold(machine: Machine, args: argparse.Namespace) -> dict:
@@ -175,12 +164,10 @@ def _cmd_threshold(machine: Machine, args: argparse.Namespace) -> dict:
     return {
         "config": _config(args, "k", "precision", "budget", "distribution"),
         "kind": _kind(args),
-        "normalizer": _interval_dict(dist.normalizer),
+        "normalizer": dist.normalizer,
         "threshold": horizon,
-        "tail_certificate": format_fraction(
-            runtime_dist.tail_certificate(dist, horizon)
-        ),
-        "target": format_fraction(Fraction(1, 2**args.k)),
+        "tail_certificate": runtime_dist.tail_certificate(dist, horizon),
+        "target": Fraction(1, 2**args.k),
     }
 
 
@@ -197,7 +184,7 @@ def _cmd_decide(machine: Machine, args: argparse.Namespace) -> dict:
         payload["stop_time"] = outcome.stop_time
     else:
         payload["verdict"] = "probably-non-halting"
-        payload["residual_probability_below"] = format_fraction(Fraction(1, 2**args.k))
+        payload["residual_probability_below"] = Fraction(1, 2**args.k)
         payload["note"] = (
             f"still running at step {horizon}; conditional halting "
             f"probability of such programs is below 2^-{args.k}"
@@ -229,8 +216,8 @@ def _cmd_density(machine: Machine, args: argparse.Namespace) -> dict:
         "window_size": report.window_size,
         "nonrandom_count": report.nonrandom_count,
         "random_count": report.random_count,
-        "random_fraction": format_fraction(report.random_fraction),
-        "rare_bound": format_fraction(report.rare_bound),
+        "random_fraction": report.random_fraction,
+        "rare_bound": report.rare_bound,
         "exact": report.exact,
         "holds": report.holds,
     }
@@ -248,12 +235,12 @@ def _cmd_probcurve(machine: Machine, args: argparse.Namespace) -> dict | str:
                 "length": p.length,
                 "halting": p.halting,
                 "total": p.total,
-                "fraction": format_fraction(p.fraction),
+                "fraction": p.fraction,
                 "exact": p.exact,
             }
             for p in curve.points
         ],
-        "kraft_weight": format_fraction(kraft),
+        "kraft_weight": kraft,
     }
 
 
@@ -263,12 +250,12 @@ def _cmd_decompose(machine: Machine, args: argparse.Namespace) -> dict:
     return {
         "config": _config(args, "k", "max_len", "precision", "budget", "distribution"),
         "kind": _kind(args),
-        "normalizer": _interval_dict(dist.normalizer),
+        "normalizer": dist.normalizer,
         "cutoffs": {str(n): c for n, c in sorted(split.cutoffs.items())},
         "computable": split.computable,
         "residual": split.residual,
-        "residual_measure_hi": format_fraction(split.residual_measure_hi),
-        "residual_bound": format_fraction(split.residual_bound),
+        "residual_measure_hi": split.residual_measure_hi,
+        "residual_bound": split.residual_bound,
     }
 
 

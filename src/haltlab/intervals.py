@@ -55,15 +55,3 @@ class Interval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def to_strings(self) -> dict[str, str]:
-        return {"lo": format_fraction(self.lo), "hi": format_fraction(self.hi)}
-
-    def __str__(self) -> str:
-        if self.is_point:
-            return format_fraction(self.lo)
-        return f"[{format_fraction(self.lo)}, {format_fraction(self.hi)}]"

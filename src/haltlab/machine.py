@@ -7,9 +7,10 @@ Four machine kinds share one run() interface:
   PrefixFreeVM   same ISA, strict halting: END must fire exactly when the last
                  input bit has been consumed, everything else never halts.
                  The halting programs form a prefix-free set.
-  TableMachine   finite explicit (program, stop_time, output) table.
-  Dispatcher     program 0^i 1 x runs submachine i on x; the index prefix is
-                 free of charge (DISPATCH_STEP_OVERHEAD = 0).
+  TableMachine   finite explicit (program, stop_time, output) table; it keeps
+                 its entries in index order.
+  Dispatcher     program 0^i 1 x runs submachine i on x, and its outcome is
+                 the submachine's: the index prefix is free of charge.
 
 Every program is (2-bit mode)(rest). Mode "11" is the timing wrapper: run the
 rest as a full program and, if it stops, emit the bit-code of its stop time.
@@ -46,7 +47,6 @@ from haltlab.errors import ConfigError, ResourceLimitError
 
 TIME_WRAP_EXTRA_BITS = 2
 TIME_WRAP_STEP_OVERHEAD = 1
-DISPATCH_STEP_OVERHEAD = 0
 
 DEFAULT_OUTPUT_CAP = 1 << 20
 # the compiled kernel counts steps in an unsigned 64-bit integer
@@ -98,7 +98,7 @@ class PrefixFreeVM:
 
 @dataclass(frozen=True)
 class TableMachine:
-    """Finite machine given by explicit stop times and outputs."""
+    """Finite machine given by explicit entries, kept in index order."""
 
     entries: tuple[tuple[str, int, str], ...]
     _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
@@ -114,6 +114,8 @@ class TableMachine:
                 raise ConfigError(f"duplicate table program {program!r}")
             seen[program] = (stop_time, output)
         object.__setattr__(self, "_lookup", seen)
+        ordered = tuple(sorted(self.entries, key=lambda e: index_of_bits(e[0])))
+        object.__setattr__(self, "entries", ordered)
 
     def lookup(self, program: str) -> tuple[int, str] | None:
         return self._lookup.get(program)
@@ -187,6 +189,15 @@ def _run_vm(machine: ToyVM | PrefixFreeVM, program: str, budget: int) -> RunOutc
     return _new_outcome(RunOutcome, (True, stop, output))
 
 
+def _route(dispatcher: Dispatcher, program: str) -> tuple[Machine, str] | None:
+    """Submachine i and payload x of the program 0^i 1 x; None when there is
+    no such submachine, where the program never halts."""
+    first_one = program.find("1")
+    if first_one < 0 or first_one >= len(dispatcher.submachines):
+        return None
+    return dispatcher.submachines[first_one], program[first_one + 1 :]
+
+
 def run(machine: Machine, program: str, budget: int) -> RunOutcome:
     """Run program for at most budget steps; budget-relative by design."""
     if not isinstance(program, str) or program.strip("01"):
@@ -201,15 +212,8 @@ def run(machine: Machine, program: str, budget: int) -> RunOutcome:
             return _new_outcome(RunOutcome, (True, hit[0], hit[1]))
         return _NOT_HALTED
     if isinstance(machine, Dispatcher):
-        first_one = program.find("1")
-        if first_one < 0 or first_one >= len(machine.submachines):
-            return _NOT_HALTED
-        inner = run(machine.submachines[first_one], program[first_one + 1 :], budget)
-        if inner.halted:
-            return _new_outcome(
-                RunOutcome, (True, inner.stop_time + DISPATCH_STEP_OVERHEAD, inner.output)
-            )
-        return inner
+        routed = _route(machine, program)
+        return _NOT_HALTED if routed is None else run(*routed, budget)
     raise ConfigError(f"unknown machine {machine!r}")
 
 
@@ -230,18 +234,15 @@ def exact_run(machine: Machine, program: str) -> tuple[int, str] | None:
         raise ResourceLimitError(
             f"loop-free run of {program!r} exceeded {LOOP_FREE_STEP_CAP} steps"
         )
+    # run() has checked a VM's program
+    _check_bits(program, "program")
     if isinstance(machine, TableMachine):
         return machine.lookup(program)
     if not is_transparent(machine):
         raise ConfigError("exact_run requires a transparent machine")
     # a transparent machine that is not a VM or a table is a dispatcher
-    first_one = program.find("1")
-    if first_one < 0 or first_one >= len(machine.submachines):
-        return None
-    inner = exact_run(machine.submachines[first_one], program[first_one + 1 :])
-    if inner is None:
-        return None
-    return (inner[0] + DISPATCH_STEP_OVERHEAD, inner[1])
+    routed = _route(machine, program)
+    return None if routed is None else exact_run(*routed)
 
 
 def check_budget(machine: Machine, budget: int | None) -> None:
@@ -271,8 +272,8 @@ def _certainly_diverges_loop_free(machine: PrefixFreeVM, program: str) -> bool:
     """Repeat the kernel call of exact_run, at LOOP_FREE_STEP_CAP, to read
     its status: the strict-discipline divergence cases end as DIVERGED within
     one pass over the stream. As in _run_vm, the core starts two bits after
-    the wrappers, one per pair of leading ones. The repeat stays until the
-    benchmark stops pinning the kernel call count (ROADMAP item 3)."""
+    the wrappers, one per pair of leading ones. ROADMAP item 4 deletes the
+    repeat once the benchmark stops pinning kernel calls (item 2)."""
     n = len(program)
     pos = (n - len(program.lstrip("1"))) // 2 * 2
     if n - pos < 2:
@@ -290,19 +291,18 @@ def _certainly_diverges_loop_free(machine: PrefixFreeVM, program: str) -> bool:
 
 
 def finite_domain(machine: Machine) -> list[tuple[str, int, str]] | None:
-    """Full (program, stop_time, output) list in index order for machines with
-    a finite domain; None when the domain is infinite or unknown."""
+    """Full (program, stop_time, output) list for machines with a finite
+    domain, in no set order; None when the domain is infinite or unknown."""
     if isinstance(machine, TableMachine):
-        return sorted(machine.entries, key=lambda e: index_of_bits(e[0]))
+        return list(machine.entries)
     if isinstance(machine, Dispatcher):
         items: list[tuple[str, int, str]] = []
         for i, sub in enumerate(machine.submachines):
             sub_items = finite_domain(sub)
             if sub_items is None:
                 return None
-            for program, stop, output in sub_items:
-                items.append(("0" * i + "1" + program, stop + DISPATCH_STEP_OVERHEAD, output))
-        return sorted(items, key=lambda e: index_of_bits(e[0]))
+            items.extend(("0" * i + "1" + p, stop, out) for p, stop, out in sub_items)
+        return items
     return None
 
 
@@ -343,10 +343,7 @@ def _machine_from_dict(data: dict, levels: int) -> Machine:
         for entry in entries:
             if not isinstance(entry, dict) or "program" not in entry or "stop_time" not in entry:
                 raise ConfigError(f"bad table entry {entry!r}")
-            program = entry["program"]
-            _check_bits(program, "table program")
-            rows.append((program, entry["stop_time"], entry.get("output", "")))
-        rows.sort(key=lambda r: index_of_bits(r[0]))
+            rows.append((entry["program"], entry["stop_time"], entry.get("output", "")))
         return TableMachine(tuple(rows))
     if kind in ("toy-vm", "prefix-free-vm"):
         if data.get("isa_version", 1) != 1:

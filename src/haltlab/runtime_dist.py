@@ -25,7 +25,7 @@ from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, DegenerateDistributionError, InvariantViolation
 from haltlab.errors import ResourceLimitError
 from haltlab.intervals import Interval
-from haltlab.machine import Machine, check_budget, finite_domain, is_transparent, observe
+from haltlab.machine import Machine, check_budget, finite_domain, observe
 from haltlab.sweep import check_enum_cap, sweep
 
 OPAQUE_PRECISION_CAP = 16
@@ -141,13 +141,21 @@ def _series_certificate(
     weights: GeometricTableWeights,
     precision_bits: int,
     budget: int | None,
+    force: bool = False,
 ) -> Interval:
     """Certified enclosure of sum of w(i)/t_i over halting indices, from the
-    first precision+2 indices. An opaque machine's budget must reach
+    first precision+2 indices. An opaque machine's precision is capped at
+    OPAQUE_PRECISION_CAP bits unless forced, and its budget must reach
     2^(precision+2) so that the slack stays within the truncation tail."""
     if precision_bits < 1:
         raise ConfigError(f"precision_bits must be >= 1, got {precision_bits}")
     check_budget(machine, budget)
+    # after the policy check only an opaque machine has a budget
+    if budget is not None and precision_bits > OPAQUE_PRECISION_CAP and not force:
+        raise ConfigError(
+            f"opaque precision capped at {OPAQUE_PRECISION_CAP} bits "
+            "(cost grows as 2^precision)"
+        )
     terms = precision_bits + 2
     if budget is not None and budget.bit_length() <= terms:
         raise ConfigError(
@@ -164,12 +172,7 @@ def halting_series(
     force: bool = False,
 ) -> Interval:
     """Normalizer certificate with width below 2^-precision_bits."""
-    if not is_transparent(machine) and precision_bits > OPAQUE_PRECISION_CAP and not force:
-        raise ConfigError(
-            f"opaque precision capped at {OPAQUE_PRECISION_CAP} bits "
-            "(cost grows as 2^precision)"
-        )
-    interval = _series_certificate(machine, DYADIC, precision_bits, budget)
+    interval = _series_certificate(machine, DYADIC, precision_bits, budget, force)
     if interval.width >= Fraction(1, 2**precision_bits):
         raise InvariantViolation(
             f"series certificate width {interval.width} >= 2^-{precision_bits}"

@@ -2,16 +2,14 @@ import pathlib
 
 import pytest
 
-from haltlab.codec import index_of_bits
 from haltlab.machine import TableMachine, load_machine
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def table_from_stops(stops):
-    """Table machine with these stop times and empty outputs, in index order."""
-    programs = sorted(stops, key=index_of_bits)
-    return TableMachine(tuple((p, stops[p], "") for p in programs))
+    """Table machine with these stop times and empty outputs."""
+    return TableMachine(tuple((p, t, "") for p, t in stops.items()))
 
 
 @pytest.fixture(scope="session")

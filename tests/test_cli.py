@@ -6,17 +6,19 @@ tests run from there.
 """
 
 import contextlib
+from fractions import Fraction
 import hashlib
 import io
 import json
 import pathlib
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 import pytest
 
 from haltlab import cli
 from haltlab.errors import ConfigError, HaltlabError
+from haltlab.intervals import Interval, format_fraction
 from haltlab.machine import is_transparent, load_machine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -150,6 +152,9 @@ GOLDEN = [
     # threshold, decide and decompose have no --force: they refuse past the opaque cap
     ("threshold-opaque-precision-cap",
      "threshold --machine builtin:toy-vm -k 2 --precision 17 --budget 524288", 2, EMPTY),
+    ("threshold-user-table-precision-cap",
+     "threshold --machine builtin:toy-vm -k 2 --precision 17 --budget 524288 "
+     "--distribution fixtures/dyadic_weights.json", 2, EMPTY),
 ]
 
 
@@ -213,8 +218,15 @@ JSON_INTS = st.one_of(
     st.integers(),
     st.builds(lambda k, sign: sign * 10**k, st.integers(4290, 4310), st.sampled_from([1, -1])),
 )
+# fractions with a numerator or a denominator on both sides of the limit
+FRACTIONS = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, JSON_INTS, st.integers(1, 10**6)),
+    st.builds(lambda n, k: Fraction(n, 10**k), st.integers(-9, 9), st.integers(4290, 4310)),
+)
+INTERVALS = st.builds(lambda a, b: Interval(min(a, b), max(a, b)), FRACTIONS, FRACTIONS)
 JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), JSON_INTS, TRICKY_TEXT),
+    st.one_of(st.none(), st.booleans(), JSON_INTS, TRICKY_TEXT, FRACTIONS, INTERVALS),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -224,12 +236,24 @@ JSON_VALUES = st.recursive(
 )
 
 
+def rational_json(value):
+    """json.dumps's default for the two types the writer adds: a Fraction
+    is its "num/den" string, never a float, and an Interval its endpoints
+    and width."""
+    if isinstance(value, Fraction):
+        return format_fraction(value)
+    if isinstance(value, Interval):
+        return {"lo": value.lo, "hi": value.hi, "width": value.width}
+    raise TypeError(f"{value!r} is not JSON serializable")
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(TRICKY_TEXT, JSON_VALUES, max_size=4))
+@example({"i": [Interval(Fraction(1, 3), Fraction(1, 2))], "f": Fraction(-4)})
 def test_json_writer_matches_json_dumps(payload):
     try:
-        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    except ValueError:
+        expected = json.dumps(payload, sort_keys=True, indent=2, default=rational_json) + "\n"
+    except (ValueError, HaltlabError):
         with pytest.raises(HaltlabError) as refused:
             cli._json(payload)
         assert refused.value.exit_code == 3

@@ -7,12 +7,32 @@ from haltlab.halting_prob import domain_prob_curve, is_total
 from haltlab.machine import exact_run
 from haltlab.sweep import all_programs
 
+from oracles.census import halting_counts, kraft_limit
+
 
 def test_kraft_weight_below_one_on_prefix_free(prefix_free_loop_free_vm):
     curve = domain_prob_curve(prefix_free_loop_free_vm, 12)
     kraft = sum((p.fraction for p in curve.points), Fraction(0))
     assert 0 < kraft < 1
     assert all(p.exact for p in curve.points)
+
+
+def test_prefix_free_loop_free_census_matches_the_closed_form(prefix_free_loop_free_vm):
+    """The halting counts per length follow the parse recurrence of
+    tests/oracles/census.py, and their partial Kraft sums climb towards its
+    generating-function limit 64/65. Every exact run completes, so no program
+    of these lengths hits the output or the step cap."""
+    curve = domain_prob_curve(prefix_free_loop_free_vm, 16)
+    counts = [p.halting for p in curve.points]
+    assert counts == halting_counts(16)[1:]
+    assert counts == [0, 0, 0, 3, 3, 6, 9, 18, 30, 54, 93, 165, 285, 498, 867, 1515]
+    assert kraft_limit() == Fraction(64, 65)
+    partial = Fraction(0)
+    for point in curve.points:
+        previous, partial = partial, partial + point.fraction
+        assert type(partial) is Fraction
+        assert partial > previous or point.halting == 0
+    assert 0 < partial < Fraction(64, 65)
 
 
 def test_total_shortcut_matches_a_real_count(loop_free_vm):

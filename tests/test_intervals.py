@@ -20,11 +20,5 @@ def test_reversed_endpoints_rejected():
 
 def test_point_intervals():
     p = Interval.exact(Fraction(5, 8))
-    assert p.is_point
     assert p.width == 0
     assert p.lo == p.hi == Fraction(5, 8)
-
-
-def test_string_form_never_floats():
-    strings = Interval(Fraction(1, 3), Fraction(1, 2)).to_strings()
-    assert strings == {"lo": "1/3", "hi": "1/2"}

@@ -16,6 +16,7 @@ from haltlab.machine import (
     is_transparent,
     load_machine,
     machine_from_dict,
+    observe,
     run,
     time_wrap,
     timed_table,
@@ -80,10 +81,14 @@ def test_loop_free_goldens(loop_free_vm, prefix_free_loop_free_vm, program, pref
 
 
 @pytest.mark.parametrize("program", ["01x", "0a1", "2", 5, None])
-def test_run_refuses_what_is_not_a_bit_string(toy_vm, table1, program):
+def test_run_refuses_what_is_not_a_bit_string(toy_vm, loop_free_vm, table1, program):
     for machine in (toy_vm, table1, Dispatcher((table1,))):
         with pytest.raises(ConfigError):
             run(machine, program, 10)
+    # the exact path too, on every kind: a table must not answer "never halts"
+    for machine in (loop_free_vm, table1, Dispatcher((table1,)), Dispatcher((loop_free_vm,))):
+        with pytest.raises(ConfigError):
+            observe(machine, program, None)
 
 
 def test_run_input_validation(toy_vm):
@@ -193,6 +198,12 @@ def test_table_lookup_and_budget(table1):
     assert not run(table1, "001", 10**6).halted  # not in the table
     assert exact_run(table1, "111") == (16, "")
     assert exact_run(table1, "001") is None
+
+
+def test_table_keeps_entries_in_index_order():
+    table = TableMachine((("10", 4, "1"), ("", 1, ""), ("01", 3, ""), ("0", 2, "")))
+    assert [p for p, _, _ in table.entries] == ["", "0", "01", "10"]
+    assert table == TableMachine(tuple(reversed(table.entries)))
 
 
 def test_table_rejects_duplicates():

@@ -27,7 +27,7 @@ from conftest import table_from_stops
 def test_series_fixture_f_exact(fixture_f):
     # 2^-1/1 + 2^-2/2 = 5/8, computed from the table by hand
     interval = halting_series(fixture_f)
-    assert interval.is_point and interval.lo == Fraction(5, 8)
+    assert interval.lo == interval.hi == Fraction(5, 8)
 
 
 def test_series_independent_sum(table1):
@@ -66,6 +66,9 @@ def test_series_budget_rules(toy_vm, fixture_f):
     with pytest.raises(ConfigError) as refusal:
         halting_series(toy_vm, 17, budget=2**19)  # over the opaque precision cap
     assert "force" not in str(refusal.value)  # threshold, decide and decompose have none
+    # the user-table series has the same cap, and no way to lift it
+    with pytest.raises(ConfigError):
+        user_table_distribution(toy_vm, FAST_WEIGHTS, 17, budget=2**19)
     assert halting_series(toy_vm, 17, budget=2**19, force=True).width < Fraction(1, 2**17)
 
 
