@@ -1,7 +1,9 @@
 from fractions import Fraction
+import json
 
 import pytest
 
+from haltlab.cli import _json
 from haltlab.intervals import Interval, as_fraction, format_fraction
 
 
@@ -22,3 +24,8 @@ def test_point_intervals():
     p = Interval.exact(Fraction(5, 8))
     assert p.width == 0
     assert p.lo == p.hi == Fraction(5, 8)
+
+
+def test_string_form_never_floats():
+    written = json.loads(_json({"p": Interval(Fraction(1, 3), Fraction(1, 2))}))
+    assert written["p"] == {"hi": "1/2", "lo": "1/3", "width": "1/6"}
