@@ -13,11 +13,16 @@ Subcommands:
 Each subcommand has a handler _cmd_NAME(machine, args) that only builds its
 result: a dict, written as JSON (sorted keys, two-space indent), or a str,
 written as is (CSV). The writer prints every rational as a "num/den" string
-and every Interval as {hi, lo, width}. main loads the machine and writes the
-result, so stdout stays empty on any error. The library applies the one
-budget policy (haltlab.machine.check_budget) to --budget: opaque machines
-need a positive budget, transparent machines are read exactly and take none,
-and run() refuses budgets above 2^64 - 1.
+and every Interval as {hi, lo, width}. A non-empty list or tuple of
+(str, int) pairs, the shape of every program listing, is written with one
+"%" template per pair at its indent; the pairs are joined in blocks of
+_PAIR_BLOCK and the blocks once more, so the small strings of a long listing
+are never all alive next to the joined text. main loads the machine, builds
+the whole text and only then writes it, so stdout stays empty on any error,
+an int too long to print included. The library applies the one budget
+policy (haltlab.machine.check_budget) to --budget: opaque machines need a
+positive budget, transparent machines are read exactly and take none, and
+run() refuses budgets above 2^64 - 1.
 Exit codes: 0 ok, 2 usage, 3 resource limit (also for a number too long to
 print), 4 degenerate distribution, 5 violated invariant.
 """
@@ -46,10 +51,18 @@ from haltlab.sweep import (
 )
 
 
+# pairs per join in _pairs_text: one block's small strings are freed before
+# the next block is formatted
+_PAIR_BLOCK = 4096
+
+
 def _json(payload: dict) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) for the types a handler
     returns: dict with str keys, list, tuple, str, int, bool, None, and
-    Fraction and Interval as the module docstring says."""
+    Fraction and Interval as the module docstring says. A list or tuple of
+    (str, int) pairs goes through one template per pair, joined in blocks
+    of _PAIR_BLOCK. The result is the whole text: an int past the digit
+    limit raises here, before main writes anything."""
     try:
         return _json_text(payload, "\n") + "\n"
     except ValueError as exc:  # an int past Python's int-to-str digit limit
@@ -66,6 +79,12 @@ def _json_text(value: object, newline: str) -> str:
         return int.__repr__(value)
     inner = newline + "  "
     if kind is tuple or kind is list:
+        if value and all(
+            type(item) is tuple and len(item) == 2
+            and type(item[0]) is str and type(item[1]) is int
+            for item in value
+        ):
+            return _pairs_text(value, newline)
         brackets, items = "[]", [_json_text(item, inner) for item in value]
     elif kind is dict and all(type(key) is str for key in value):
         brackets = "{}"
@@ -86,6 +105,22 @@ def _json_text(value: object, newline: str) -> str:
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _pairs_text(pairs: list | tuple, newline: str) -> str:
+    """_json_text of a non-empty list or tuple of (str, int) 2-tuples."""
+    inner = newline + "  "
+    item = inner + "  "
+    pair = "[" + item + "%s," + item + "%s" + inner + "]"
+    comma = "," + inner
+    blocks = [
+        comma.join([
+            pair % (encode_basestring_ascii(p), t)
+            for p, t in pairs[start : start + _PAIR_BLOCK]
+        ])
+        for start in range(0, len(pairs), _PAIR_BLOCK)
+    ]
+    return "[" + inner + comma.join(blocks) + newline + "]"
 
 
 def _config(args: argparse.Namespace, *names: str) -> dict:

@@ -14,9 +14,9 @@ _BITSET = frozenset("01")
 
 def bits_of_index(n: int) -> str:
     """Code of index n >= 1: binary expansion without its leading 1."""
-    if n < 1:
+    if n < 1:  # bin(n) is "0b1..." only for n >= 1: bin(-5)[3:] is "01"
         raise ValueError(f"index must be >= 1, got {n}")
-    return format(n, "b")[1:]
+    return bin(n)[3:]
 
 
 def index_of_bits(x: str) -> int:

@@ -64,9 +64,9 @@ class HaltingHistory:
 
 
 def all_programs(length: int) -> list[str]:
-    if length == 0:
-        return [""]
-    return [format(v, f"0{length}b") for v in range(2**length)]
+    """The 2^length programs of one length in index order: the codes of
+    indices 2^length .. 2^(length+1) - 1 (haltlab.codec)."""
+    return [bin(v)[3:] for v in range(2**length, 2 ** (length + 1))]
 
 
 def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:

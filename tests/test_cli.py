@@ -225,8 +225,30 @@ FRACTIONS = st.one_of(
     st.builds(lambda n, k: Fraction(n, 10**k), st.integers(-9, 9), st.integers(4290, 4310)),
 )
 INTERVALS = st.builds(lambda a, b: Interval(min(a, b), max(a, b)), FRACTIONS, FRACTIONS)
+SCALARS = st.one_of(st.none(), st.booleans(), JSON_INTS, TRICKY_TEXT, FRACTIONS, INTERVALS)
+# (str, int) pairs take the writer's pair path; the near-misses must not
+PAIRS = st.tuples(TRICKY_TEXT, JSON_INTS)
+NEAR_PAIRS = st.one_of(
+    st.tuples(TRICKY_TEXT, st.booleans()),
+    st.tuples(TRICKY_TEXT, FRACTIONS),
+    st.tuples(TRICKY_TEXT),
+    st.tuples(TRICKY_TEXT, JSON_INTS, JSON_INTS),
+    PAIRS.map(list),
+    SCALARS,
+)
+
+
+@st.composite
+def pair_listings(draw):
+    """A list or tuple of pairs, sometimes with one near-miss anywhere in it."""
+    items = draw(st.lists(PAIRS, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), draw(NEAR_PAIRS))
+    return draw(st.sampled_from([list, tuple]))(items)
+
+
 JSON_VALUES = st.recursive(
-    st.one_of(st.none(), st.booleans(), JSON_INTS, TRICKY_TEXT, FRACTIONS, INTERVALS),
+    st.one_of(SCALARS, pair_listings()),
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
@@ -250,6 +272,8 @@ def rational_json(value):
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(TRICKY_TEXT, JSON_VALUES, max_size=4))
 @example({"i": [Interval(Fraction(1, 3), Fraction(1, 2))], "f": Fraction(-4)})
+@example({"pairs": [(bin(i), i) for i in range(2 * cli._PAIR_BLOCK + 3)]})
+@example({"pairs": [("\u2028", i) for i in range(2 * cli._PAIR_BLOCK + 3)] + [("end", True)]})
 def test_json_writer_matches_json_dumps(payload):
     try:
         expected = json.dumps(payload, sort_keys=True, indent=2, default=rational_json) + "\n"
@@ -260,6 +284,18 @@ def test_json_writer_matches_json_dumps(payload):
         assert isinstance(refused.value.__cause__, ValueError)
     else:
         assert cli._json(payload) == expected
+
+
+def test_pair_listing_through_main_matches_json_dumps(capsys):
+    """A history listing of 16,324 (program, stop) pairs, more than three
+    blocks of the pair path, is written byte for byte as json.dumps."""
+    argv = "history --machine builtin:toy-vm --length 14 --horizon 64".split()
+    args = cli.build_parser().parse_args(argv)
+    payload = args.handler(load_machine(args.machine), args)
+    assert len(payload["stops"]) == 16324 > 3 * cli._PAIR_BLOCK
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == json.dumps(payload, sort_keys=True, indent=2, default=rational_json) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -46,5 +46,6 @@ def test_block_prepend_identity(m, i):
 def test_rejects_junk():
     with pytest.raises(Exception):
         index_of_bits("01x")
-    with pytest.raises(Exception):
-        bits_of_index(0)
+    for n in (0, -1, -5):  # bin(-5)[3:] is "01"
+        with pytest.raises(ValueError):
+            bits_of_index(n)

@@ -35,6 +35,18 @@ def test_prefix_free_loop_free_census_matches_the_closed_form(prefix_free_loop_f
     assert 0 < partial < Fraction(64, 65)
 
 
+def test_census_partial_kraft_sum_meets_its_limit():
+    """The recurrence and the generating function agree without a run: the
+    oracle's own partial Kraft sum to N = 400 lies within 2^-78 below 64/65
+    (the gap is about 2^-78.6)."""
+    partial = sum(
+        (Fraction(h, 2**n) for n, h in enumerate(halting_counts(400))), Fraction(0)
+    )
+    limit = kraft_limit()
+    assert limit == Fraction(64, 65)
+    assert limit - Fraction(1, 2**78) < partial < limit
+
+
 def test_total_shortcut_matches_a_real_count(loop_free_vm):
     assert is_total(loop_free_vm)
     curve = domain_prob_curve(loop_free_vm, 8)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from haltlab.codec import index_of_bits
+from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
 from haltlab.machine import exact_run, machine_from_dict
 from haltlab.sweep import (
@@ -89,6 +89,15 @@ def test_measure_bounds_hold(machine, horizon):
     assert prob_by(history) <= 1
     # and the by-measure dominates the exact one
     assert prob_by(history) >= prob_exact(history)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_all_programs_are_the_codes_of_one_length(n):
+    """One length's programs are the codes of indices 2^n .. 2^(n+1) - 1,
+    which is also every n-bit string zero-padded in numeric order."""
+    programs = all_programs(n)
+    assert programs == [bits_of_index(i) for i in range(2**n, 2 ** (n + 1))]
+    assert programs == ([""] if n == 0 else [format(v, f"0{n}b") for v in range(2**n)])
 
 
 def test_stops_are_in_index_order(toy_vm, prefix_free_vm, table1):
