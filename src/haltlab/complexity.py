@@ -69,7 +69,7 @@ def time_randomness(machine: Machine, t: int, budget: int | None = None) -> str:
     code = bits_of_index(t)
     if min_index_map(machine, short_index_cap(len(code)), budget).get(code) is not None:
         return NONRANDOM  # witness halts, so the bound holds even under budget
-    return RANDOM if is_transparent(machine) else UNKNOWN
+    return RANDOM if budget is None else UNKNOWN
 
 
 def wrapper_witness(machine: Machine, program: str, stop: int, budget: int | None) -> int | None:

@@ -40,7 +40,6 @@ from haltlab.machine import (
     TableMachine,
     TIME_WRAP_EXTRA_BITS,
     check_budget,
-    is_transparent,
 )
 from haltlab.sweep import check_enum_cap, sweep
 
@@ -186,7 +185,6 @@ def density_report(
         raise ResourceLimitError(
             f"horizon {horizon} exceeds the window cap {HORIZON_CAP}"
         )
-    transparent = is_transparent(machine)
     window_start = 2**m
     window_size = horizon - window_start + 1
     # every non-random t in the window has its witness at or below the cap
@@ -201,7 +199,7 @@ def density_report(
     fraction = Fraction(window_size - nonrandom, window_size)
     bound = stratum_average_bound(m, s)
     holds: bool | None
-    if transparent:
+    if budget is None:  # the machine is transparent
         holds = fraction > 1 - bound
         if not holds:
             raise InvariantViolation(
@@ -219,7 +217,7 @@ def density_report(
         nonrandom_count=nonrandom,
         random_fraction=fraction,
         rare_bound=bound,
-        exact=transparent,
+        exact=budget is None,
         holds=holds,
     )
 

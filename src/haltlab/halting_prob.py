@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from haltlab.errors import ConfigError
 from haltlab.intervals import format_fraction
-from haltlab.machine import Machine, ToyVM, check_budget, is_transparent
+from haltlab.machine import Machine, ToyVM, check_budget
 from haltlab.sweep import check_enum_cap, sweep
 
 
@@ -62,7 +62,6 @@ def domain_prob_curve(
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     check_budget(machine, budget)
     check_enum_cap(max_len)
-    transparent = is_transparent(machine)
     points = []
     for length in range(1, max_len + 1):
         if is_total(machine):
@@ -71,7 +70,7 @@ def domain_prob_curve(
             count = len(sweep(machine, length, budget).stops)
         points.append(
             ProbCurvePoint(
-                length=length, halting=count, total=2**length, exact=transparent
+                length=length, halting=count, total=2**length, exact=budget is None
             )
         )
     return ProbCurve(budget=budget, points=tuple(points))

@@ -123,18 +123,24 @@ def test_run_refuses_a_budget_that_is_not_an_int(request, monkeypatch, table1, k
 
 @st.composite
 def streams(draw):
-    """A program and the offset its core starts at, anywhere up to its end."""
+    """A program, the end of its core anywhere up to the program's end, and
+    the offset the core starts at, anywhere up to the core's end."""
     program = draw(bits)
-    return program, draw(st.integers(min_value=0, max_value=len(program)))
+    total = draw(st.integers(min_value=0, max_value=len(program)))
+    return program, draw(st.integers(min_value=0, max_value=total)), total
 
 
 @settings(max_examples=300, deadline=None)
 @given(streams(), budgets, st.booleans(), st.booleans(), st.sampled_from([0, 1, 2, 5, 16, 1 << 20]))
 def test_kernels_agree_bit_for_bit(compiled, stream, budget, prefix_free, allow_loops, output_cap):
-    program, start = stream
-    args = (program.encode("ascii"), start, len(program), prefix_free, allow_loops)
-    expected = _stepper_py.run_stream(*args, budget, output_cap)
-    assert compiled.run_stream(*args, budget, output_cap) == expected
+    program, start, total = stream
+    raw = program.encode("ascii")
+    args = (raw, start, total, prefix_free, allow_loops)
+    # the bytes past total are never read: the core alone gives the same run
+    expected = _stepper_py.run_stream(raw[:total], *args[1:], budget, output_cap)
+    for kernel in (compiled, _stepper_py):
+        assert kernel.run_stream(*args, budget, output_cap) == expected
+    assert compiled.run_stream(raw[:total], *args[1:], budget, output_cap) == expected
     if expected[0] != _stepper_py.RUNNING:
         # a run that stops within its budget stops the same way at the
         # largest budget, which only the unsigned 64-bit path can hold
@@ -233,14 +239,16 @@ def test_compiled_kernel_refuses_the_skipped_output_at_the_same_step(compiled):
 
 def test_kernels_agree_exhaustively_short(compiled):
     # all streams up to 12 bits, from the start of the stream and past a
-    # two-bit mode prefix, both disciplines, tight and loose budgets and caps
+    # two-bit mode prefix, both disciplines, with loops and loop-free, tight
+    # and loose budgets and caps. Budget 0 takes no step; budget 1 runs out
+    # just before the second word, which may be undecodable
     for length in range(13):
         for value in range(2**length):
             raw = (format(value, f"0{length}b") if length else "").encode("ascii")
-            for start, prefix_free, budget, output_cap in itertools.product(
-                {0, min(2, length)}, (False, True), (3, 64, 4096), (2, 1 << 20)
+            for start, prefix_free, allow_loops, budget, output_cap in itertools.product(
+                {0, min(2, length)}, (False, True), (False, True), (0, 1, 3, 64, 4096), (2, 1 << 20)
             ):
-                args = (raw, start, length, prefix_free, True, budget, output_cap)
+                args = (raw, start, length, prefix_free, allow_loops, budget, output_cap)
                 assert compiled.run_stream(*args) == _stepper_py.run_stream(*args)
 
 
