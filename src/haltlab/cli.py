@@ -13,16 +13,16 @@ Subcommands:
 Each subcommand has a handler _cmd_NAME(machine, args) that only builds its
 result: a dict, written as JSON (sorted keys, two-space indent), or a str,
 written as is (CSV). The writer prints every rational as a "num/den" string
-and every Interval as {hi, lo, width}. A non-empty list or tuple of
-(str, int) pairs, the shape of every program listing, is written with one
-"%" template per pair at its indent; the pairs are joined in blocks of
-_PAIR_BLOCK and the blocks once more, so the small strings of a long listing
-are never all alive next to the joined text. main loads the machine, builds
-the whole text and only then writes it, so stdout stays empty on any error,
-an int too long to print included. The library applies the one budget
-policy (haltlab.machine.check_budget) to --budget: opaque machines need a
-positive budget, transparent machines are read exactly and take none, and
-run() refuses budgets above 2^64 - 1.
+and every Interval as {hi, lo, width}. It appends the text to one list of
+parts and joins that list once, so a long listing is copied once. A
+non-empty list or tuple of (str, int) pairs, the shape of every program
+listing, is written with one "%" template per pair at its indent, one part
+per block of _PAIR_BLOCK pairs, so its small strings are never all alive at
+once. main loads the machine, builds the whole text and only then writes
+it, so stdout stays empty on any error, an int too long to print included.
+The library applies the one budget policy (haltlab.machine.check_budget) to
+--budget: opaque machines need a positive budget, transparent machines are
+read exactly and take none, and run() refuses budgets above 2^64 - 1.
 Exit codes: 0 ok, 2 usage, 3 resource limit (also for a number too long to
 print), 4 degenerate distribution, 5 violated invariant.
 """
@@ -51,76 +51,82 @@ from haltlab.sweep import (
 )
 
 
-# pairs per join in _pairs_text: one block's small strings are freed before
+# pairs per join in _pairs_parts: one block's small strings are freed before
 # the next block is formatted
 _PAIR_BLOCK = 4096
 
 
 def _json(payload: dict) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2) for the types a handler
-    returns: dict with str keys, list, tuple, str, int, bool, None, and
-    Fraction and Interval as the module docstring says. A list or tuple of
-    (str, int) pairs goes through one template per pair, joined in blocks
-    of _PAIR_BLOCK. The result is the whole text: an int past the digit
-    limit raises here, before main writes anything."""
+    """json.dumps(payload, sort_keys=True, indent=2) and a newline, for the
+    types a handler returns: dict with str keys, list, tuple, str, int, bool,
+    None, and Fraction and Interval as the module docstring says. All the
+    text goes into one list of parts, the newline last, joined once. The
+    result is the whole text: an int past the digit limit raises here, before
+    main writes anything, so stdout stays empty."""
+    parts: list[str] = []
     try:
-        return _json_text(payload, "\n") + "\n"
+        _json_parts(payload, "\n", parts)
     except ValueError as exc:  # an int past Python's int-to-str digit limit
         raise digit_limit_error() from exc
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _json_text(value: object, newline: str) -> str:
-    """The JSON text of value; newline ends the line before it and holds
-    its indent."""
+def _json_parts(value: object, newline: str, parts: list[str]) -> None:
+    """Append the JSON text of value to parts; newline ends the line before
+    it and holds its indent."""
     kind = type(value)
+    if kind is Interval:
+        value, kind = {"hi": value.hi, "lo": value.lo, "width": value.width}, dict
     if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    inner = newline + "  "
-    if kind is tuple or kind is list:
-        if value and all(
-            type(item) is tuple and len(item) == 2
-            and type(item[0]) is str and type(item[1]) is int
-            for item in value
-        ):
-            return _pairs_text(value, newline)
-        brackets, items = "[]", [_json_text(item, inner) for item in value]
-    elif kind is dict and all(type(key) is str for key in value):
-        brackets = "{}"
-        items = [
-            encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
-            for key in sorted(value)
-        ]
+        parts.append(encode_basestring_ascii(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
     elif kind is Fraction:
-        return '"' + format_fraction(value) + '"'
-    elif kind is Interval:
-        return _json_text({"hi": value.hi, "lo": value.lo, "width": value.width}, newline)
+        parts.append('"' + format_fraction(value) + '"')
     elif kind is bool:
-        return "true" if value else "false"
+        parts.append("true" if value else "false")
     elif value is None:
-        return "null"
-    else:
+        parts.append("null")
+    elif kind not in (list, tuple, dict) or kind is dict and any(type(k) is not str for k in value):
         raise TypeError(f"cannot write a {kind.__name__} (or its keys) as JSON")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+    elif not value:
+        parts.append("{}" if kind is dict else "[]")
+    elif kind is not dict and all(
+        type(item) is tuple and len(item) == 2
+        and type(item[0]) is str and type(item[1]) is int
+        for item in value
+    ):
+        _pairs_parts(value, newline, parts)
+    else:
+        brackets, heads = "[]", [""] * len(value)
+        if kind is dict:
+            brackets, keys = "{}", sorted(value)
+            heads = [encode_basestring_ascii(key) + ": " for key in keys]
+            value = [value[key] for key in keys]
+        inner = newline + "  "
+        comma = brackets[0] + inner
+        for head, item in zip(heads, value):
+            parts.append(comma + head)
+            _json_parts(item, inner, parts)
+            comma = "," + inner
+        parts.append(newline + brackets[1])
 
 
-def _pairs_text(pairs: list | tuple, newline: str) -> str:
-    """_json_text of a non-empty list or tuple of (str, int) 2-tuples."""
+def _pairs_parts(pairs: list | tuple, newline: str, parts: list[str]) -> None:
+    """_json_parts of a non-empty list or tuple of (str, int) 2-tuples."""
     inner = newline + "  "
     item = inner + "  "
     pair = "[" + item + "%s," + item + "%s" + inner + "]"
     comma = "," + inner
-    blocks = [
-        comma.join([
+    parts.append("[" + inner)
+    for start in range(0, len(pairs), _PAIR_BLOCK):
+        parts.append(comma.join([
             pair % (encode_basestring_ascii(p), t)
             for p, t in pairs[start : start + _PAIR_BLOCK]
-        ])
-        for start in range(0, len(pairs), _PAIR_BLOCK)
-    ]
-    return "[" + inner + comma.join(blocks) + newline + "]"
+        ]))
+        parts.append(comma)
+    parts[-1] = newline + "]"  # in place of the last block's comma
 
 
 def _config(args: argparse.Namespace, *names: str) -> dict:

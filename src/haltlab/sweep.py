@@ -4,7 +4,8 @@ A sweep observes every length-N program, in index order, and records the stop
 times of those seen halting. With a step horizon T it runs each program for at
 most T steps; with no horizon it reads a transparent machine exactly. sweep()
 is the package's one enumeration of a program length, so every per-length
-census also goes through its enumeration cap.
+census also goes through its enumeration cap. The enumeration is lazy, one
+program at a time, so a sweep keeps only the halting programs (stops keys).
 
 For a sweep with horizon T the associated product space is {0,1}^N x {1..T}
 with the uniform measure 2^-N * 1/T; prob_exact and prob_by are measures of
@@ -18,7 +19,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from itertools import islice
+from typing import Iterator, Mapping
 
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
 from haltlab.machine import Machine, observe
@@ -27,6 +29,7 @@ DEFAULT_ENUM_CAP_BITS = 24
 ENUM_CAP_ENV = "HALTLAB_ENUM_CAP"
 # history_to_matrix builds one cell per (program, time), about 100 bytes each
 MATRIX_CELL_CAP = 2**20
+CSV_BLOCK = 4096  # rows per join in history_to_csv
 
 
 def enum_cap_bits() -> int:
@@ -63,10 +66,10 @@ class HaltingHistory:
         return 2**self.length
 
 
-def all_programs(length: int) -> list[str]:
-    """The 2^length programs of one length in index order: the codes of
-    indices 2^length .. 2^(length+1) - 1 (haltlab.codec)."""
-    return [bin(v)[3:] for v in range(2**length, 2 ** (length + 1))]
+def all_programs(length: int) -> Iterator[str]:
+    """The 2^length programs of one length in index order, made lazily: the
+    codes of indices 2^length .. 2^(length+1) - 1 (haltlab.codec)."""
+    return (bin(v)[3:] for v in range(2**length, 2 ** (length + 1)))
 
 
 def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
@@ -153,12 +156,15 @@ def conditional_probs(history: HaltingHistory, t0: int, t1: int | None = None) -
 # exports
 
 def history_to_csv(history: HaltingHistory) -> str:
-    """One row per program in index order; running programs marked RUNNING."""
-    lines = ["program,stop_time"]
-    for program in all_programs(history.length):
-        stop = history.stops.get(program)
-        lines.append(f"{program},{stop if stop is not None else 'RUNNING'}")
-    return "\n".join(lines) + "\n"
+    """One row per program in index order; running programs marked RUNNING.
+    The rows are joined in blocks of CSV_BLOCK and the blocks once more, so
+    one block's rows are freed before the next block is made."""
+    stops, programs = history.stops, all_programs(history.length)
+    blocks = ["program,stop_time"]
+    while rows := [f"{p},{stops.get(p, 'RUNNING')}" for p in islice(programs, CSV_BLOCK)]:
+        blocks.append("\n".join(rows))
+    blocks.append("")  # the final newline
+    return "\n".join(blocks)
 
 
 def check_matrix_cells(length: int, horizon: int) -> None:

@@ -258,6 +258,14 @@ JSON_VALUES = st.recursive(
 )
 
 
+# a listing of more than two blocks, then, under a key that sorts after it,
+# an int one digit past the limit
+LONG_LISTING_THEN_TOO_LONG_INT = {
+    "a": [(bin(i), i) for i in range(2 * cli._PAIR_BLOCK + 3)],
+    "b": 10**4300,
+}
+
+
 def rational_json(value):
     """json.dumps's default for the two types the writer adds: a Fraction
     is its "num/den" string, never a float, and an Interval its endpoints
@@ -274,6 +282,8 @@ def rational_json(value):
 @example({"i": [Interval(Fraction(1, 3), Fraction(1, 2))], "f": Fraction(-4)})
 @example({"pairs": [(bin(i), i) for i in range(2 * cli._PAIR_BLOCK + 3)]})
 @example({"pairs": [("\u2028", i) for i in range(2 * cli._PAIR_BLOCK + 3)] + [("end", True)]})
+@example({"a": {"b": [[("x", 1), ("\n", -2)], [], {}, 3]}})
+@example(LONG_LISTING_THEN_TOO_LONG_INT)
 def test_json_writer_matches_json_dumps(payload):
     try:
         expected = json.dumps(payload, sort_keys=True, indent=2, default=rational_json) + "\n"
@@ -296,6 +306,15 @@ def test_pair_listing_through_main_matches_json_dumps(capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == json.dumps(payload, sort_keys=True, indent=2, default=rational_json) + "\n"
+
+
+def test_too_long_int_after_a_long_listing_prints_nothing(capsys, monkeypatch):
+    """The writer fails only after it has formatted the whole listing, and
+    main still writes nothing: exit 3 with empty stdout."""
+    monkeypatch.setattr(cli, "_cmd_history", lambda machine, args: LONG_LISTING_THEN_TOO_LONG_INT)
+    code, out, err = run_cli("history --length 1 --horizon 1".split(), capsys)
+    assert (code, out) == (3, "")
+    assert_one_line_error(err)
 
 
 @pytest.mark.parametrize(

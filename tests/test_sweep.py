@@ -1,4 +1,5 @@
 from fractions import Fraction
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
 from haltlab.machine import exact_run, machine_from_dict
 from haltlab.sweep import (
+    CSV_BLOCK,
     ENUM_CAP_ENV,
     all_programs,
     conditional_probs,
@@ -95,9 +97,44 @@ def test_measure_bounds_hold(machine, horizon):
 def test_all_programs_are_the_codes_of_one_length(n):
     """One length's programs are the codes of indices 2^n .. 2^(n+1) - 1,
     which is also every n-bit string zero-padded in numeric order."""
-    programs = all_programs(n)
+    programs = list(all_programs(n))
     assert programs == [bits_of_index(i) for i in range(2**n, 2 ** (n + 1))]
     assert programs == ([""] if n == 0 else [format(v, f"0{n}b") for v in range(2**n)])
+
+
+def test_all_programs_are_made_lazily():
+    """The programs are made one at a time, so the first of 2^64 comes at
+    once. The iterator check comes first: a list of 2^64 would never end."""
+    programs = all_programs(16)
+    assert iter(programs) is programs
+    assert next(iter(all_programs(64))) == "0" * 64
+
+
+def test_sweep_holds_only_the_halting_programs(prefix_free_loop_free_vm):
+    """An exact sweep of 16,384 programs, 498 of which halt, allocates far
+    less than one string per program at its peak."""
+    machine = prefix_free_loop_free_vm
+    sweep(machine, 14, None)  # warm the kernel and the caches
+    tracemalloc.start()
+    try:
+        history = sweep(machine, 14, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(history.stops) < 2**14 // 16
+    assert peak < 256 * 1024
+
+
+def test_csv_matches_the_naive_join(toy_vm):
+    """More than two blocks of rows give the same bytes as one join of
+    every row."""
+    history = sweep(toy_vm, 14, 16)
+    assert 2**14 > 2 * CSV_BLOCK
+    lines = ["program,stop_time"]
+    for program in all_programs(14):
+        stop = history.stops.get(program)
+        lines.append(f"{program},{stop if stop is not None else 'RUNNING'}")
+    assert history_to_csv(history) == "\n".join(lines) + "\n"
 
 
 def test_stops_are_in_index_order(toy_vm, prefix_free_vm, table1):
