@@ -14,12 +14,14 @@ Each subcommand has a handler _cmd_NAME(machine, args) that only builds its
 result: a dict, written as JSON (sorted keys, two-space indent), or a str,
 written as is (CSV). The writer prints every rational as a "num/den" string
 and every Interval as {hi, lo, width}. It appends the text to one list of
-parts and joins that list once, so a long listing is copied once. A
-non-empty list or tuple of (str, int) pairs, the shape of every program
-listing, is written with one "%" template per pair at its indent, one part
-per block of _PAIR_BLOCK pairs, so its small strings are never all alive at
-once. main loads the machine, builds the whole text and only then writes
-it, so stdout stays empty on any error, an int too long to print included.
+parts and joins that list once, so a long listing is copied once. A program
+listing is a PairListing (haltlab.sweep), whose pairs are made one at a time
+from the sweeps' stop-time arrays, or a non-empty list or tuple of (str,
+int) pairs. It is written with one "%" template per pair at its indent, one
+part per block of _PAIR_BLOCK pairs taken from one pass over it, so no
+block's strings outlive it. main loads the machine, builds the whole text
+and only then writes it, so stdout stays empty on any error, an int too long
+to print included.
 The library applies the one budget policy (haltlab.machine.check_budget) to
 --budget: opaque machines need a positive budget, transparent machines are
 read exactly and take none, and run() refuses budgets above 2^64 - 1.
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from haltlab import density as density_mod
@@ -40,6 +43,7 @@ from haltlab.errors import ConfigError, HaltlabError, digit_limit_error
 from haltlab.intervals import Interval, format_fraction
 from haltlab.machine import Machine, is_transparent, load_machine, read_json, run
 from haltlab.sweep import (
+    PairListing,
     check_matrix_cells,
     conditional_probs,
     eventual_fraction,
@@ -88,11 +92,13 @@ def _json_parts(value: object, newline: str, parts: list[str]) -> None:
         parts.append("true" if value else "false")
     elif value is None:
         parts.append("null")
-    elif kind not in (list, tuple, dict) or kind is dict and any(type(k) is not str for k in value):
+    elif kind not in (list, tuple, dict, PairListing) or kind is dict and any(
+        type(k) is not str for k in value
+    ):
         raise TypeError(f"cannot write a {kind.__name__} (or its keys) as JSON")
     elif not value:
         parts.append("{}" if kind is dict else "[]")
-    elif kind is not dict and all(
+    elif kind is PairListing or kind is not dict and all(
         type(item) is tuple and len(item) == 2
         and type(item[0]) is str and type(item[1]) is int
         for item in value
@@ -113,18 +119,18 @@ def _json_parts(value: object, newline: str, parts: list[str]) -> None:
         parts.append(newline + brackets[1])
 
 
-def _pairs_parts(pairs: list | tuple, newline: str, parts: list[str]) -> None:
-    """_json_parts of a non-empty list or tuple of (str, int) 2-tuples."""
+def _pairs_parts(pairs: list | tuple | PairListing, newline: str, parts: list[str]) -> None:
+    """_json_parts of a non-empty listing of (str, int) 2-tuples."""
     inner = newline + "  "
     item = inner + "  "
     pair = "[" + item + "%s," + item + "%s" + inner + "]"
     comma = "," + inner
     parts.append("[" + inner)
-    for start in range(0, len(pairs), _PAIR_BLOCK):
-        parts.append(comma.join([
-            pair % (encode_basestring_ascii(p), t)
-            for p, t in pairs[start : start + _PAIR_BLOCK]
-        ]))
+    pairs = iter(pairs)
+    while block := comma.join([
+        pair % (encode_basestring_ascii(p), t) for p, t in islice(pairs, _PAIR_BLOCK)
+    ]):
+        parts.append(block)
         parts.append(comma)
     parts[-1] = newline + "]"  # in place of the last block's comma
 
@@ -174,7 +180,7 @@ def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
     payload = {
         "config": config,
         "space_size": history.space_size,
-        "stops": tuple(history.stops.items()),
+        "stops": PairListing(((history.stops, None),), len(history.stops)),
         "eventual_fraction": eventual_fraction(history),
         "prob_exact": prob_exact(history),
         "prob_by": prob_by(history),

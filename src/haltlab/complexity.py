@@ -29,7 +29,7 @@ from haltlab.machine import (
     run,
     time_wrap,
 )
-from haltlab.sweep import check_enum_cap
+from haltlab.sweep import _scan, check_enum_cap
 
 RANDOM = "random"
 NONRANDOM = "nonrandom"
@@ -46,10 +46,9 @@ def min_index_map(machine: Machine, cap: int, budget: int | None) -> dict[str, i
         raise ConfigError(f"cap must be >= 0, got {cap}")
     check_enum_cap(max(0, cap.bit_length() - 1))
     found: dict[str, int] = {}
-    for n in range(1, cap + 1):
-        hit = observe(machine, bits_of_index(n), budget)
-        if hit is not None and hit[1] not in found:
-            found[hit[1]] = n
+    for n, (_, output) in _scan(machine, 1, cap + 1, budget):
+        if output not in found:
+            found[output] = n
     return found
 
 

@@ -108,12 +108,10 @@ def _exclusion_report(
     swept = [n for n in lengths if horizon is None or exclusion_threshold(n) <= horizon]
     check_enum_cap(max(swept, default=0))
     candidates: list[tuple[str, int]] = []
+    end = None if horizon is None else horizon + 1
     for length in swept:
-        threshold = exclusion_threshold(length)
         stops = sweep(machine, length, budget).stops
-        candidates.extend(
-            (p, t) for p, t in stops.items() if threshold <= t and (horizon is None or t <= horizon)
-        )
+        candidates.extend(stops.pairs(exclusion_threshold(length), end))
     violations = []
     unresolved = []
     for program, stop in candidates:

@@ -26,13 +26,17 @@ from haltlab.errors import ConfigError, DegenerateDistributionError, InvariantVi
 from haltlab.errors import ResourceLimitError
 from haltlab.intervals import Interval
 from haltlab.machine import Machine, check_budget, finite_domain, observe
-from haltlab.sweep import check_enum_cap, sweep
+from haltlab.sweep import PairListing, _scan, check_enum_cap, sweep
 
 OPAQUE_PRECISION_CAP = 16
 DEFAULT_PRECISION_BITS = 8
 # bits of a tail power ratio^e past which the T(k) search refuses: such a
 # power takes about 0.13 s to build, so one search stays within seconds
 POWER_BIT_LIMIT = 2**20
+# bits of a power ratio^e past which a weight or a tail bound is refused: the
+# weight of a table's 20-bit program, index about 1.9 million, has about 1.9
+# million bits; the T(k) search stays within POWER_BIT_LIMIT
+WEIGHT_BIT_LIMIT = 2**21
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,14 @@ class GeometricTableWeights:
             raise ConfigError(f"index must be >= 1, got {i}")
         if i <= len(self.prefix):
             return self.prefix[i - 1]
-        return self.prefix[-1] * self.ratio ** (i - len(self.prefix))
+        return self.prefix[-1] * self._power(i - len(self.prefix))
+
+    def _power(self, e: int) -> Fraction:
+        """ratio^e, refused before it is built when its denominator, about
+        e*log2(den) bits, would pass WEIGHT_BIT_LIMIT."""
+        if e > WEIGHT_BIT_LIMIT / math.log2(self.ratio.denominator):
+            raise ResourceLimitError(f"weight power ratio^{e} needs over {WEIGHT_BIT_LIMIT} bits")
+        return self.ratio**e
 
     @property
     def horizon_cap(self) -> int:
@@ -68,7 +79,7 @@ class GeometricTableWeights:
         start = max(start, 1)
         listed = sum(self.prefix[start - 1 :], Fraction(0))
         n = len(self.prefix)
-        geometric = self.prefix[-1] * self.ratio ** max(start - n, 1) / (1 - self.ratio)
+        geometric = self.prefix[-1] * self._power(max(start - n, 1)) / (1 - self.ratio)
         return listed + geometric
 
 
@@ -126,11 +137,11 @@ def _tail_sum(
         )
         return Interval.exact(total)
     check_enum_cap(max(0, (start + count - 1).bit_length() - 1))
+    hits = dict(_scan(machine, start, start + count, budget))  # count is small
     total = slack = Fraction(0)
     for i in range(start, start + count):
-        hit = observe(machine, bits_of_index(i), budget)
-        if hit is not None:
-            total += weights.weight(i) / hit[0]
+        if i in hits:
+            total += weights.weight(i) / hits[i][0]
         elif budget is not None:
             slack += weights.weight(i) / budget
     return Interval(total, total + slack + weights.tail_bound(start + count))
@@ -293,10 +304,11 @@ def tail_threshold(dist: RuntimeDistribution, k: int) -> int:
 
 @dataclass(frozen=True)
 class HaltSplit:
-    """Partition of observed halting pairs by the per-length stop-time cutoff."""
+    """Partition of observed halting pairs by the per-length stop-time cutoff.
+    The computable pairs stay in the sweeps' arrays until they are listed."""
 
     cutoffs: dict[int, int]  # length -> strict stop-time cutoff
-    computable: tuple[tuple[str, int], ...]  # stop_time < cutoff[len]
+    computable: PairListing  # stop_time < cutoff[len]
     residual: tuple[tuple[str, int], ...]  # stop_time >= cutoff[len]
     residual_measure_hi: Fraction
     residual_bound: Fraction
@@ -319,11 +331,8 @@ def split_halting_set(
     check_budget(machine, budget)
     check_enum_cap(max_len)  # before any sweep of the shorter lengths
     cutoffs = {n: 2 ** tail_threshold(dist, k + n + 2) for n in range(1, max_len + 1)}
-    computable: list[tuple[str, int]] = []
-    residual: list[tuple[str, int]] = []
-    for length in range(1, max_len + 1):
-        for pair in sweep(machine, length, budget).stops.items():
-            (computable if pair[1] < cutoffs[length] else residual).append(pair)
+    runs = [sweep(machine, n, budget).stops for n in range(1, max_len + 1)]
+    residual = tuple(pair for stops in runs for pair in stops.pairs(cutoffs[stops.length]))
     measure_hi = sum(
         (Fraction(1, 2 ** len(p)) * dist.mass(t).hi for p, t in residual),
         Fraction(0),
@@ -335,8 +344,11 @@ def split_halting_set(
         )
     return HaltSplit(
         cutoffs=cutoffs,
-        computable=tuple(computable),
-        residual=tuple(residual),
+        computable=PairListing(
+            tuple((stops, cutoffs[stops.length]) for stops in runs),
+            sum(map(len, runs)) - len(residual),
+        ),
+        residual=residual,
         residual_measure_hi=measure_hi,
         residual_bound=bound,
     )

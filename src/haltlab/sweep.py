@@ -5,7 +5,9 @@ times of those seen halting. With a step horizon T it runs each program for at
 most T steps; with no horizon it reads a transparent machine exactly. sweep()
 is the package's one enumeration of a program length, so every per-length
 census also goes through its enumeration cap. The enumeration is lazy, one
-program at a time, so a sweep keeps only the halting programs (stops keys).
+program at a time, and a sweep keeps no program strings: two index-ordered
+arrays hold each halting program's offset within its length and its stop
+time (StopTimes), and a program's string is made again only where it is read.
 
 For a sweep with horizon T the associated product space is {0,1}^N x {1..T}
 with the uniform measure 2^-N * 1/T; prob_exact and prob_by are measures of
@@ -17,10 +19,12 @@ ever rounded.
 from __future__ import annotations
 
 import os
+from array import array
+from bisect import bisect_left
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterator, Mapping
+from itertools import chain, islice, repeat
 
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
 from haltlab.machine import Machine, observe
@@ -52,14 +56,88 @@ def check_enum_cap(length: int) -> None:
         )
 
 
+class StopTimes(Mapping[str, int]):
+    """Read-only map program -> stop time of one length's halting programs,
+    in index order. Two sparse arrays in step back it, each program's offset
+    within its length and its stop time; strings are made only when read."""
+
+    def __init__(self, length: int, offsets: array, times: array | list) -> None:
+        self.length, self.offsets, self.times = length, offsets, times
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __iter__(self) -> Iterator[str]:
+        return (program for program, _ in self.pairs())
+
+    def __getitem__(self, program: str) -> int:
+        if isinstance(program, str) and len(program) == self.length and not program.strip("01"):
+            offset = int("1" + program, 2) - (1 << self.length)
+            at = bisect_left(self.offsets, offset)  # the offsets ascend
+            if at < len(self) and self.offsets[at] == offset:
+                return self.times[at]
+        raise KeyError(program)
+
+    def items(self) -> ItemsView[str, int]:
+        return _StopItems(self)
+
+    def values(self) -> ValuesView[int]:
+        return _StopValues(self)
+
+    def pairs(self, lo: int = 0, hi: int | None = None) -> Iterator[tuple[str, int]]:
+        """(program, stop time) in index order for the times in [lo, hi), hi
+        None for no upper end; only these pairs' strings are made."""
+        top = 1 << self.length
+        return (
+            (bin(top | offset)[3:], t)
+            for offset, t in zip(self.offsets, self.times)
+            if lo <= t and (hi is None or t < hi)
+        )
+
+    def column(self, fill: object) -> Iterator[object]:
+        """Each program's stop time in index order, fill where none was seen."""
+        at = 0
+        for offset, t in zip(self.offsets, self.times):
+            yield from repeat(fill, offset - at)
+            yield t
+            at = offset + 1
+        yield from repeat(fill, (1 << self.length) - at)
+
+
+class _StopItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        return self._mapping.pairs()
+
+
+class _StopValues(ValuesView):
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._mapping.times)
+
+
+@dataclass(frozen=True)
+class PairListing:
+    """The pairs of several StopTimes in turn, each one's below its cutoff
+    (all when None), made anew on each pass; size is their number."""
+
+    runs: tuple[tuple[StopTimes, int | None], ...]
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[tuple[str, int]]:
+        return chain.from_iterable(stops.pairs(0, cutoff) for stops, cutoff in self.runs)
+
+
 @dataclass(frozen=True)
 class HaltingHistory:
     """Result of one sweep: stop times of all halting length-N programs, in
-    index order. horizon None marks an exact sweep of a transparent machine."""
+    index order, kept as a StopTimes. horizon None marks an exact sweep of a
+    transparent machine."""
 
     length: int
     horizon: int | None
-    stops: Mapping[str, int]
+    stops: StopTimes
 
     @property
     def space_size(self) -> int:
@@ -72,6 +150,15 @@ def all_programs(length: int) -> Iterator[str]:
     return (bin(v)[3:] for v in range(2**length, 2 ** (length + 1)))
 
 
+def _scan(machine: Machine, lo: int, hi: int, budget: int | None) -> Iterator[tuple]:
+    """(index, (stop time, output)) of each index in [lo, hi) whose program
+    is seen halting, in index order: one observe() per program."""
+    for index in range(lo, hi):
+        hit = observe(machine, bin(index)[3:], budget)
+        if hit is not None:
+            yield index, hit
+
+
 def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
     """Observe all 2^length programs, within horizon steps or exactly when
     horizon is None, and record their stop times in index order."""
@@ -80,12 +167,15 @@ def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
     if horizon is not None and horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     check_enum_cap(length)
-    stops = {}
-    for program in all_programs(length):
-        hit = observe(machine, program, horizon)
-        if hit is not None:
-            stops[program] = hit[0]
-    return HaltingHistory(length=length, horizon=horizon, stops=stops)
+    top = 2**length
+    offsets, times = array("Q"), array("Q")
+    for index, (stop, _) in _scan(machine, top, 2 * top, horizon):
+        offsets.append(index - top)
+        try:
+            times.append(stop)
+        except OverflowError:  # past 2^64 - 1: only a table's exact stop time
+            times = [*times, stop]
+    return HaltingHistory(length=length, horizon=horizon, stops=StopTimes(length, offsets, times))
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +249,9 @@ def history_to_csv(history: HaltingHistory) -> str:
     """One row per program in index order; running programs marked RUNNING.
     The rows are joined in blocks of CSV_BLOCK and the blocks once more, so
     one block's rows are freed before the next block is made."""
-    stops, programs = history.stops, all_programs(history.length)
+    rows_made = zip(all_programs(history.length), history.stops.column("RUNNING"))
     blocks = ["program,stop_time"]
-    while rows := [f"{p},{stops.get(p, 'RUNNING')}" for p in islice(programs, CSV_BLOCK)]:
+    while rows := [f"{p},{t}" for p, t in islice(rows_made, CSV_BLOCK)]:
         blocks.append("\n".join(rows))
     blocks.append("")  # the final newline
     return "\n".join(blocks)
@@ -181,8 +271,7 @@ def history_to_matrix(history: HaltingHistory) -> dict:
     horizon = _horizon(history)
     check_matrix_cells(history.length, horizon)
     rows = []
-    for program in all_programs(history.length):
-        stop = history.stops.get(program)
+    for program, stop in zip(all_programs(history.length), history.stops.column(None)):
         cells = [
             "h" if stop is not None and t >= stop else ""
             for t in range(1, horizon + 1)

@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import pathlib
+import time
 
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from haltlab import cli
 from haltlab.errors import ConfigError, HaltlabError
 from haltlab.intervals import Interval, format_fraction
 from haltlab.machine import is_transparent, load_machine
+from haltlab.sweep import PairListing
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -149,6 +151,9 @@ GOLDEN = [
      0, "9b0b1ee449d52b0b915a046948b79df02770af6d763841b0233edce3a3e4c92a"),
     ("decompose-late-stop", "decompose --machine fixtures/late_stop_table.json -k 1 --max-len 1",
      0, "3b01e5da5eec6bb2a3037b28f73af5b105ca3d9a61bb216fbbf7e73fb35b3f8c"),
+    # an exact stop time of 2^70 does not fit a sweep's 64-bit stop-time array
+    ("probcurve-huge-stop", "probcurve --machine fixtures/huge_stop_table.json --max-len 3",
+     0, "184b0c033bba1434ad079b05e8187bc52a6538684cb2f3bf8974242d433646a9"),
     # threshold, decide and decompose have no --force: they refuse past the opaque cap
     ("threshold-opaque-precision-cap",
      "threshold --machine builtin:toy-vm -k 2 --precision 17 --budget 524288", 2, EMPTY),
@@ -181,6 +186,27 @@ def test_golden(command, code, digest, capsys, monkeypatch):
         assert err == ""
     else:
         assert_one_line_error(err)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        # the normalizer needs the weight 2^-(2^40) of the 40-bit program 0^40
+        "upsilon --machine fixtures/far_index_table.json",
+        # the residual measure needs the mass, so the weight, at index 2^70
+        "decompose --machine fixtures/huge_stop_table.json -k 2 --max-len 3",
+    ],
+)
+def test_huge_weight_powers_are_refused_at_once(command, capsys, monkeypatch):
+    """A weight whose power has more than WEIGHT_BIT_LIMIT bits is refused
+    before it is built: exit 3 and a one-line message, not a hang."""
+    monkeypatch.chdir(ROOT)
+    start = time.perf_counter()
+    code, out, err = run_cli(command.split(), capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert_one_line_error(err)
+    assert "weight power" in err
 
 
 def test_exclusion_with_violations(tmp_path, capsys, monkeypatch):
@@ -267,13 +293,15 @@ LONG_LISTING_THEN_TOO_LONG_INT = {
 
 
 def rational_json(value):
-    """json.dumps's default for the two types the writer adds: a Fraction
-    is its "num/den" string, never a float, and an Interval its endpoints
-    and width."""
+    """json.dumps's default for the three types the writer adds: a Fraction
+    is its "num/den" string, never a float, an Interval its endpoints and
+    width, and a PairListing the list of its pairs."""
     if isinstance(value, Fraction):
         return format_fraction(value)
     if isinstance(value, Interval):
         return {"lo": value.lo, "hi": value.hi, "width": value.width}
+    if isinstance(value, PairListing):
+        return list(value)
     raise TypeError(f"{value!r} is not JSON serializable")
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+import tracemalloc
 
 import pytest
 
@@ -206,14 +207,24 @@ def test_tail_threshold_stops_doubling_at_the_power_limit(table1, monkeypatch):
 
 
 def test_long_program_weights_are_exact():
-    """Only the T(k) search has a power limit: a 20-bit program's weight
-    2^-i, i past 2^20, enters the normalizer exactly."""
+    """A 20-bit program's weight 2^-i, i past the T(k) search's limit of 2^20
+    bits, enters the normalizer exactly. A power past WEIGHT_BIT_LIMIT bits is
+    refused before it is built, in a weight and in a tail bound alike."""
     long = "11010010110100101101"
     table = table_from_stops({"0": 1, "10": 3, long: 5})
     expected = Fraction(1, 2**2) + Fraction(1, 2**6) / 3 + Fraction(1, 2 ** int("1" + long, 2)) / 5
     dist = induced_distribution(table)
     assert dist.normalizer == Interval.exact(expected)
     assert dist.mass(int("1" + long, 2)).lo == Fraction(1, 2 ** int("1" + long, 2)) / (5 * expected)
+    limit = runtime_dist.WEIGHT_BIT_LIMIT
+    assert runtime_dist.DYADIC.weight(limit + 1) == Fraction(1, 2 ** (limit + 1))
+    for refused in (
+        lambda: runtime_dist.DYADIC.weight(limit + 2),
+        lambda: dist.mass(2**40),
+        lambda: dist.tail_mass(2**40),
+    ):
+        with pytest.raises(ResourceLimitError):
+            refused()
 
 
 def test_geometric_tail_identity():
@@ -268,6 +279,23 @@ def test_split_covers_and_respects_cutoffs(toy_vm):
         assert stop < split.cutoffs[len(program)]
     for program, stop in split.residual:
         assert stop >= split.cutoffs[len(program)]
+
+
+def test_split_holds_its_pairs_in_arrays(toy_vm):
+    """The split keeps each length's stop times in two arrays of 8-byte
+    entries, not as (str, int) tuples of about 127 bytes a pair: what it
+    retains, per halting pair, stays far below that."""
+    dist = induced_distribution(toy_vm, budget=4096)
+    split_halting_set(toy_vm, dist, 4, 6, budget=4096)  # warm the imports
+    tracemalloc.start()
+    try:
+        split = split_halting_set(toy_vm, dist, 4, 12, budget=4096)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    pairs = len(split.computable) + len(split.residual)
+    assert pairs == len(list(split.computable)) + len(split.residual) > 8000
+    assert retained / pairs < 40
 
 
 def test_split_with_nonempty_residual():

@@ -7,10 +7,11 @@ import pytest
 
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
-from haltlab.machine import exact_run, machine_from_dict
+from haltlab.machine import exact_run, is_transparent, machine_from_dict, observe
 from haltlab.sweep import (
     CSV_BLOCK,
     ENUM_CAP_ENV,
+    StopTimes,
     all_programs,
     conditional_probs,
     eventual_fraction,
@@ -123,6 +124,72 @@ def test_sweep_holds_only_the_halting_programs(prefix_free_loop_free_vm):
         tracemalloc.stop()
     assert len(history.stops) < 2**14 // 16
     assert peak < 256 * 1024
+
+
+def observed_stops(machine, length, horizon):
+    """The stop-time dict that a plain observe() loop builds."""
+    stops = {}
+    for program in all_programs(length):
+        hit = observe(machine, program, horizon)
+        if hit is not None:
+            stops[program] = hit[0]
+    return stops
+
+
+def assert_stops_equal(stops, expected, length):
+    """stops reads as the dict expected does, in the same order, and has no
+    entry for a program of another length or for a string that is no program."""
+    assert isinstance(stops, StopTimes)
+    assert dict(stops) == expected and stops == expected
+    assert len(stops) == len(expected)
+    assert list(stops) == list(expected)
+    assert list(stops.items()) == list(expected.items())
+    assert list(stops.values()) == list(expected.values())
+    for program, stop in expected.items():
+        assert stops[program] == stops.get(program) == stop and program in stops
+        assert stops.get(program + "0") is None and stops.get(program + "1") is None
+    assert stops.get("0" * (length + 1)) is None
+    if length:
+        assert stops.get("1" * (length - 1)) is None
+    for stranger in ("2" * length, "b" * length, " 1"[:length], "0b"[:length], 5, None, b"0"):
+        if stranger not in expected:
+            assert stops.get(stranger) is None and stranger not in stops
+
+
+# random tables over programs of at most 4 bits, stop times up to 2^70: past
+# 2^64 - 1 the sweep keeps its stop times in a list
+small_tables = st.dictionaries(
+    st.sampled_from([bits_of_index(i) for i in range(1, 32)]),
+    st.one_of(st.integers(1, 64), st.integers(1, 2**70)),
+    max_size=12,
+).map(table_from_stops)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_tables, st.one_of(st.none(), st.integers(1, 2**64 - 1)))
+def test_stop_times_read_as_the_observed_dict(machine, horizon):
+    for length in range(5):
+        history = sweep(machine, length, horizon)
+        assert_stops_equal(history.stops, observed_stops(machine, length, horizon), length)
+
+
+@pytest.mark.parametrize(
+    "name", ["toy_vm", "loop_free_vm", "prefix_free_vm", "prefix_free_loop_free_vm"]
+)
+def test_builtin_stop_times_read_as_the_observed_dict(name, request):
+    machine = request.getfixturevalue(name)
+    horizon = None if is_transparent(machine) else 256
+    for length in range(11):
+        expected = observed_stops(machine, length, horizon)
+        assert_stops_equal(sweep(machine, length, horizon).stops, expected, length)
+
+
+def test_exact_sweep_keeps_a_stop_time_past_64_bits():
+    history = sweep(table_from_stops({"01": 2**70, "10": 3}), 2, None)
+    assert dict(history.stops) == {"01": 2**70, "10": 3}
+    assert list(history.stops.values()) == [2**70, 3]
+    rows = ["program,stop_time", "00,RUNNING", f"01,{2**70}", "10,3", "11,RUNNING", ""]
+    assert history_to_csv(history) == "\n".join(rows)
 
 
 def test_csv_matches_the_naive_join(toy_vm):
