@@ -55,10 +55,12 @@ def run_stream(
     the skipped output is only counted, by lowering output_cap by its
     length.
 
-    Raises ValueError unless 0 <= start <= total <= len(bits) and
-    output_cap >= 0, and OverflowError for a budget outside [0, 2^64 - 1].
-    Argument types are not checked; haltlab.machine.run checks them.
+    Raises TypeError unless bits is bytes and budget an int, ValueError
+    unless 0 <= start <= total <= len(bits) and output_cap >= 0, and
+    OverflowError for a budget outside [0, 2^64 - 1], as _stepper.c does.
     """
+    if not (isinstance(bits, bytes) and isinstance(budget, int)):
+        raise TypeError(f"need bytes bits and an int budget, got {type(bits)} and {type(budget)}")
     if not (0 <= start <= total <= len(bits) and output_cap >= 0):
         raise ValueError(
             f"need 0 <= start <= total <= len(bits) and output_cap >= 0, got "

@@ -14,14 +14,14 @@ Each subcommand has a handler _cmd_NAME(machine, args) that only builds its
 result: a dict, written as JSON (sorted keys, two-space indent), or a str,
 written as is (CSV). The writer prints every rational as a "num/den" string
 and every Interval as {hi, lo, width}. It appends the text to one list of
-parts and joins that list once, so a long listing is copied once. A program
-listing is a PairListing (haltlab.sweep), whose pairs are made one at a time
-from the sweeps' stop-time arrays, or a non-empty list or tuple of (str,
-int) pairs. It is written with one "%" template per pair at its indent, one
-part per block of _PAIR_BLOCK pairs taken from one pass over it, so no
-block's strings outlive it. main loads the machine, builds the whole text
-and only then writes it, so stdout stays empty on any error, an int too long
-to print included.
+parts and never joins them: main hands the list to sys.stdout.writelines, so
+a long listing is never held twice. A program listing is a PairListing
+(haltlab.sweep), whose pairs are made one at a time from the sweeps' stop-time
+arrays; it is written with one "%" template per pair at its indent, one part
+per block of _PAIR_BLOCK pairs taken from one pass over it, so no block's
+strings outlive it. Any other list is written item by item. main loads the
+machine and builds every part before it writes the first, so stdout stays
+empty on any error, an int too long to print included.
 The library applies the one budget policy (haltlab.machine.check_budget) to
 --budget: opaque machines need a positive budget, transparent machines are
 read exactly and take none, and run() refuses budgets above 2^64 - 1.
@@ -60,20 +60,20 @@ from haltlab.sweep import (
 _PAIR_BLOCK = 4096
 
 
-def _json(payload: dict) -> str:
+def _json(payload: dict) -> list[str]:
     """json.dumps(payload, sort_keys=True, indent=2) and a newline, for the
     types a handler returns: dict with str keys, list, tuple, str, int, bool,
-    None, and Fraction and Interval as the module docstring says. All the
-    text goes into one list of parts, the newline last, joined once. The
-    result is the whole text: an int past the digit limit raises here, before
-    main writes anything, so stdout stays empty."""
+    None, and Fraction and Interval as the module docstring says. The result
+    is the whole text as a list of parts, the newline last: an int past the
+    digit limit raises here, before main writes anything, so stdout stays
+    empty."""
     parts: list[str] = []
     try:
         _json_parts(payload, "\n", parts)
     except ValueError as exc:  # an int past Python's int-to-str digit limit
         raise digit_limit_error() from exc
     parts.append("\n")
-    return "".join(parts)
+    return parts
 
 
 def _json_parts(value: object, newline: str, parts: list[str]) -> None:
@@ -98,11 +98,7 @@ def _json_parts(value: object, newline: str, parts: list[str]) -> None:
         raise TypeError(f"cannot write a {kind.__name__} (or its keys) as JSON")
     elif not value:
         parts.append("{}" if kind is dict else "[]")
-    elif kind is PairListing or kind is not dict and all(
-        type(item) is tuple and len(item) == 2
-        and type(item[0]) is str and type(item[1]) is int
-        for item in value
-    ):
+    elif kind is PairListing:
         _pairs_parts(value, newline, parts)
     else:
         brackets, heads = "[]", [""] * len(value)
@@ -119,8 +115,8 @@ def _json_parts(value: object, newline: str, parts: list[str]) -> None:
         parts.append(newline + brackets[1])
 
 
-def _pairs_parts(pairs: list | tuple | PairListing, newline: str, parts: list[str]) -> None:
-    """_json_parts of a non-empty listing of (str, int) 2-tuples."""
+def _pairs_parts(pairs: PairListing, newline: str, parts: list[str]) -> None:
+    """_json_parts of a non-empty PairListing."""
     inner = newline + "  "
     item = inner + "  "
     pair = "[" + item + "%s," + item + "%s" + inner + "]"
@@ -180,7 +176,7 @@ def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
     payload = {
         "config": config,
         "space_size": history.space_size,
-        "stops": PairListing(((history.stops, None),), len(history.stops)),
+        "stops": PairListing(((history, None),), len(history.times)),
         "eventual_fraction": eventual_fraction(history),
         "prob_exact": prob_exact(history),
         "prob_by": prob_by(history),
@@ -388,11 +384,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         machine = load_machine(args.machine)
         result = args.handler(machine, args)
-        text = _json(result) if isinstance(result, dict) else result
+        parts = _json(result) if isinstance(result, dict) else [result]
     except HaltlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    sys.stdout.write(text)
+    sys.stdout.writelines(parts)
     return 0
 
 

@@ -29,7 +29,7 @@ from haltlab.machine import (
     run,
     time_wrap,
 )
-from haltlab.sweep import _scan, check_enum_cap
+from haltlab.sweep import _scan
 
 RANDOM = "random"
 NONRANDOM = "nonrandom"
@@ -44,7 +44,6 @@ def min_index_map(machine: Machine, cap: int, budget: int | None) -> dict[str, i
     """
     if cap < 0:
         raise ConfigError(f"cap must be >= 0, got {cap}")
-    check_enum_cap(max(0, cap.bit_length() - 1))
     found: dict[str, int] = {}
     for n, (_, output) in _scan(machine, 1, cap + 1, budget):
         if output not in found:

@@ -110,8 +110,7 @@ def _exclusion_report(
     candidates: list[tuple[str, int]] = []
     end = None if horizon is None else horizon + 1
     for length in swept:
-        stops = sweep(machine, length, budget).stops
-        candidates.extend(stops.pairs(exclusion_threshold(length), end))
+        candidates.extend(sweep(machine, length, budget).pairs(exclusion_threshold(length), end))
     violations = []
     unresolved = []
     for program, stop in candidates:

@@ -67,7 +67,7 @@ def domain_prob_curve(
         if is_total(machine):
             count = 2**length
         else:
-            count = len(sweep(machine, length, budget).stops)
+            count = len(sweep(machine, length, budget).times)
         points.append(
             ProbCurvePoint(
                 length=length, halting=count, total=2**length, exact=budget is None

@@ -136,7 +136,6 @@ def _tail_sum(
             Fraction(0),
         )
         return Interval.exact(total)
-    check_enum_cap(max(0, (start + count - 1).bit_length() - 1))
     hits = dict(_scan(machine, start, start + count, budget))  # count is small
     total = slack = Fraction(0)
     for i in range(start, start + count):
@@ -331,8 +330,8 @@ def split_halting_set(
     check_budget(machine, budget)
     check_enum_cap(max_len)  # before any sweep of the shorter lengths
     cutoffs = {n: 2 ** tail_threshold(dist, k + n + 2) for n in range(1, max_len + 1)}
-    runs = [sweep(machine, n, budget).stops for n in range(1, max_len + 1)]
-    residual = tuple(pair for stops in runs for pair in stops.pairs(cutoffs[stops.length]))
+    histories = [sweep(machine, n, budget) for n in range(1, max_len + 1)]
+    residual = tuple(pair for h in histories for pair in h.pairs(cutoffs[h.length]))
     measure_hi = sum(
         (Fraction(1, 2 ** len(p)) * dist.mass(t).hi for p, t in residual),
         Fraction(0),
@@ -345,8 +344,8 @@ def split_halting_set(
     return HaltSplit(
         cutoffs=cutoffs,
         computable=PairListing(
-            tuple((stops, cutoffs[stops.length]) for stops in runs),
-            sum(map(len, runs)) - len(residual),
+            tuple((h, cutoffs[h.length]) for h in histories),
+            sum(len(h.times) for h in histories) - len(residual),
         ),
         residual=residual,
         residual_measure_hi=measure_hi,

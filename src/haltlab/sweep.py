@@ -2,12 +2,13 @@
 
 A sweep observes every length-N program, in index order, and records the stop
 times of those seen halting. With a step horizon T it runs each program for at
-most T steps; with no horizon it reads a transparent machine exactly. sweep()
-is the package's one enumeration of a program length, so every per-length
-census also goes through its enumeration cap. The enumeration is lazy, one
-program at a time, and a sweep keeps no program strings: two index-ordered
-arrays hold each halting program's offset within its length and its stop
-time (StopTimes), and a program's string is made again only where it is read.
+most T steps; with no horizon it reads a transparent machine exactly. _scan
+is the package's one loop over an index range of programs: sweep,
+complexity.min_index_map and runtime_dist's tail sum run on it, and it checks
+the enumeration cap before its first program. A sweep's result is one plain
+record, HaltingHistory: two index-ordered arrays in step, each halting
+program's offset within its length and its stop time. It keeps no program
+strings; pairs() makes a program's string again only where it is read.
 
 For a sweep with horizon T the associated product space is {0,1}^N x {1..T}
 with the uniform measure 2^-N * 1/T; prob_exact and prob_by are measures of
@@ -20,8 +21,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_left
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -56,33 +56,20 @@ def check_enum_cap(length: int) -> None:
         )
 
 
-class StopTimes(Mapping[str, int]):
-    """Read-only map program -> stop time of one length's halting programs,
-    in index order. Two sparse arrays in step back it, each program's offset
-    within its length and its stop time; strings are made only when read."""
+@dataclass(frozen=True)
+class HaltingHistory:
+    """Result of one sweep: the halting length-N programs in index order, as
+    two arrays in step, each program's offset within its length and its stop
+    time. horizon None marks an exact sweep of a transparent machine."""
 
-    def __init__(self, length: int, offsets: array, times: array | list) -> None:
-        self.length, self.offsets, self.times = length, offsets, times
+    length: int
+    horizon: int | None
+    offsets: array
+    times: array | list  # a list once a stop time is past 2^64 - 1
 
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-    def __iter__(self) -> Iterator[str]:
-        return (program for program, _ in self.pairs())
-
-    def __getitem__(self, program: str) -> int:
-        if isinstance(program, str) and len(program) == self.length and not program.strip("01"):
-            offset = int("1" + program, 2) - (1 << self.length)
-            at = bisect_left(self.offsets, offset)  # the offsets ascend
-            if at < len(self) and self.offsets[at] == offset:
-                return self.times[at]
-        raise KeyError(program)
-
-    def items(self) -> ItemsView[str, int]:
-        return _StopItems(self)
-
-    def values(self) -> ValuesView[int]:
-        return _StopValues(self)
+    @property
+    def space_size(self) -> int:
+        return 2**self.length
 
     def pairs(self, lo: int = 0, hi: int | None = None) -> Iterator[tuple[str, int]]:
         """(program, stop time) in index order for the times in [lo, hi), hi
@@ -104,44 +91,19 @@ class StopTimes(Mapping[str, int]):
         yield from repeat(fill, (1 << self.length) - at)
 
 
-class _StopItems(ItemsView):
-    def __iter__(self) -> Iterator[tuple[str, int]]:
-        return self._mapping.pairs()
-
-
-class _StopValues(ValuesView):
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._mapping.times)
-
-
 @dataclass(frozen=True)
 class PairListing:
-    """The pairs of several StopTimes in turn, each one's below its cutoff
+    """The pairs of several histories in turn, each one's below its cutoff
     (all when None), made anew on each pass; size is their number."""
 
-    runs: tuple[tuple[StopTimes, int | None], ...]
+    runs: tuple[tuple[HaltingHistory, int | None], ...]
     size: int
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self) -> Iterator[tuple[str, int]]:
-        return chain.from_iterable(stops.pairs(0, cutoff) for stops, cutoff in self.runs)
-
-
-@dataclass(frozen=True)
-class HaltingHistory:
-    """Result of one sweep: stop times of all halting length-N programs, in
-    index order, kept as a StopTimes. horizon None marks an exact sweep of a
-    transparent machine."""
-
-    length: int
-    horizon: int | None
-    stops: StopTimes
-
-    @property
-    def space_size(self) -> int:
-        return 2**self.length
+        return chain.from_iterable(history.pairs(0, cutoff) for history, cutoff in self.runs)
 
 
 def all_programs(length: int) -> Iterator[str]:
@@ -152,7 +114,10 @@ def all_programs(length: int) -> Iterator[str]:
 
 def _scan(machine: Machine, lo: int, hi: int, budget: int | None) -> Iterator[tuple]:
     """(index, (stop time, output)) of each index in [lo, hi) whose program
-    is seen halting, in index order: one observe() per program."""
+    is seen halting, in index order: one observe() per program. The longest
+    program, that of index hi - 1, goes through the enumeration cap before
+    the first one runs."""
+    check_enum_cap(max(0, (hi - 1).bit_length() - 1))
     for index in range(lo, hi):
         hit = observe(machine, bin(index)[3:], budget)
         if hit is not None:
@@ -166,7 +131,6 @@ def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
         raise ConfigError(f"length must be >= 0, got {length}")
     if horizon is not None and horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    check_enum_cap(length)
     top = 2**length
     offsets, times = array("Q"), array("Q")
     for index, (stop, _) in _scan(machine, top, 2 * top, horizon):
@@ -175,7 +139,7 @@ def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
             times.append(stop)
         except OverflowError:  # past 2^64 - 1: only a table's exact stop time
             times = [*times, stop]
-    return HaltingHistory(length=length, horizon=horizon, stops=StopTimes(length, offsets, times))
+    return HaltingHistory(length, horizon, offsets, times)
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +153,19 @@ def _horizon(history: HaltingHistory) -> int:
 
 def prob_exact(history: HaltingHistory) -> Fraction:
     """Measure of {(p, t) : p stops exactly at t} in the product space."""
-    return Fraction(len(history.stops), history.space_size * _horizon(history))
+    return Fraction(len(history.times), history.space_size * _horizon(history))
 
 
 def prob_by(history: HaltingHistory) -> Fraction:
     """Measure of {(p, t) : p has stopped by t} in the product space."""
     horizon = _horizon(history)
-    weight = sum(horizon - t + 1 for t in history.stops.values())
+    weight = sum(horizon - t + 1 for t in history.times)
     return Fraction(weight, history.space_size * horizon)
 
 
 def eventual_fraction(history: HaltingHistory) -> Fraction:
     """Fraction of programs observed halting within the horizon."""
-    return Fraction(len(history.stops), history.space_size)
+    return Fraction(len(history.times), history.space_size)
 
 
 @dataclass(frozen=True)
@@ -223,15 +187,15 @@ def conditional_probs(history: HaltingHistory, t0: int, t1: int | None = None) -
         raise ConfigError(f"t0 must be in [0, {horizon}], got {t0}")
     if t1 is not None and not t0 < t1 <= horizon:
         raise ConfigError(f"t1 must be in ({t0}, {horizon}], got {t1}")
-    survivors = history.space_size - sum(1 for t in history.stops.values() if t <= t0)
+    survivors = history.space_size - sum(1 for t in history.times if t <= t0)
     if survivors == 0:
         raise UndefinedConditionalError(
             f"every program stopped by t0={t0}; the conditional is undefined"
         )
-    later = sum(1 for t in history.stops.values() if t > t0)
+    later = sum(1 for t in history.times if t > t0)
     by_t1 = None
     if t1 is not None:
-        by_t1 = Fraction(sum(1 for t in history.stops.values() if t0 < t <= t1), survivors)
+        by_t1 = Fraction(sum(1 for t in history.times if t0 < t <= t1), survivors)
     return ConditionalReport(
         t0=t0,
         t1=t1,
@@ -249,7 +213,7 @@ def history_to_csv(history: HaltingHistory) -> str:
     """One row per program in index order; running programs marked RUNNING.
     The rows are joined in blocks of CSV_BLOCK and the blocks once more, so
     one block's rows are freed before the next block is made."""
-    rows_made = zip(all_programs(history.length), history.stops.column("RUNNING"))
+    rows_made = zip(all_programs(history.length), history.column("RUNNING"))
     blocks = ["program,stop_time"]
     while rows := [f"{p},{t}" for p, t in islice(rows_made, CSV_BLOCK)]:
         blocks.append("\n".join(rows))
@@ -271,7 +235,7 @@ def history_to_matrix(history: HaltingHistory) -> dict:
     horizon = _horizon(history)
     check_matrix_cells(history.length, horizon)
     rows = []
-    for program, stop in zip(all_programs(history.length), history.stops.column(None)):
+    for program, stop in zip(all_programs(history.length), history.column(None)):
         cells = [
             "h" if stop is not None and t >= stop else ""
             for t in range(1, horizon + 1)

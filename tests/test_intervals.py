@@ -27,5 +27,5 @@ def test_point_intervals():
 
 
 def test_string_form_never_floats():
-    written = json.loads(_json({"p": Interval(Fraction(1, 3), Fraction(1, 2))}))
+    written = json.loads("".join(_json({"p": Interval(Fraction(1, 3), Fraction(1, 2))})))
     assert written["p"] == {"hi": "1/2", "lo": "1/3", "width": "1/6"}

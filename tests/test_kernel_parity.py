@@ -265,6 +265,10 @@ BAD_ARGUMENTS = [
     ("output-cap-negative", (b"0101", 0, 4, False, True, 64, -1), ValueError),
     ("budget-negative", (b"0101", 0, 4, False, True, -1, 16), OverflowError),
     ("budget-over-64-bits", (b"0101", 0, 4, False, True, 2**64, 16), OverflowError),
+    ("bits-str", ("0010", 0, 4, False, True, 64, 16), TypeError),
+    ("bits-bytearray", (bytearray(b"0010"), 0, 4, False, True, 64, 16), TypeError),
+    ("budget-float", (b"0010", 0, 4, False, True, 64.0, 16), TypeError),
+    ("budget-str", (b"0010", 0, 4, False, True, "64", 16), TypeError),
 ]
 
 

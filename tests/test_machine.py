@@ -152,7 +152,7 @@ def test_time_wrap_exhaustive_short(toy_vm):
 def test_halting_set_is_prefix_free(prefix_free_vm):
     halting = []
     for length in range(1, 11):
-        halting.extend(sweep(prefix_free_vm, length, 4096).stops)
+        halting.extend(program for program, _ in sweep(prefix_free_vm, length, 4096).pairs())
     halting_set = set(halting)
     for p in halting:
         for q in halting_set:

@@ -273,7 +273,7 @@ def test_split_covers_and_respects_cutoffs(toy_vm):
 
     expected = {}
     for n in range(1, 7):
-        expected.update(sweep(toy_vm, n, 4096).stops)
+        expected.update(sweep(toy_vm, n, 4096).pairs())
     assert seen == expected
     for program, stop in split.computable:
         assert stop < split.cutoffs[len(program)]

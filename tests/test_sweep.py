@@ -1,4 +1,5 @@
 from fractions import Fraction
+import importlib
 import tracemalloc
 
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from haltlab.machine import exact_run, is_transparent, machine_from_dict, observ
 from haltlab.sweep import (
     CSV_BLOCK,
     ENUM_CAP_ENV,
-    StopTimes,
     all_programs,
     conditional_probs,
     eventual_fraction,
@@ -31,7 +31,9 @@ def history1(table1):
 
 
 def test_recorded_stops(history1):
-    assert history1.stops == {"000": 1, "010": 15, "011": 8, "100": 14, "110": 1, "111": 16}
+    assert list(history1.pairs()) == [
+        ("000", 1), ("010", 15), ("011", 8), ("100", 14), ("110", 1), ("111", 16)
+    ]
 
 
 def test_product_space_measures(history1):
@@ -122,7 +124,7 @@ def test_sweep_holds_only_the_halting_programs(prefix_free_loop_free_vm):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(history.stops) < 2**14 // 16
+    assert len(history.times) < 2**14 // 16
     assert peak < 256 * 1024
 
 
@@ -136,24 +138,10 @@ def observed_stops(machine, length, horizon):
     return stops
 
 
-def assert_stops_equal(stops, expected, length):
-    """stops reads as the dict expected does, in the same order, and has no
-    entry for a program of another length or for a string that is no program."""
-    assert isinstance(stops, StopTimes)
-    assert dict(stops) == expected and stops == expected
-    assert len(stops) == len(expected)
-    assert list(stops) == list(expected)
-    assert list(stops.items()) == list(expected.items())
-    assert list(stops.values()) == list(expected.values())
-    for program, stop in expected.items():
-        assert stops[program] == stops.get(program) == stop and program in stops
-        assert stops.get(program + "0") is None and stops.get(program + "1") is None
-    assert stops.get("0" * (length + 1)) is None
-    if length:
-        assert stops.get("1" * (length - 1)) is None
-    for stranger in ("2" * length, "b" * length, " 1"[:length], "0b"[:length], 5, None, b"0"):
-        if stranger not in expected:
-            assert stops.get(stranger) is None and stranger not in stops
+def assert_stops_equal(history, expected):
+    """history lists the pairs of the dict expected, in the same order."""
+    assert list(history.pairs()) == list(expected.items())
+    assert list(history.times) == list(expected.values())
 
 
 # random tables over programs of at most 4 bits, stop times up to 2^70: past
@@ -170,7 +158,7 @@ small_tables = st.dictionaries(
 def test_stop_times_read_as_the_observed_dict(machine, horizon):
     for length in range(5):
         history = sweep(machine, length, horizon)
-        assert_stops_equal(history.stops, observed_stops(machine, length, horizon), length)
+        assert_stops_equal(history, observed_stops(machine, length, horizon))
 
 
 @pytest.mark.parametrize(
@@ -181,13 +169,12 @@ def test_builtin_stop_times_read_as_the_observed_dict(name, request):
     horizon = None if is_transparent(machine) else 256
     for length in range(11):
         expected = observed_stops(machine, length, horizon)
-        assert_stops_equal(sweep(machine, length, horizon).stops, expected, length)
+        assert_stops_equal(sweep(machine, length, horizon), expected)
 
 
 def test_exact_sweep_keeps_a_stop_time_past_64_bits():
     history = sweep(table_from_stops({"01": 2**70, "10": 3}), 2, None)
-    assert dict(history.stops) == {"01": 2**70, "10": 3}
-    assert list(history.stops.values()) == [2**70, 3]
+    assert_stops_equal(history, {"01": 2**70, "10": 3})
     rows = ["program,stop_time", "00,RUNNING", f"01,{2**70}", "10,3", "11,RUNNING", ""]
     assert history_to_csv(history) == "\n".join(rows)
 
@@ -197,16 +184,17 @@ def test_csv_matches_the_naive_join(toy_vm):
     every row."""
     history = sweep(toy_vm, 14, 16)
     assert 2**14 > 2 * CSV_BLOCK
+    stops = dict(history.pairs())
     lines = ["program,stop_time"]
     for program in all_programs(14):
-        stop = history.stops.get(program)
+        stop = stops.get(program)
         lines.append(f"{program},{stop if stop is not None else 'RUNNING'}")
     assert history_to_csv(history) == "\n".join(lines) + "\n"
 
 
 def test_stops_are_in_index_order(toy_vm, prefix_free_vm, table1):
     for machine, length in ((toy_vm, 8), (prefix_free_vm, 8), (table1, 3)):
-        programs = list(sweep(machine, length, 512).stops)
+        programs = [program for program, _ in sweep(machine, length, 512).pairs()]
         assert programs == sorted(programs, key=index_of_bits)
 
 
@@ -223,7 +211,7 @@ def test_exact_sweep_matches_exact_run(name, request):
             hit = exact_run(machine, program)
             if hit is not None:
                 expected[program] = hit[0]
-        assert list(history.stops.items()) == list(expected.items())
+        assert_stops_equal(history, expected)
 
 
 def test_exact_sweep_measures(loop_free_vm):
@@ -234,14 +222,14 @@ def test_exact_sweep_measures(loop_free_vm):
     assert history_to_csv(history).count("RUNNING") == 0
     # stops seen within a budget persist verbatim in the exact sweep
     budgeted = sweep(loop_free_vm, 3, 2)
-    assert budgeted.stops.items() <= history.stops.items()
+    assert set(budgeted.pairs()) <= set(history.pairs())
 
 
 def test_budget_extension(toy_vm):
     small = sweep(toy_vm, 6, 8)
     large = sweep(toy_vm, 6, 4096)
-    assert small.stops.items() <= large.stops.items()
-    assert len(large.stops) >= len(small.stops)
+    assert set(small.pairs()) <= set(large.pairs())
+    assert len(large.times) >= len(small.times)
 
 
 def test_enum_cap_refuses(monkeypatch, toy_vm):
@@ -274,6 +262,26 @@ def test_enum_cap_refuses_before_any_sweep(monkeypatch, toy_vm, table1):
     # lengths whose late stops lie past the horizon are not swept, so not refused
     assert density.exponential_stop_density(table1, 30, 2**12).holds
     assert max(length for _, length, _ in swept) == 3
+
+
+def test_enum_cap_refuses_in_the_scan(monkeypatch, toy_vm):
+    """The index-range enumerations outside sweep, the least-index map and
+    the tail sum, refuse past the cap before they observe any program."""
+    from haltlab import complexity, runtime_dist
+
+    sweep_module = importlib.import_module("haltlab.sweep")  # haltlab.sweep is the function
+    dist = runtime_dist.induced_distribution(toy_vm, budget=4096)
+    observed = []
+    monkeypatch.setattr(sweep_module, "observe", lambda *args: observed.append(args))
+    monkeypatch.setenv(ENUM_CAP_ENV, "6")
+    complexity.min_index_map.cache_clear()  # a cached map would not enumerate
+    for enumeration in (
+        lambda: complexity.min_index_map(toy_vm, 2**8, 64),
+        lambda: dist.tail_mass(2**10),
+    ):
+        with pytest.raises(ResourceLimitError):
+            enumeration()
+        assert observed == []
 
 
 def test_csv_golden(fixture_f):
