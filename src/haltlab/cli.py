@@ -26,7 +26,8 @@ The library applies the one budget policy (haltlab.machine.check_budget) to
 --budget: opaque machines need a positive budget, transparent machines are
 read exactly and take none, and run() refuses budgets above 2^64 - 1.
 Exit codes: 0 ok, 2 usage, 3 resource limit (also for a number too long to
-print), 4 degenerate distribution, 5 violated invariant.
+print), 4 degenerate distribution, 5 violated invariant; each error, a
+malformed command line too, is one "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ import sys
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
+from typing import NoReturn
 
 from haltlab import density as density_mod
 from haltlab import halting_prob, runtime_dist
 from haltlab.errors import ConfigError, HaltlabError, digit_limit_error
 from haltlab.intervals import Interval, format_fraction
-from haltlab.machine import Machine, is_transparent, load_machine, read_json, run
+from haltlab.machine import Machine, load_machine, read_json, run
 from haltlab.sweep import (
     PairListing,
     check_matrix_cells,
@@ -190,15 +192,8 @@ def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
 
 
 def _cmd_upsilon(machine: Machine, args: argparse.Namespace) -> dict:
-    if args.force and is_transparent(machine):
-        raise ConfigError("--force applies to opaque machines only")
-    interval = runtime_dist.halting_series(
-        machine, precision_bits=args.precision, budget=args.budget, force=args.force
-    )
-    config = _config(args, "precision", "budget")
-    if args.force:
-        config["force"] = True
-    return {"config": config, "normalizer": interval}
+    normalizer = runtime_dist.halting_series(machine, args.precision, args.budget)
+    return {"config": _config(args, "precision", "budget"), "normalizer": normalizer}
 
 
 def _cmd_threshold(machine: Machine, args: argparse.Namespace) -> dict:
@@ -289,7 +284,7 @@ def _cmd_probcurve(machine: Machine, args: argparse.Namespace) -> dict | str:
 
 def _cmd_decompose(machine: Machine, args: argparse.Namespace) -> dict:
     dist = _load_distribution(machine, args)
-    split = runtime_dist.split_halting_set(machine, dist, args.k, args.max_len, budget=args.budget)
+    split = runtime_dist.split_halting_set(dist, args.k, args.max_len)
     return {
         "config": _config(args, "k", "max_len", "precision", "budget", "distribution"),
         "kind": _kind(args),
@@ -321,8 +316,16 @@ def _add_distribution(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--distribution", default=None, help="user-table weight file")
 
 
+def _usage_error(parser: argparse.ArgumentParser, message: str) -> NoReturn:
+    raise ConfigError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    error = _usage_error  # no usage block; add_subparsers makes _Parsers too
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="haltlab",
         description="Empirical halting statistics with exact certificates.",
     )
@@ -341,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine(p)
     p.add_argument("--precision", type=int, default=runtime_dist.DEFAULT_PRECISION_BITS)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--force", action="store_true", help="lift the opaque precision cap")
     p.set_defaults(handler=_cmd_upsilon)
 
     p = sub.add_parser("threshold", help="tail-mass stopping horizon")
@@ -380,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         machine = load_machine(args.machine)
         result = args.handler(machine, args)
         parts = _json(result) if isinstance(result, dict) else [result]

@@ -34,7 +34,7 @@ from haltlab.complexity import (
     time_randomness,
     wrapper_witness,
 )
-from haltlab.errors import ConfigError, InvariantViolation, ResourceLimitError
+from haltlab.errors import ConfigError, InvariantViolation
 from haltlab.machine import (
     Machine,
     TableMachine,
@@ -42,8 +42,6 @@ from haltlab.machine import (
     check_budget,
 )
 from haltlab.sweep import check_enum_cap, sweep
-
-HORIZON_CAP = 2**26
 
 
 def stratum_average(m: int, s: int) -> Fraction:
@@ -177,10 +175,6 @@ def density_report(
         raise ConfigError(
             f"horizon {horizon} spans no full doubling past 2^{m}; "
             f"need horizon >= {2 ** (m + 1) - 1}"
-        )
-    if horizon > HORIZON_CAP:
-        raise ResourceLimitError(
-            f"horizon {horizon} exceeds the window cap {HORIZON_CAP}"
         )
     window_start = 2**m
     window_size = horizon - window_start + 1

@@ -36,7 +36,6 @@ class ProbCurvePoint:
 class ProbCurve:
     """Per-length halting fractions for lengths 1..max."""
 
-    budget: int | None
     points: tuple[ProbCurvePoint, ...]
 
     def to_csv(self) -> str:
@@ -73,4 +72,4 @@ def domain_prob_curve(
                 length=length, halting=count, total=2**length, exact=budget is None
             )
         )
-    return ProbCurve(budget=budget, points=tuple(points))
+    return ProbCurve(points=tuple(points))

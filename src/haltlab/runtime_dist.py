@@ -9,10 +9,10 @@ stopped by T" quantitatively informative.
 Every quantity is an Interval certificate. On machines with a finite domain
 the intervals are points; on an infinite transparent domain only series
 truncation widens them; on opaque machines unresolved runs contribute honest
-[0, w/budget] slack. The series, the distributions and the split apply the
-one budget policy (haltlab.machine.check_budget) themselves, so callers pass
-the budget through unchecked: none on a transparent machine, a positive one
-on an opaque machine.
+[0, w/budget] slack. The series and the distributions apply the one budget
+policy (haltlab.machine.check_budget) themselves, so callers pass the budget
+through unchecked: none on a transparent machine, a positive one on an opaque
+machine. The split takes its machine and budget from the distribution.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from haltlab.intervals import Interval
 from haltlab.machine import Machine, check_budget, finite_domain, observe
 from haltlab.sweep import PairListing, _scan, check_enum_cap, sweep
 
-OPAQUE_PRECISION_CAP = 16
 DEFAULT_PRECISION_BITS = 8
 # bits of a tail power ratio^e past which the T(k) search refuses: such a
 # power takes about 0.13 s to build, so one search stays within seconds
@@ -151,21 +150,15 @@ def _series_certificate(
     weights: GeometricTableWeights,
     precision_bits: int,
     budget: int | None,
-    force: bool = False,
 ) -> Interval:
     """Certified enclosure of sum of w(i)/t_i over halting indices, from the
-    first precision+2 indices. An opaque machine's precision is capped at
-    OPAQUE_PRECISION_CAP bits unless forced, and its budget must reach
-    2^(precision+2) so that the slack stays within the truncation tail."""
+    first precision+2 indices. An opaque machine's budget must reach
+    2^(precision+2), so that the slack stays within the truncation tail; as
+    run() takes no budget past 2^64 - 1, that bounds its precision at 61."""
     if precision_bits < 1:
         raise ConfigError(f"precision_bits must be >= 1, got {precision_bits}")
     check_budget(machine, budget)
     # after the policy check only an opaque machine has a budget
-    if budget is not None and precision_bits > OPAQUE_PRECISION_CAP and not force:
-        raise ConfigError(
-            f"opaque precision capped at {OPAQUE_PRECISION_CAP} bits "
-            "(cost grows as 2^precision)"
-        )
     terms = precision_bits + 2
     if budget is not None and budget.bit_length() <= terms:
         raise ConfigError(
@@ -179,10 +172,9 @@ def halting_series(
     machine: Machine,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     budget: int | None = None,
-    force: bool = False,
 ) -> Interval:
     """Normalizer certificate with width below 2^-precision_bits."""
-    interval = _series_certificate(machine, DYADIC, precision_bits, budget, force)
+    interval = _series_certificate(machine, DYADIC, precision_bits, budget)
     if interval.width >= Fraction(1, 2**precision_bits):
         raise InvariantViolation(
             f"series certificate width {interval.width} >= 2^-{precision_bits}"
@@ -313,24 +305,17 @@ class HaltSplit:
     residual_bound: Fraction
 
 
-def split_halting_set(
-    machine: Machine,
-    dist: RuntimeDistribution,
-    k: int,
-    max_len: int,
-    budget: int | None = None,
-) -> HaltSplit:
-    """Split halting pairs (p, t_p), 1 <= len(p) <= max_len, at the cutoff
-    t < 2^T(k + len(p) + 2) with T = tail_threshold; the remainder is
-    certified to carry little mass."""
+def split_halting_set(dist: RuntimeDistribution, k: int, max_len: int) -> HaltSplit:
+    """Split the halting pairs (p, t_p) of dist.machine within dist.budget,
+    1 <= len(p) <= max_len, at the cutoff t < 2^T(k + len(p) + 2) with
+    T = tail_threshold; the remainder is certified to carry little mass."""
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    check_budget(machine, budget)
     check_enum_cap(max_len)  # before any sweep of the shorter lengths
     cutoffs = {n: 2 ** tail_threshold(dist, k + n + 2) for n in range(1, max_len + 1)}
-    histories = [sweep(machine, n, budget) for n in range(1, max_len + 1)]
+    histories = [sweep(dist.machine, n, dist.budget) for n in range(1, max_len + 1)]
     residual = tuple(pair for h in histories for pair in h.pairs(cutoffs[h.length]))
     measure_hi = sum(
         (Fraction(1, 2 ** len(p)) * dist.mass(t).hi for p, t in residual),

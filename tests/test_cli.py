@@ -47,10 +47,13 @@ GOLDEN = [
      0, "cc7559e8d03ffd6a5b5e44ed0ebe35734fe514da81fb735fb6b26594a67f6512"),
     ("upsilon-opaque", "upsilon --machine builtin:toy-vm --precision 4 --budget 64",
      0, "58da98443c24636b2075d8daf7d0c8da651bceb92f76fb9508bd14389a6c0597"),
-    # --force lifts the opaque precision cap of 16 bits and is echoed
-    ("upsilon-opaque-force",
-     "upsilon --machine builtin:toy-vm --precision 17 --budget 524288 --force",
-     0, "e1e2e1ce1f0ef490e58bfaee642fbf0c743ca91994f9b59220e54e569785346d"),
+    # an opaque precision is bounded only by its budget, which must reach
+    # 2^(precision+2): 61 bits at most, as no budget passes 2^64 - 1
+    ("upsilon-opaque-precision-17",
+     "upsilon --machine builtin:toy-vm --precision 17 --budget 524288",
+     0, "58c89ca95efa430927469b3a827df51b4e4c0b5c9822aadde68526863cc80861"),
+    ("upsilon-opaque-precision-62",
+     "upsilon --machine builtin:toy-vm --precision 62 --budget 18446744073709551615", 2, EMPTY),
     ("threshold-table1", "threshold --machine fixtures/table1.json -k 3",
      0, "e07556ca06e0a731323a7b79b4403cf22d25843a5cf028bbcde94e4e8cbabe58"),
     ("threshold-user-table",
@@ -116,7 +119,12 @@ GOLDEN = [
      "density --machine builtin:loop-free-vm --mode exclusion --length 1 --horizon 9", 2, EMPTY),
     ("history-csv-t0",
      "history --machine builtin:toy-vm --length 2 --horizon 9 --t0 3 --format csv", 2, EMPTY),
+    # a malformed command line is a usage error too: one line, no usage block
     ("upsilon-force-transparent", "upsilon --machine fixtures/table1.json --force", 2, EMPTY),
+    ("usage-unknown-flag", "history --machine builtin:toy-vm --length 2 --horizon 9 --bogus",
+     2, EMPTY),
+    ("usage-bad-int", "upsilon --machine builtin:toy-vm --precision x --budget 64", 2, EMPTY),
+    ("usage-missing-required", "history --machine builtin:toy-vm --length 2", 2, EMPTY),
     # 16 programs x 65537 times is 16 cells past the matrix cap of 2^20
     ("history-matrix-too-large",
      "history --machine builtin:loop-free-vm --length 4 --horizon 65537 --format matrix",
@@ -155,12 +163,15 @@ GOLDEN = [
     # an exact stop time of 2^70 does not fit a sweep's 64-bit stop-time array
     ("probcurve-huge-stop", "probcurve --machine fixtures/huge_stop_table.json --max-len 3",
      0, "184b0c033bba1434ad079b05e8187bc52a6538684cb2f3bf8974242d433646a9"),
-    # threshold, decide and decompose have no --force: they refuse past the opaque cap
+    # the same precision and budget on both series of threshold: the induced
+    # normalizer equals upsilon's above, and T(2) = 4
     ("threshold-opaque-precision-cap",
-     "threshold --machine builtin:toy-vm -k 2 --precision 17 --budget 524288", 2, EMPTY),
+     "threshold --machine builtin:toy-vm -k 2 --precision 17 --budget 524288",
+     0, "dfa4ccea92276311c88fe6fdae73d3f5f2ea019b26c3c43436aae900f4776894"),
     ("threshold-user-table-precision-cap",
      "threshold --machine builtin:toy-vm -k 2 --precision 17 --budget 524288 "
-     "--distribution fixtures/dyadic_weights.json", 2, EMPTY),
+     "--distribution fixtures/dyadic_weights.json",
+     0, "3b7efddeba3d149384986e8de07675278f68c0b95148a9a4e2e475e1d01bdd08"),
 ]
 
 

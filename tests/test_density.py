@@ -19,6 +19,7 @@ from haltlab.density import (
 )
 from haltlab.errors import ConfigError, ResourceLimitError
 from haltlab.machine import Dispatcher, finite_domain, timed_table
+from haltlab.sweep import ENUM_CAP_ENV
 
 from conftest import table_from_stops
 
@@ -158,13 +159,19 @@ def test_density_window_counts_witnesses():
     assert report.holds  # sparse even with genuine witnesses in the window
 
 
-def test_density_window_validation(loop_free_vm, toy_vm):
+def test_density_window_validation(loop_free_vm, toy_vm, monkeypatch):
     with pytest.raises(ConfigError):
         density_report(loop_free_vm, 2, 2**9)  # no full doubling
     with pytest.raises(ConfigError):
         density_report(toy_vm, 2, 2**12)  # opaque without budget
+    # the enumeration cap is the one limit on a window: at m + s = 30 the
+    # witnesses run to 25-bit programs, past the default cap of 2^24
     with pytest.raises(ResourceLimitError):
-        density_report(loop_free_vm, 9, 2**27)
+        density_report(loop_free_vm, 9, 2**30)
+    # and it can be lowered: m + s = 26 needs 21-bit programs
+    monkeypatch.setenv(ENUM_CAP_ENV, "20")
+    with pytest.raises(ResourceLimitError):
+        density_report(loop_free_vm, 9, 2**26)
 
 
 def test_density_opaque_is_labeled(toy_vm):

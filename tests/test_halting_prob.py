@@ -61,7 +61,6 @@ def test_total_shortcut_matches_a_real_count(loop_free_vm):
 def test_opaque_points_are_lower_bounds(toy_vm, prefix_free_vm):
     for machine in (toy_vm, prefix_free_vm):
         curve = domain_prob_curve(machine, 6, budget=256)
-        assert curve.budget == 256
         assert not any(p.exact for p in curve.points)
         assert all(0 <= p.halting <= p.total == 2**p.length for p in curve.points)
 

@@ -64,13 +64,13 @@ def test_series_budget_rules(toy_vm, fixture_f):
         halting_series(fixture_f, 8, budget=100)  # transparent takes none
     with pytest.raises(ConfigError):
         halting_series(toy_vm, 8, budget=100)  # below 2^(8+2)
-    with pytest.raises(ConfigError) as refusal:
-        halting_series(toy_vm, 17, budget=2**19)  # over the opaque precision cap
-    assert "force" not in str(refusal.value)  # threshold, decide and decompose have none
-    # the user-table series has the same cap, and no way to lift it
+    # the budget rule is the one limit on an opaque precision, on both series
     with pytest.raises(ConfigError):
-        user_table_distribution(toy_vm, FAST_WEIGHTS, 17, budget=2**19)
-    assert halting_series(toy_vm, 17, budget=2**19, force=True).width < Fraction(1, 2**17)
+        halting_series(toy_vm, 17, budget=2**19 - 1)
+    with pytest.raises(ConfigError):
+        user_table_distribution(toy_vm, FAST_WEIGHTS, 17, budget=2**19 - 1)
+    assert halting_series(toy_vm, 17, budget=2**19).width < Fraction(1, 2**17)
+    assert user_table_distribution(toy_vm, FAST_WEIGHTS, 17, budget=2**19).budget == 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def test_weight_file_validation():
 
 def test_split_covers_and_respects_cutoffs(toy_vm):
     dist = induced_distribution(toy_vm, budget=4096)
-    split = split_halting_set(toy_vm, dist, 2, 6, budget=4096)
+    split = split_halting_set(dist, 2, 6)
     assert split.residual_measure_hi < split.residual_bound == Fraction(1, 8)
     seen = dict(split.computable) | dict(split.residual)
     assert not (set(dict(split.computable)) & set(dict(split.residual)))
@@ -286,10 +286,10 @@ def test_split_holds_its_pairs_in_arrays(toy_vm):
     entries, not as (str, int) tuples of about 127 bytes a pair: what it
     retains, per halting pair, stays far below that."""
     dist = induced_distribution(toy_vm, budget=4096)
-    split_halting_set(toy_vm, dist, 4, 6, budget=4096)  # warm the imports
+    split_halting_set(dist, 4, 6)  # warm the imports
     tracemalloc.start()
     try:
-        split = split_halting_set(toy_vm, dist, 4, 12, budget=4096)
+        split = split_halting_set(dist, 4, 12)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -305,16 +305,7 @@ def test_split_with_nonempty_residual():
     # time is itself in the domain so the residual mass is strictly positive
     machine = table_from_stops({"0": 1, "1": 5000, bits_of_index(5000): 7})
     dist = induced_distribution(machine)
-    split = split_halting_set(machine, dist, 5, 1)
+    split = split_halting_set(dist, 5, 1)
     assert split.cutoffs[1] <= 5000
     assert split.residual == (("1", 5000),)
     assert 0 < split.residual_measure_hi < split.residual_bound == Fraction(1, 64)
-
-
-def test_split_budget_rules(toy_vm, fixture_f):
-    dist = induced_distribution(fixture_f)
-    with pytest.raises(ConfigError):
-        split_halting_set(fixture_f, dist, 2, 2, budget=10)
-    opaque_dist = induced_distribution(toy_vm, budget=4096)
-    with pytest.raises(ConfigError):
-        split_halting_set(toy_vm, opaque_dist, 2, 2)

@@ -252,7 +252,7 @@ def test_enum_cap_refuses_before_any_sweep(monkeypatch, toy_vm, table1):
     monkeypatch.setenv(ENUM_CAP_ENV, "6")
     dist = runtime_dist.induced_distribution(toy_vm, budget=4096)
     for census in (
-        lambda: runtime_dist.split_halting_set(toy_vm, dist, 2, 7, budget=4096),
+        lambda: runtime_dist.split_halting_set(dist, 2, 7),
         lambda: density.exponential_stop_density(toy_vm, 7, 2**19, budget=4096),
         lambda: halting_prob.domain_prob_curve(toy_vm, 7, 4096),
     ):
