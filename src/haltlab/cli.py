@@ -121,13 +121,12 @@ def _pairs_parts(pairs: PairListing, newline: str, parts: list[str]) -> None:
     """_json_parts of a non-empty PairListing."""
     inner = newline + "  "
     item = inner + "  "
-    pair = "[" + item + "%s," + item + "%s" + inner + "]"
+    # a program is a bit string, so quoting it is all its JSON escaping does
+    pair = "[" + item + '"%s",' + item + "%s" + inner + "]"
     comma = "," + inner
     parts.append("[" + inner)
     pairs = iter(pairs)
-    while block := comma.join([
-        pair % (encode_basestring_ascii(p), t) for p, t in islice(pairs, _PAIR_BLOCK)
-    ]):
+    while block := comma.join([pair % pt for pt in islice(pairs, _PAIR_BLOCK)]):
         parts.append(block)
         parts.append(comma)
     parts[-1] = newline + "]"  # in place of the last block's comma

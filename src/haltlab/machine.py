@@ -23,11 +23,19 @@ A RunOutcome is a named tuple (halted, stop_time, output); every run that is
 not seen halting returns one shared instance, equal to RunOutcome.running().
 run() builds a halted one with tuple.__new__, skipping the generated
 __new__, and refuses a budget that is not an int in [0, MAX_BUDGET].
-A VM run whose output passes the fixed DEFAULT_OUTPUT_CAP bits is refused.
-It never says "never halts": not halting within the budget is all that can be
-observed. Machines whose halting is decidable by construction
-(tables, loop-free VM variants, dispatchers over those) are "transparent" and
-additionally support exact_run / finite_domain.
+run() dispatches on the exact machine class (a subclass is an unknown
+machine) and runs a VM program in its own body: one kernel call on the core
+after the wrappers. A VM run whose output passes the fixed DEFAULT_OUTPUT_CAP
+bits is refused. It never says "never halts": not halting within the budget
+is all that can be observed. Machines whose halting is decidable by
+construction (tables, loop-free VM variants, dispatchers over those) are
+"transparent" and additionally support exact_run / finite_domain.
+
+exact_run() on a loop-free VM is one run() at LOOP_FREE_STEP_CAP. When a
+prefix-free program is not seen halting, exact_run() repeats that kernel call
+at the cap to tell certain divergence from a cap too small: the RunOutcome
+does not carry the kernel's status. ROADMAP item 4 drops the repeat once the
+benchmark stops pinning the kernel's call count.
 
 observe() reads one program either way: exactly (no budget, transparent
 machines only) or within a step budget. check_budget() is the policy for
@@ -44,6 +52,7 @@ from typing import NamedTuple, Union
 from haltlab import vm
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError
+from haltlab.vm import DIVERGED, HALTED, OUTPUT_LIMIT
 
 TIME_WRAP_EXTRA_BITS = 2
 TIME_WRAP_STEP_OVERHEAD = 1
@@ -144,49 +153,14 @@ def time_wrap(program: str) -> str:
 def is_transparent(machine: Machine) -> bool:
     """Whether halting is decidable by construction: tables, loop-free VMs,
     and dispatchers over transparent machines. All others are opaque."""
-    if isinstance(machine, TableMachine):
+    kind = type(machine)
+    if kind is TableMachine:
         return True
-    if isinstance(machine, (ToyVM, PrefixFreeVM)):
+    if kind is ToyVM or kind is PrefixFreeVM:
         return machine.loop_free
-    if isinstance(machine, Dispatcher):
+    if kind is Dispatcher:
         return all(is_transparent(sub) for sub in machine.submachines)
     raise ConfigError(f"unknown machine {machine!r}")
-
-
-def _run_vm(machine: ToyVM | PrefixFreeVM, program: str, budget: int) -> RunOutcome:
-    prefix_free = isinstance(machine, PrefixFreeVM)
-    n = len(program)
-    # each pair of leading ones is one "11" mode field
-    depth = (n - len(program.lstrip("1"))) // 2
-    pos = 2 * depth
-    core_budget = budget - depth * TIME_WRAP_STEP_OVERHEAD
-    if core_budget < 1:
-        return _NOT_HALTED
-    if n - pos < 2:
-        # program ends inside a mode field
-        if prefix_free:
-            return _NOT_HALTED
-        status, stop, out = vm.HALTED, 1, b""
-    else:
-        status, stop, out = vm.run_stream(
-            program.encode("ascii"),
-            pos + 2,
-            n,
-            prefix_free,
-            not machine.loop_free,
-            core_budget,
-            DEFAULT_OUTPUT_CAP,
-        )
-    if status == vm.OUTPUT_LIMIT:
-        raise ResourceLimitError(f"output exceeded {DEFAULT_OUTPUT_CAP} bits at step {stop}")
-    if status != vm.HALTED:
-        return _NOT_HALTED
-    output = out.decode("ascii")
-    while depth:
-        output = bits_of_index(stop)
-        stop += TIME_WRAP_STEP_OVERHEAD
-        depth -= 1
-    return _new_outcome(RunOutcome, (True, stop, output))
 
 
 def _route(dispatcher: Dispatcher, program: str) -> tuple[Machine, str] | None:
@@ -204,14 +178,43 @@ def run(machine: Machine, program: str, budget: int) -> RunOutcome:
         raise ConfigError(f"program must be a bit string, got {program!r}")
     if not isinstance(budget, int) or not 0 <= budget <= MAX_BUDGET:
         raise ConfigError(f"budget must be an int in [0, 2^64 - 1], got {budget!r}")
-    if isinstance(machine, (ToyVM, PrefixFreeVM)):
-        return _run_vm(machine, program, budget)
-    if isinstance(machine, TableMachine):
+    kind = type(machine)
+    if kind is PrefixFreeVM or kind is ToyVM:
+        n = len(program)
+        # each pair of leading ones is one "11" mode field; the core starts
+        # after the mode field that follows the wrappers
+        depth = (n - len(program.lstrip("1"))) // 2
+        start = 2 * depth + 2
+        core_budget = budget - depth * TIME_WRAP_STEP_OVERHEAD
+        if core_budget < 1:
+            return _NOT_HALTED
+        if start <= n:
+            status, stop, out = vm.run_stream(
+                program.encode(), start, n, kind is PrefixFreeVM, not machine.loop_free,
+                core_budget, DEFAULT_OUTPUT_CAP,
+            )
+            if status != HALTED:
+                if status == OUTPUT_LIMIT:
+                    raise ResourceLimitError(
+                        f"output exceeded {DEFAULT_OUTPUT_CAP} bits at step {stop}"
+                    )
+                return _NOT_HALTED
+            output = out.decode()
+        elif kind is PrefixFreeVM:
+            return _NOT_HALTED  # the program ends inside a mode field
+        else:
+            stop, output = 1, ""
+        while depth:
+            output = bits_of_index(stop)
+            stop += TIME_WRAP_STEP_OVERHEAD
+            depth -= 1
+        return _new_outcome(RunOutcome, (True, stop, output))
+    if kind is TableMachine:
         hit = machine.lookup(program)
         if hit is not None and hit[0] <= budget:
             return _new_outcome(RunOutcome, (True, hit[0], hit[1]))
         return _NOT_HALTED
-    if isinstance(machine, Dispatcher):
+    if kind is Dispatcher:
         routed = _route(machine, program)
         return _NOT_HALTED if routed is None else run(*routed, budget)
     raise ConfigError(f"unknown machine {machine!r}")
@@ -219,28 +222,36 @@ def run(machine: Machine, program: str, budget: int) -> RunOutcome:
 
 def exact_run(machine: Machine, program: str) -> tuple[int, str] | None:
     """Exact (stop_time, output) on a transparent machine, None = never halts."""
-    if isinstance(machine, (ToyVM, PrefixFreeVM)):
+    kind = type(machine)
+    if kind is PrefixFreeVM or kind is ToyVM:
         if not machine.loop_free:
             raise ConfigError("exact_run requires a transparent machine")
-        outcome = run(machine, program, LOOP_FREE_STEP_CAP)
-        if outcome.halted:
-            return (outcome.stop_time, outcome.output)
-        if isinstance(machine, PrefixFreeVM):
-            # loop-free + strict discipline: not halting within the cap can
-            # only be certain divergence (truncation / early END / past-end)
-            # or a SPIN burn larger than the cap; tell the two apart honestly
-            if _certainly_diverges_loop_free(machine, program):
+        halted, stop, output = run(machine, program, LOOP_FREE_STEP_CAP)
+        if halted:
+            return (stop, output)
+        if kind is PrefixFreeVM:
+            # loop-free + strict discipline: not halting within the cap is
+            # certain divergence (truncation / early END / past-end), which
+            # ends as DIVERGED within one pass over the stream, or a SPIN
+            # burn larger than the cap. run()'s kernel call is repeated at
+            # the cap to read its status (ROADMAP item 4 drops the repeat)
+            n = len(program)
+            start = (n - len(program.lstrip("1"))) // 2 * 2 + 2
+            if start > n or vm.run_stream(
+                program.encode(), start, n, True, False, LOOP_FREE_STEP_CAP, DEFAULT_OUTPUT_CAP
+            )[0] == DIVERGED:
                 return None
         raise ResourceLimitError(
             f"loop-free run of {program!r} exceeded {LOOP_FREE_STEP_CAP} steps"
         )
     # run() has checked a VM's program
     _check_bits(program, "program")
-    if isinstance(machine, TableMachine):
+    if kind is TableMachine:
         return machine.lookup(program)
+    if kind is not Dispatcher:
+        raise ConfigError(f"unknown machine {machine!r}")
     if not is_transparent(machine):
         raise ConfigError("exact_run requires a transparent machine")
-    # a transparent machine that is not a VM or a table is a dispatcher
     routed = _route(machine, program)
     return None if routed is None else exact_run(*routed)
 
@@ -266,28 +277,6 @@ def observe(machine: Machine, program: str, budget: int | None) -> tuple[int, st
         return exact_run(machine, program)
     outcome = run(machine, program, budget)
     return (outcome.stop_time, outcome.output) if outcome.halted else None
-
-
-def _certainly_diverges_loop_free(machine: PrefixFreeVM, program: str) -> bool:
-    """Repeat the kernel call of exact_run, at LOOP_FREE_STEP_CAP, to read
-    its status: the strict-discipline divergence cases end as DIVERGED within
-    one pass over the stream. As in _run_vm, the core starts two bits after
-    the wrappers, one per pair of leading ones. ROADMAP item 4 deletes the
-    repeat once the benchmark stops pinning kernel calls (item 2)."""
-    n = len(program)
-    pos = (n - len(program.lstrip("1"))) // 2 * 2
-    if n - pos < 2:
-        return True
-    status, _, _ = vm.run_stream(
-        program.encode("ascii"),
-        pos + 2,
-        n,
-        True,
-        not machine.loop_free,
-        LOOP_FREE_STEP_CAP,
-        DEFAULT_OUTPUT_CAP,
-    )
-    return status == vm.DIVERGED
 
 
 def finite_domain(machine: Machine) -> list[tuple[str, int, str]] | None:

@@ -5,10 +5,13 @@ times of those seen halting. With a step horizon T it runs each program for at
 most T steps; with no horizon it reads a transparent machine exactly. _scan
 is the package's one loop over an index range of programs: sweep,
 complexity.min_index_map and runtime_dist's tail sum run on it, and it checks
-the enumeration cap before its first program. A sweep's result is one plain
-record, HaltingHistory: two index-ordered arrays in step, each halting
-program's offset within its length and its stop time. It keeps no program
-strings; pairs() makes a program's string again only where it is read.
+the enumeration cap before its first program. It calls the machine itself,
+exact_run() or run() once per program, and reads the same (stop time,
+output) that haltlab.machine.observe() reads for one program. A sweep's
+result is one plain record, HaltingHistory: two index-ordered arrays in
+step, each halting program's offset within its length and its stop time. It
+keeps no program strings; pairs() makes a program's string again only where
+it is read.
 
 For a sweep with horizon T the associated product space is {0,1}^N x {1..T}
 with the uniform measure 2^-N * 1/T; prob_exact and prob_by are measures of
@@ -27,7 +30,7 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
-from haltlab.machine import Machine, observe
+from haltlab.machine import Machine, exact_run, run
 
 DEFAULT_ENUM_CAP_BITS = 24
 ENUM_CAP_ENV = "HALTLAB_ENUM_CAP"
@@ -114,14 +117,21 @@ def all_programs(length: int) -> Iterator[str]:
 
 def _scan(machine: Machine, lo: int, hi: int, budget: int | None) -> Iterator[tuple]:
     """(index, (stop time, output)) of each index in [lo, hi) whose program
-    is seen halting, in index order: one observe() per program. The longest
+    is seen halting, in index order: one exact_run() per program, or one
+    run() within the budget, as observe() reads one program. The longest
     program, that of index hi - 1, goes through the enumeration cap before
     the first one runs."""
     check_enum_cap(max(0, (hi - 1).bit_length() - 1))
-    for index in range(lo, hi):
-        hit = observe(machine, bin(index)[3:], budget)
-        if hit is not None:
-            yield index, hit
+    if budget is None:
+        for index in range(lo, hi):
+            hit = exact_run(machine, bin(index)[3:])
+            if hit is not None:
+                yield index, hit
+    else:
+        for index in range(lo, hi):
+            halted, stop, output = run(machine, bin(index)[3:], budget)
+            if halted:
+                yield index, (stop, output)
 
 
 def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:

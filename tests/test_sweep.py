@@ -8,10 +8,18 @@ import pytest
 
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
-from haltlab.machine import exact_run, is_transparent, machine_from_dict, observe
+from haltlab.machine import (
+    Dispatcher,
+    RunOutcome,
+    exact_run,
+    is_transparent,
+    machine_from_dict,
+    observe,
+)
 from haltlab.sweep import (
     CSV_BLOCK,
     ENUM_CAP_ENV,
+    _scan,
     all_programs,
     conditional_probs,
     eventual_fraction,
@@ -214,6 +222,30 @@ def test_exact_sweep_matches_exact_run(name, request):
         assert_stops_equal(history, expected)
 
 
+def test_scan_is_the_observe_loop(
+    toy_vm, loop_free_vm, prefix_free_vm, prefix_free_loop_free_vm, table1
+):
+    """_scan reads each index as observe() reads its program: exactly on a
+    transparent machine, within each budget on an opaque one, and it refuses
+    an output past the cap as observe() does."""
+    machines = [toy_vm, loop_free_vm, prefix_free_vm, prefix_free_loop_free_vm, table1]
+    for machine in machines + [Dispatcher((loop_free_vm, table1))]:
+        for budget in [None] if is_transparent(machine) else [1, 5, 64]:
+            expected = [
+                (i, hit)
+                for i in range(1, 2**11)
+                if (hit := observe(machine, bits_of_index(i), budget)) is not None
+            ]
+            assert expected
+            assert list(_scan(machine, 1, 2**11, budget)) == expected
+    program = "000111111110111001111110"  # passes DEFAULT_OUTPUT_CAP at step 81
+    index = index_of_bits(program)
+    with pytest.raises(ResourceLimitError, match="output exceeded"):
+        observe(toy_vm, program, 4096)
+    with pytest.raises(ResourceLimitError, match="output exceeded"):
+        list(_scan(toy_vm, index, index + 1, 4096))
+
+
 def test_exact_sweep_measures(loop_free_vm):
     history = sweep(loop_free_vm, 3, None)
     for measure in (prob_exact, prob_by, history_to_matrix, lambda h: conditional_probs(h, 1)):
@@ -272,7 +304,10 @@ def test_enum_cap_refuses_in_the_scan(monkeypatch, toy_vm):
     sweep_module = importlib.import_module("haltlab.sweep")  # haltlab.sweep is the function
     dist = runtime_dist.induced_distribution(toy_vm, budget=4096)
     observed = []
-    monkeypatch.setattr(sweep_module, "observe", lambda *args: observed.append(args))
+    monkeypatch.setattr(sweep_module, "exact_run", lambda *args: observed.append(args))
+    monkeypatch.setattr(
+        sweep_module, "run", lambda *args: observed.append(args) or RunOutcome.running()
+    )
     monkeypatch.setenv(ENUM_CAP_ENV, "6")
     complexity.min_index_map.cache_clear()  # a cached map would not enumerate
     for enumeration in (

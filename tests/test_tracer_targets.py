@@ -4,10 +4,15 @@ their results. A refactor that renames one of them breaks the benchmark run
 without any other test failing, so these checks read the tracer's own table.
 """
 
+import contextlib
 import importlib.util
+import io
 import pathlib
+import sys
 
-from haltlab import complexity, halting_prob
+import pytest
+
+from haltlab import _stepper_py, cli, complexity, halting_prob, machine as machine_module, vm
 from haltlab.machine import load_machine
 from haltlab.sweep import sweep
 
@@ -35,3 +40,41 @@ def test_traced_results_have_what_the_tracer_reads():
     assert sweep(machine, 3, 16).space_size == 8
     points = halting_prob.domain_prob_curve(machine, 2, 16).points
     assert [point.total for point in points] == [2, 4]
+
+
+@pytest.mark.skipif(vm.KERNEL_NAME != "pure", reason="counts the pure kernel's code object")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probcurve", "--machine", "builtin:prefix-free-loop-free-vm", "--max-len", "8"],
+        ["decompose", "--machine", "builtin:toy-vm", "-k", "4", "--max-len", "8",
+         "--budget", "4096"],
+        ["density", "--machine", "builtin:loop-free-vm", "--mode", "window", "--length", "1",
+         "--horizon", "4095"],
+    ],
+)
+def test_tracer_sees_every_fine_call(argv):
+    """Every call of the kernel, run() and exact_run() goes through the
+    tracer's wrappers. A call site that binds one of them where the tracer
+    cannot rebind it, in a default argument or a closure, is not counted, and
+    the benchmark's traced run then fails on its pinned counts."""
+    names = {
+        _stepper_py.run_stream.__code__: "vm.run_stream.calls",
+        machine_module.run.__code__: "machine.run.calls",
+        machine_module.exact_run.__code__: "machine.exact_run.calls",
+    }
+    made = dict.fromkeys(names.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            made[names[frame.f_code]] += 1
+
+    complexity.min_index_map.cache_clear()  # a cached map would run nothing
+    with tracer_layers().Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            sys.setprofile(None)
+    assert made["machine.run.calls"] > 0
+    assert {name: tracer.count(name) for name in made} == made
