@@ -9,8 +9,10 @@ the kernel interface. Every executed instruction costs one step.
 This kernel does not always take those steps one at a time. A taken LOOP
 jump whose iteration provably repeats forever adds every whole further
 iteration that fits under the budget and the output cap in one go (see
-run_stream). (status, steps, output) is exactly what stepping one at a time
-gives; the compiled kernel does step one at a time.
+run_stream). It also answers a call that agrees with its last run on the
+bytes that run read from that run's result, without stepping. (status,
+steps, output) is exactly what stepping one at a time gives; the compiled
+kernel keeps no state and does step one at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,23 @@ _ONE = 0x31  # ord("1")
 _BUDGET_MAX = 2**64 - 1  # the compiled kernel counts steps in 64 unsigned bits
 
 # opcode ids: a code word 0 1^j is opcode j for j <= 7
-_END, _OUT0, _OUT1, _DBL, _SPIN, _TIMER, _LOOP, _ZEROS, _INC = range(9)
+_END, _OUT0, _OUT1, _DBL, _SPIN, _TIMER, _LOOP, _ZEROS = range(8)
+
+# the last run: (key, bytes read, least and largest budget it holds for,
+# result), replaced whole, so a reader never sees parts of two runs
+_last: tuple = (None, b"", 1, 0, None)
+
+
+def _refuse(bits: object, start: int, total: int, budget: object, output_cap: int) -> None:
+    """Raise the error of the first rule of the argument contract broken."""
+    if not (isinstance(bits, bytes) and isinstance(budget, int)):
+        raise TypeError(f"need bytes bits and an int budget, got {type(bits)} and {type(budget)}")
+    if not (0 <= start <= total <= len(bits) and output_cap >= 0):
+        raise ValueError(
+            f"need 0 <= start <= total <= len(bits) and output_cap >= 0, got "
+            f"start={start}, total={total}, len={len(bits)}, output_cap={output_cap}"
+        )
+    raise OverflowError(f"budget must be in [0, 2^64 - 1], got {budget}")
 
 
 def run_stream(
@@ -55,19 +73,24 @@ def run_stream(
     the skipped output is only counted, by lowering output_cap by its
     length.
 
+    The last run is kept with the bytes it read, bits[start:reach], reach
+    one past the last byte decoded. A call with the same start, total,
+    flags and output_cap whose bits hold those bytes gets that run's result
+    tuple without stepping: at the same budget, or, when it ended HALTED or
+    DIVERGED, at any budget that still reaches its END or undecodable word.
+
     Raises TypeError unless bits is bytes and budget an int, ValueError
     unless 0 <= start <= total <= len(bits) and output_cap >= 0, and
     OverflowError for a budget outside [0, 2^64 - 1], as _stepper.c does.
     """
-    if not (isinstance(bits, bytes) and isinstance(budget, int)):
-        raise TypeError(f"need bytes bits and an int budget, got {type(bits)} and {type(budget)}")
-    if not (0 <= start <= total <= len(bits) and output_cap >= 0):
-        raise ValueError(
-            f"need 0 <= start <= total <= len(bits) and output_cap >= 0, got "
-            f"start={start}, total={total}, len={len(bits)}, output_cap={output_cap}"
-        )
-    if not 0 <= budget <= _BUDGET_MAX:
-        raise OverflowError(f"budget must be in [0, 2^64 - 1], got {budget}")
+    if not (isinstance(bits, bytes) and isinstance(budget, int) and 0 <= budget <= _BUDGET_MAX
+            and 0 <= start <= total <= len(bits) and output_cap >= 0):
+        _refuse(bits, start, total, budget, output_cap)
+    global _last
+    key = (start, total, prefix_free, allow_loops, output_cap)
+    last_key, read, least, most, result = _last
+    if last_key == key and least <= budget <= most and bits.startswith(read, start):
+        return result
     pc = consumed = start
     steps = acc = 0
     out = bytearray()
@@ -75,39 +98,50 @@ def run_stream(
     # only INC/OUT0/OUT1 ran since then
     jump_acc = jump_steps = jump_len = 0
     only_inc_out = True
+    # the budgets the result holds for: a RUNNING or OUTPUT_LIMIT run only
+    # its own; an END or an undecodable word every budget from its step on
+    least = most = budget
+    result = None
     while steps < budget:
         # fetch + decode; a read past the end, a truncated code word and a
         # LOOP outside the allowed subset leave the loop as undecodable
         if pc >= total:
             break
-        if bits[pc] == _ONE:
-            op = _INC
-            npc = pc + 1
-        else:
-            op = 0
-            i = pc + 1
-            while op < 7 and i < total and bits[i] == _ONE:
-                op += 1
-                i += 1
-            if op < 7 and i >= total:
-                break  # truncated code word
-            if op == _LOOP and not allow_loops:
-                break
-            npc = i if op == _ZEROS else i + 1
+        if bits[pc] == _ONE:  # INC, the instruction the workloads run most
+            pc += 1
+            if pc > consumed:
+                consumed = pc
+            steps += 1
+            if acc < ACC_SATURATION:
+                acc += 1
+            continue
+        op = 0
+        i = pc + 1
+        while op < 7 and i < total and bits[i] == _ONE:
+            op += 1
+            i += 1
+        if op < 7 and i >= total:
+            consumed = total  # truncated code word
+            break
+        if op == _LOOP and not allow_loops:
+            consumed = max(consumed, i + 1)
+            break
+        npc = i if op == _ZEROS else i + 1
         if npc > consumed:
             consumed = npc
         # execute, the instructions the workloads run most often first
         steps += 1
-        if op == _INC:
-            if acc < ACC_SATURATION:
-                acc += 1
-        elif op == _END:
+        if op == _END:
+            least, most = steps, _BUDGET_MAX
             if prefix_free and consumed != total:
-                return (DIVERGED, steps, None)
-            return (HALTED, steps, bytes(out))
-        elif op <= _OUT1:
+                result = (DIVERGED, steps, None)
+            else:
+                result = (HALTED, steps, bytes(out))
+            break
+        if op <= _OUT1:
             if len(out) >= output_cap:
-                return (OUTPUT_LIMIT, steps, None)
+                result = (OUTPUT_LIMIT, steps, None)
+                break
             out.append(0x2F + op)  # "0" for OUT0, "1" for OUT1
         elif op == _LOOP and acc > 0:
             acc -= 1
@@ -134,13 +168,16 @@ def run_stream(
                 acc = steps
             elif op == _ZEROS:
                 if acc > output_cap - len(out):
-                    return (OUTPUT_LIMIT, steps, None)
+                    result = (OUTPUT_LIMIT, steps, None)
+                    break
                 out.extend(b"0" * acc)
         pc = npc
     else:
-        return (RUNNING, steps, None)
-    # undecodable: plain halts one step later with empty output, prefix-free
-    # never halts
-    if prefix_free:
-        return (DIVERGED, steps, None)
-    return (HALTED, steps + 1, b"")
+        result = (RUNNING, steps, None)
+    if result is None:
+        # undecodable: plain halts one step later with empty output,
+        # prefix-free never halts
+        least, most = steps + 1, _BUDGET_MAX
+        result = (DIVERGED, steps, None) if prefix_free else (HALTED, steps + 1, b"")
+    _last = (key, bits[start:consumed], least, most, result)
+    return result

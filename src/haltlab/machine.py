@@ -34,8 +34,8 @@ construction (tables, loop-free VM variants, dispatchers over those) are
 exact_run() on a loop-free VM is one run() at LOOP_FREE_STEP_CAP. When a
 prefix-free program is not seen halting, exact_run() repeats that kernel call
 at the cap to tell certain divergence from a cap too small: the RunOutcome
-does not carry the kernel's status. ROADMAP item 4 drops the repeat once the
-benchmark stops pinning the kernel's call count.
+does not carry the kernel's status; the pure kernel answers it from its last
+run. ROADMAP item 5 drops the repeat once the benchmark stops pinning calls.
 
 observe() reads one program either way: exactly (no budget, transparent
 machines only) or within a step budget. check_budget() is the policy for
@@ -231,10 +231,10 @@ def exact_run(machine: Machine, program: str) -> tuple[int, str] | None:
             return (stop, output)
         if kind is PrefixFreeVM:
             # loop-free + strict discipline: not halting within the cap is
-            # certain divergence (truncation / early END / past-end), which
-            # ends as DIVERGED within one pass over the stream, or a SPIN
-            # burn larger than the cap. run()'s kernel call is repeated at
-            # the cap to read its status (ROADMAP item 4 drops the repeat)
+            # certain divergence, DIVERGED within one pass over the stream, or
+            # a SPIN burn larger than the cap. run()'s kernel call is repeated
+            # at the cap to read its status, which the pure kernel answers
+            # from its last run (ROADMAP item 5 drops the repeat)
             n = len(program)
             start = (n - len(program.lstrip("1"))) // 2 * 2 + 2
             if start > n or vm.run_stream(

@@ -5,7 +5,9 @@ _stepper.c by setup.py; the pure kernel is haltlab._stepper_py. Set
 HALTLAB_KERNEL=pure or HALTLAB_KERNEL=compiled to force a choice (the latter
 raises if the extension was not built). Both kernels implement the
 instruction set and the argument contract in docs/machine-isa.md with
-identical observable behavior.
+identical observable behavior. The pure kernel answers a call that agrees
+with its last run on the bytes that run read without stepping, with an
+unchanged (status, steps, output); the compiled one keeps no state.
 """
 
 from __future__ import annotations

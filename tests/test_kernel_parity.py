@@ -20,19 +20,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haltlab import _stepper_py, vm
+from haltlab import _stepper_py, complexity, vm
 from haltlab.errors import ConfigError
+from haltlab.halting_prob import domain_prob_curve
 from haltlab.machine import (
+    _BUILTINS as BUILTINS,
     LOOP_FREE_STEP_CAP,
     Dispatcher,
     PrefixFreeVM,
     RunOutcome,
     ToyVM,
     exact_run,
+    is_transparent,
+    load_machine,
     run,
 )
+from haltlab.sweep import sweep
 
-from oracles.ref_vm import ref_run
+from oracles.ref_vm import ref_run, run_core
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "haltlab"
 
@@ -279,3 +284,169 @@ def test_kernels_refuse_the_same_arguments(compiled, args, error):
     for kernel in (compiled, _stepper_py):
         with pytest.raises(error):
             kernel.run_stream(*args)
+
+
+# ---------------------------------------------------------------------------
+# the pure kernel's last run (docs/machine-isa.md, "Kernel interface")
+
+RUNNING, HALTED, DIVERGED, OUTPUT_LIMIT = (
+    _stepper_py.RUNNING, _stepper_py.HALTED, _stepper_py.DIVERGED, _stepper_py.OUTPUT_LIMIT
+)
+REF_STATUS = {"run": RUNNING, "halt": HALTED, "diverge": DIVERGED, "toolong": OUTPUT_LIMIT}
+
+
+def reference(stream, start, total, prefix_free, allow_loops, budget, output_cap):
+    """The kernel result that tests/oracles/ref_vm.py gives, fresh each time."""
+    status, steps, output = run_core(stream[start:total], prefix_free, allow_loops, budget, output_cap)
+    return REF_STATUS[status], steps, None if output is None else output.encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "stream, prefix_free, end, need",
+    [
+        (INC + INC + OUT1 + END, False, (HALTED, 4, b"1"), 4),
+        (INC + INC + OUT1 + END + INC, True, (DIVERGED, 4, None), 4),
+        # an undecodable word needs one step more than the steps taken
+        (INC + OUT0 + "01", False, (HALTED, 3, b""), 3),
+        (INC + OUT0 + "01", True, (DIVERGED, 2, None), 3),
+        (INC + LOOP, False, (HALTED, 2, b""), 2),
+    ],
+    ids=["end", "early-end", "truncated", "truncated-prefix-free", "loop-refused"],
+)
+def test_last_run_holds_from_the_budget_its_end_needs(stream, prefix_free, end, need):
+    raw = stream.encode("ascii")
+    args = (raw, 0, len(raw), prefix_free, False)
+    first = _stepper_py.run_stream(*args, 64, 16)
+    assert first == end == reference(stream, *args[1:], 64, 16)
+    assert _stepper_py.run_stream(*args, 2**64 - 1, 16) is first
+    assert _stepper_py.run_stream(*args, need, 16) is first
+    # one step short the run is still running, as a fresh run is
+    short = _stepper_py.run_stream(*args, need - 1, 16)
+    assert short == (RUNNING, need - 1, None) == reference(stream, *args[1:], need - 1, 16)
+
+
+def test_running_and_output_limit_hold_for_their_own_budget_only():
+    # INC OUT0 LOOP repeats: its skipped iterations end RUNNING or OUTPUT_LIMIT
+    args = (INC_OUT0_LOOP, 0, len(INC_OUT0_LOOP), False, True)
+    running = _stepper_py.run_stream(*args, 10, 16)
+    assert running == (RUNNING, 10, None)
+    assert _stepper_py.run_stream(*args, 10, 16) is running
+    assert _stepper_py.run_stream(*args, 11, 16) == (RUNNING, 11, None)
+    limited = _stepper_py.run_stream(*args, 64, 2)
+    assert limited == (OUTPUT_LIMIT, 8, None)
+    assert _stepper_py.run_stream(*args, 64, 2) is limited
+    larger = _stepper_py.run_stream(*args, 100, 2)
+    assert larger == limited and larger is not limited
+    assert _stepper_py.run_stream(*args, 7, 2) == (RUNNING, 7, None)
+
+
+@pytest.mark.parametrize(
+    "core, total, allow_loops, reach",
+    [
+        # a prefix-free END before the last byte: every tail gives DIVERGED
+        (INC + END + OUT1 + OUT0, 10, True, 3),
+        # a LOOP word that a loop-free variant refuses is read to its end
+        (INC + LOOP + OUT1, 13, False, 9),
+        # a word cut off by total is read to total, and no further
+        (INC + OUT0 + OUT1, 3, True, 3),
+    ],
+    ids=["early-end", "loop-refused", "truncated"],
+)
+@pytest.mark.parametrize("start", [0, 2])
+def test_last_run_holds_for_the_bytes_it_read_only(core, total, allow_loops, reach, start):
+    raw = ("11"[:start] + core).encode("ascii")
+    args = (start, start + total, True, allow_loops, 64, 16)
+    for at in range(len(raw)):
+        first = _stepper_py.run_stream(raw, *args)
+        assert first == reference(raw.decode(), *args)
+        changed = raw[:at] + (b"1" if raw[at] == ord("0") else b"0") + raw[at + 1 :]
+        got = _stepper_py.run_stream(changed, *args)
+        if at < start or at >= start + reach:
+            assert got is first, at
+        else:
+            assert got is not first and got == reference(changed.decode(), *args), at
+
+
+def test_a_call_that_would_be_answered_is_still_checked():
+    raw = (INC + END + OUT1 + OUT0).encode("ascii")
+    first = _stepper_py.run_stream(raw, 0, 10, False, True, 64, 16)
+    assert first == (HALTED, 2, b"")
+    assert _stepper_py.run_stream(raw[:9] + b"0", 0, 10, False, True, 64, 16) is first
+    for bits, budget, error in [
+        (raw[:9], 64, ValueError),  # holds the bytes read, but is shorter than total
+        (raw, 64.0, TypeError),
+        (bytearray(raw), 64, TypeError),
+    ]:
+        with pytest.raises(error):
+            _stepper_py.run_stream(bits, 0, 10, False, True, budget, 16)
+        assert _stepper_py.run_stream(raw, 0, 10, False, True, 64, 16) is first
+
+
+small_budgets = st.sampled_from([0, 1, 2, 3, 4, 5, 8, 13, 64, 500])
+small_caps = st.sampled_from([1, 2, 16, 1 << 20])
+
+
+@st.composite
+def call_sequences(draw):
+    """Kernel calls as a census makes them: each stream keeps a drawn prefix
+    of the one before, mostly at the same length, and the budget, the
+    flags and the cap change now and then."""
+    stream = draw(word_streams())
+    prefix_free, allow_loops = draw(st.booleans()), draw(st.booleans())
+    budget = draw(small_budgets)
+    output_cap = draw(small_caps)
+    calls = []
+    for _ in range(draw(st.integers(min_value=2, max_value=10))):
+        cut = draw(st.integers(0, len(stream)))
+        if draw(st.integers(0, 4)):
+            size = len(stream) - cut
+            stream = stream[:cut] + draw(st.text(alphabet="01", min_size=size, max_size=size))
+        else:
+            stream = stream[:cut] + draw(word_streams())
+        if draw(st.integers(0, 3)) == 0:
+            prefix_free, allow_loops = draw(st.booleans()), draw(st.booleans())
+        if draw(st.integers(0, 3)) == 0:
+            budget = draw(small_budgets)
+        if draw(st.integers(0, 5)) == 0:
+            output_cap = draw(small_caps)
+        start = draw(st.sampled_from([0, min(2, len(stream))]))
+        total = len(stream) if draw(st.integers(0, 3)) else draw(st.integers(start, len(stream)))
+        calls.append((stream, start, total, prefix_free, allow_loops, budget, output_cap))
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(call_sequences())
+def test_sequences_of_calls_match_the_stateless_reference(calls):
+    for stream, *args in calls:
+        got = _stepper_py.run_stream(stream.encode("ascii"), *args)
+        assert got == reference(stream, *args), (stream, args)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_census_is_the_same_on_both_kernels(compiled, monkeypatch, name):
+    """Every sweep, probability curve and witness map at N <= 12, run in
+    enumeration order, gets the same kernel results on the pure kernel,
+    which answers from its last run, as on the stateless compiled one."""
+    machine = load_machine("builtin:" + name)
+    budget = None if is_transparent(machine) else 4096
+
+    def census(kernel):
+        calls = []
+
+        def recorded(*args):
+            result = kernel.run_stream(*args)
+            calls.append((args, result))
+            return result
+
+        monkeypatch.setattr(vm, "run_stream", recorded)
+        complexity.min_index_map.cache_clear()
+        histories = [sweep(machine, length, budget) for length in range(13)]
+        curve = domain_prob_curve(machine, 12, budget)
+        witnesses = list(complexity.min_index_map(machine, 2**13 - 1, budget).items())
+        complexity.min_index_map.cache_clear()
+        return calls, histories, curve, witnesses
+
+    pure = census(_stepper_py)
+    assert len(pure[0]) > 8191
+    assert pure == census(compiled)
