@@ -186,7 +186,7 @@ def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
         config["t0"] = args.t0
         if args.t1 is not None:
             config["t1"] = args.t1
-        payload["conditional"] = vars(conditional_probs(history, args.t0, args.t1))
+        payload["conditional"] = conditional_probs(history, args.t0, args.t1)._asdict()
     return payload
 
 

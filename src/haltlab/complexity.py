@@ -11,9 +11,9 @@ found witness certifies "nonrandom" but absence of one only yields "unknown".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError
@@ -80,8 +80,7 @@ def wrapper_witness(machine: Machine, program: str, stop: int, budget: int | Non
     return index_of_bits(wrapped) if hit is not None and hit[1] == bits_of_index(stop) else None
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Stop-time compressibility check for one program."""
 
     program: str
@@ -113,8 +112,7 @@ def stop_time_bound_holds(machine: Machine, program: str, budget: int) -> BoundC
     return BoundCheck(program, True, stop, cap, witness, holds)
 
 
-@dataclass(frozen=True)
-class RandomStringDensity:
+class RandomStringDensity(NamedTuple):
     """Exact density of random strings of one length on a transparent machine."""
 
     length: int

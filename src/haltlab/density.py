@@ -21,8 +21,8 @@ upper bound and the density claim is left unverified.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.complexity import (
@@ -81,8 +81,7 @@ def exclusion_threshold(length: int) -> int:
     return 2 ** _exponent(length)
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
+class ExclusionReport(NamedTuple):
     """Randomness verdicts for stop times past the exclusion threshold."""
 
     candidates: tuple[tuple[str, int], ...]
@@ -134,8 +133,7 @@ def random_stop_report(
     return _exclusion_report(machine, (length,), None, budget)
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Random-time census over the window [2^m, horizon]."""
 
     m: int

@@ -9,8 +9,8 @@ stays below 1 no matter how far the curve is extended.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from haltlab.errors import ConfigError
 from haltlab.intervals import format_fraction
@@ -18,8 +18,7 @@ from haltlab.machine import Machine, ToyVM, check_budget
 from haltlab.sweep import check_enum_cap, sweep
 
 
-@dataclass(frozen=True)
-class ProbCurvePoint:
+class ProbCurvePoint(NamedTuple):
     """Halting census for one program length."""
 
     length: int
@@ -32,8 +31,7 @@ class ProbCurvePoint:
         return Fraction(self.halting, self.total)
 
 
-@dataclass(frozen=True)
-class ProbCurve:
+class ProbCurve(NamedTuple):
     """Per-length halting fractions for lengths 1..max."""
 
     points: tuple[ProbCurvePoint, ...]

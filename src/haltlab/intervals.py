@@ -7,11 +7,11 @@ is ever rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from haltlab.errors import digit_limit_error
+from haltlab.value import Value
 
 
 def as_fraction(value: Rational | int | str) -> Fraction:
@@ -34,18 +34,17 @@ def format_fraction(value: Fraction) -> str:
         raise digit_limit_error() from exc
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """Certified enclosure [lo, hi] of an exact rational quantity."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: lo={self.lo} > hi={self.hi}")
+    def __init__(self, lo: Rational | int | str, hi: Rational | int | str) -> None:
+        lo, hi = as_fraction(lo), as_fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: lo={lo} > hi={hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def exact(cls, value: Rational | int | str) -> "Interval":

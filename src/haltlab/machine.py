@@ -12,12 +12,17 @@ Four machine kinds share one run() interface:
   Dispatcher     program 0^i 1 x runs submachine i on x, and its outcome is
                  the submachine's: the index prefix is free of charge.
 
+The descriptors are immutable haltlab.value.Value objects, not tuples, equal
+and hashed by kind and fields (a TableMachine's lookup dict takes no part):
+ToyVM(True) != PrefixFreeVM(True), also as a key of min_index_map's cache.
+
 Every program is (2-bit mode)(rest). Mode "11" is the timing wrapper: run the
 rest as a full program and, if it stops, emit the bit-code of its stop time.
 So time_wrap(p) = "11"+p costs TIME_WRAP_EXTRA_BITS = 2 program bits and
 TIME_WRAP_STEP_OVERHEAD = 1 extra step per nesting level. All other mode
 values execute the rest directly on the base ISA. Hence a program that starts
-with L ones is L // 2 wrappers deep.
+with L ones is L // 2 wrappers deep, and a core that stops at step s under d
+wrappers stops the program at s + d with output code(s + d - 1).
 
 A RunOutcome is a named tuple (halted, stop_time, output); every run that is
 not seen halting returns one shared instance, equal to RunOutcome.running().
@@ -45,13 +50,13 @@ which of the two an analysis may ask for.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Union
 
 from haltlab import vm
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError
+from haltlab.value import Value
 from haltlab.vm import DIVERGED, HALTED, OUTPUT_LIMIT
 
 TIME_WRAP_EXTRA_BITS = 2
@@ -91,30 +96,35 @@ _NOT_HALTED = RunOutcome.running()
 _new_outcome = tuple.__new__
 
 
-@dataclass(frozen=True)
-class ToyVM:
+class _VM(Value):
+    __slots__ = _fields = ("loop_free",)
+
+    def __init__(self, loop_free: bool = False) -> None:
+        object.__setattr__(self, "loop_free", loop_free)
+
+
+class ToyVM(_VM):
     """Ladder-ISA machine with lenient (dense-domain) halting."""
 
-    loop_free: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PrefixFreeVM:
+class PrefixFreeVM(_VM):
     """Ladder-ISA machine with strict END-at-boundary halting."""
 
-    loop_free: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TableMachine:
-    """Finite machine given by explicit entries, kept in index order."""
+class TableMachine(Value):
+    """Finite machine given by explicit entries, kept in index order; the
+    lookup dict made from them takes no part in equality or the hash."""
 
-    entries: tuple[tuple[str, int, str], ...]
-    _lookup: dict = field(init=False, repr=False, compare=False, hash=False)
+    __slots__ = ("entries", "_lookup")
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[str, int, str], ...]) -> None:
         seen: dict[str, tuple[int, str]] = {}
-        for program, stop_time, output in self.entries:
+        for program, stop_time, output in entries:
             _check_bits(program, "table program")
             _check_bits(output, "table output")
             if isinstance(stop_time, bool) or not isinstance(stop_time, int) or stop_time < 1:
@@ -123,22 +133,22 @@ class TableMachine:
                 raise ConfigError(f"duplicate table program {program!r}")
             seen[program] = (stop_time, output)
         object.__setattr__(self, "_lookup", seen)
-        ordered = tuple(sorted(self.entries, key=lambda e: index_of_bits(e[0])))
+        ordered = tuple(sorted(entries, key=lambda e: index_of_bits(e[0])))
         object.__setattr__(self, "entries", ordered)
 
     def lookup(self, program: str) -> tuple[int, str] | None:
         return self._lookup.get(program)
 
 
-@dataclass(frozen=True)
-class Dispatcher:
+class Dispatcher(Value):
     """Routes 0^i 1 x to submachine i on x; all-zero programs never halt."""
 
-    submachines: tuple["Machine", ...]
+    __slots__ = _fields = ("submachines",)
 
-    def __post_init__(self) -> None:
-        if not self.submachines:
+    def __init__(self, submachines: tuple["Machine", ...]) -> None:
+        if not submachines:
             raise ConfigError("dispatcher needs at least one submachine")
+        object.__setattr__(self, "submachines", submachines)
 
 
 Machine = Union[ToyVM, PrefixFreeVM, TableMachine, Dispatcher]
@@ -199,16 +209,14 @@ def run(machine: Machine, program: str, budget: int) -> RunOutcome:
                         f"output exceeded {DEFAULT_OUTPUT_CAP} bits at step {stop}"
                     )
                 return _NOT_HALTED
-            output = out.decode()
         elif kind is PrefixFreeVM:
             return _NOT_HALTED  # the program ends inside a mode field
         else:
-            stop, output = 1, ""
-        while depth:
-            output = bits_of_index(stop)
-            stop += TIME_WRAP_STEP_OVERHEAD
-            depth -= 1
-        return _new_outcome(RunOutcome, (True, stop, output))
+            stop, out = 1, b""
+        if not depth:
+            return _new_outcome(RunOutcome, (True, stop, out.decode()))
+        stop += depth * TIME_WRAP_STEP_OVERHEAD  # s + d, and the output is code(s + d - 1)
+        return _new_outcome(RunOutcome, (True, stop, bits_of_index(stop - TIME_WRAP_STEP_OVERHEAD)))
     if kind is TableMachine:
         hit = machine.lookup(program)
         if hit is not None and hit[0] <= budget:

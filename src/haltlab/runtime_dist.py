@@ -18,8 +18,8 @@ machine. The split takes its machine and budget from the distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, DegenerateDistributionError, InvariantViolation
@@ -38,20 +38,24 @@ POWER_BIT_LIMIT = 2**20
 WEIGHT_BIT_LIMIT = 2**21
 
 
-@dataclass(frozen=True)
-class GeometricTableWeights:
-    """Explicit positive weights continued geometrically past the listed prefix."""
-
+class _Weights(NamedTuple):
     prefix: tuple[Fraction, ...]
     ratio: Fraction
 
-    def __post_init__(self) -> None:
-        if not self.prefix:
+
+class GeometricTableWeights(_Weights):
+    """Explicit positive weights continued geometrically past the listed prefix."""
+
+    __slots__ = ()
+
+    def __new__(cls, prefix: tuple[Fraction, ...], ratio: Fraction) -> "GeometricTableWeights":
+        if not prefix:
             raise ConfigError("user-table weights need at least one entry")
-        if any(w < 0 for w in self.prefix) or self.prefix[-1] <= 0:
+        if any(w < 0 for w in prefix) or prefix[-1] <= 0:
             raise ConfigError("weights must be >= 0 with a positive final entry")
-        if not 0 < self.ratio < 1:
-            raise ConfigError(f"tail ratio must be in (0,1), got {self.ratio}")
+        if not 0 < ratio < 1:
+            raise ConfigError(f"tail ratio must be in (0,1), got {ratio}")
+        return super().__new__(cls, prefix, ratio)
 
     def weight(self, i: int) -> Fraction:
         if i < 1:
@@ -185,8 +189,7 @@ def halting_series(
 # ---------------------------------------------------------------------------
 # the distribution object
 
-@dataclass(frozen=True)
-class RuntimeDistribution:
+class RuntimeDistribution(NamedTuple):
     """Normalized stop-time mass per index, with a certified tail modulus."""
 
     machine: Machine
@@ -293,8 +296,7 @@ def tail_threshold(dist: RuntimeDistribution, k: int) -> int:
 # ---------------------------------------------------------------------------
 # computable/rare decomposition of the halting set
 
-@dataclass(frozen=True)
-class HaltSplit:
+class HaltSplit(NamedTuple):
     """Partition of observed halting pairs by the per-length stop-time cutoff.
     The computable pairs stay in the sweeps' arrays until they are listed."""
 

@@ -25,12 +25,13 @@ from __future__ import annotations
 import os
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
+from typing import NamedTuple
 
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
 from haltlab.machine import Machine, exact_run, run
+from haltlab.value import Value
 
 DEFAULT_ENUM_CAP_BITS = 24
 ENUM_CAP_ENV = "HALTLAB_ENUM_CAP"
@@ -59,8 +60,7 @@ def check_enum_cap(length: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class HaltingHistory:
+class HaltingHistory(NamedTuple):
     """Result of one sweep: the halting length-N programs in index order, as
     two arrays in step, each program's offset within its length and its stop
     time. horizon None marks an exact sweep of a transparent machine."""
@@ -94,13 +94,15 @@ class HaltingHistory:
         yield from repeat(fill, (1 << self.length) - at)
 
 
-@dataclass(frozen=True)
-class PairListing:
+class PairListing(Value):
     """The pairs of several histories in turn, each one's below its cutoff
     (all when None), made anew on each pass; size is their number."""
 
-    runs: tuple[tuple[HaltingHistory, int | None], ...]
-    size: int
+    __slots__ = _fields = ("runs", "size")
+
+    def __init__(self, runs: tuple[tuple[HaltingHistory, int | None], ...], size: int) -> None:
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "size", size)
 
     def __len__(self) -> int:
         return self.size
@@ -178,8 +180,7 @@ def eventual_fraction(history: HaltingHistory) -> Fraction:
     return Fraction(len(history.times), history.space_size)
 
 
-@dataclass(frozen=True)
-class ConditionalReport:
+class ConditionalReport(NamedTuple):
     """Halting statistics conditioned on surviving past t0."""
 
     t0: int

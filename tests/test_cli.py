@@ -11,6 +11,8 @@ import hashlib
 import io
 import json
 import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -578,3 +580,18 @@ def test_fuzzed_json_never_escapes_the_exit_codes(machine, weights, argv, budget
     else:
         assert out.getvalue() == ""
         assert_one_line_error(err.getvalue())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter without site imports haltlab.cli without loading
+    dataclasses or inspect, which with ast, dis and tokenize behind it cost
+    more than the rest of the import."""
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import haltlab.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -3,7 +3,10 @@ from hypothesis import strategies as st
 import pytest
 
 from haltlab.codec import bits_of_index, index_of_bits
+from haltlab.complexity import min_index_map
 from haltlab.errors import ConfigError
+from haltlab.halting_prob import ProbCurvePoint
+from haltlab.intervals import Interval
 from haltlab.machine import (
     MAX_DISPATCH_NESTING,
     Dispatcher,
@@ -21,7 +24,8 @@ from haltlab.machine import (
     time_wrap,
     timed_table,
 )
-from haltlab.sweep import all_programs, sweep
+from haltlab.runtime_dist import DYADIC
+from haltlab.sweep import PairListing, all_programs, sweep
 
 bits = st.text(alphabet="01", max_size=18)
 
@@ -292,6 +296,58 @@ DESCRIPTORS = [
 def test_machine_dict_roundtrip():
     for data, machine in DESCRIPTORS:
         assert machine_from_dict(data) == machine
+
+
+def test_descriptors_compare_by_kind_and_fields():
+    assert ToyVM(loop_free=True) != PrefixFreeVM(loop_free=True)
+    assert len({ToyVM(True), PrefixFreeVM(True), ToyVM(loop_free=True)}) == 2
+    assert Dispatcher((ToyVM(True),)) != Dispatcher((PrefixFreeVM(True),))
+    assert Dispatcher((ToyVM(True),)) == Dispatcher((ToyVM(True),))
+    entries = (("0", 3, "1"), ("", 2, ""), ("11", 5, "0"))
+    table = TableMachine(entries)
+    reordered = TableMachine(entries[::-1])
+    assert reordered == table and hash(reordered) == hash(table)
+    assert TableMachine(entries[:2]) != table
+    assert repr(table) == f"TableMachine(entries={table.entries!r})"
+
+
+def test_min_index_map_keeps_each_machines_own_map():
+    """The two loop-free VMs share min_index_map's cache in one process, and
+    each gets the map it gets alone."""
+    machines = (ToyVM(loop_free=True), PrefixFreeVM(loop_free=True))
+    alone = []
+    for machine in machines:
+        min_index_map.cache_clear()
+        alone.append(min_index_map(machine, 255, None))
+    min_index_map.cache_clear()
+    assert [min_index_map(machine, 255, None) for machine in machines] == alone
+    assert alone[0] != alone[1]
+
+
+@pytest.mark.parametrize(
+    "value,field",
+    [
+        (ToyVM(), "loop_free"),
+        (PrefixFreeVM(True), "loop_free"),
+        (TableMachine((("", 2, ""),)), "entries"),
+        (TableMachine((("", 2, ""),)), "_lookup"),
+        (Dispatcher((ToyVM(),)), "submachines"),
+        (Interval(0, 1), "lo"),
+        (PairListing((), 0), "size"),
+        (RunOutcome(False), "halted"),
+        (ProbCurvePoint(1, 1, 2, True), "halting"),
+        (DYADIC, "ratio"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_fields_cannot_be_assigned(value, field):
+    for change in (
+        lambda: setattr(value, field, getattr(value, field)),
+        lambda: delattr(value, field),
+        lambda: setattr(value, "extra", 1),
+    ):
+        with pytest.raises(AttributeError):
+            change()
 
 
 def test_dispatcher_nesting_limit(loop_free_vm):
