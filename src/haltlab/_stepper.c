@@ -46,10 +46,10 @@ output_put(Output *out, char c, Py_ssize_t count)
     return 0;
 }
 
-/* Execute bits[start:total]: the status, with the step count in *steps and
+/* Execute bits[start:len]: the status, with the step count in *steps and
    the output in *out, or -1 when the output buffer cannot grow. */
 static int
-execute(const char *bits, Py_ssize_t start, Py_ssize_t total, int prefix_free,
+execute(const char *bits, Py_ssize_t start, Py_ssize_t len, int prefix_free,
         int allow_loops, unsigned long long budget, Py_ssize_t output_cap,
         unsigned long long *steps, Output *out)
 {
@@ -59,16 +59,16 @@ execute(const char *bits, Py_ssize_t start, Py_ssize_t total, int prefix_free,
 
     for (*steps = 0; *steps < budget; pc = npc) {
         /* fetch + decode */
-        if (pc >= total)
+        if (pc >= len)
             goto undecodable;
         if (bits[pc] == ONE) {
             op = INC;
             npc = pc + 1;
         }
         else {
-            for (i = pc + 1, op = 0; op < 7 && i < total && bits[i] == ONE; i++)
+            for (i = pc + 1, op = 0; op < 7 && i < len && bits[i] == ONE; i++)
                 op++;
-            if (op < 7 && i >= total)
+            if (op < 7 && i >= len)
                 goto undecodable; /* truncated code word */
             npc = op == ZEROS ? i : i + 1;
         }
@@ -80,7 +80,7 @@ execute(const char *bits, Py_ssize_t start, Py_ssize_t total, int prefix_free,
         ++*steps;
         switch (op) {
         case END:
-            return prefix_free && consumed != total ? DIVERGED : HALTED;
+            return prefix_free && consumed != len ? DIVERGED : HALTED;
         case INC:
             acc += acc < ACC_SATURATION;
             break;
@@ -122,29 +122,28 @@ undecodable:
 }
 
 static PyObject *
-run_stream(PyObject *self, PyObject *args)
+run_stream(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *bits, *budget_arg, *result;
-    Py_ssize_t start, total, output_cap;
+    Py_ssize_t start, len, output_cap;
     int prefix_free, allow_loops, status;
     unsigned long long budget, steps;
     Output out = {NULL, 0, 0};
 
-    if (!PyArg_ParseTuple(args, "SnnppOn:run_stream", &bits, &start, &total, &prefix_free,
-                          &allow_loops, &budget_arg, &output_cap))
+    if (!PyArg_ParseTuple(args, "SnppOn:run_stream", &bits, &start, &prefix_free, &allow_loops,
+                          &budget_arg, &output_cap))
         return NULL;
-    if (!(0 <= start && start <= total && total <= PyBytes_GET_SIZE(bits) && output_cap >= 0)) {
-        PyErr_Format(PyExc_ValueError,
-                     "need 0 <= start <= total <= len(bits) and output_cap >= 0, got "
-                     "start=%zd, total=%zd, len=%zd, output_cap=%zd",
-                     start, total, PyBytes_GET_SIZE(bits), output_cap);
+    len = PyBytes_GET_SIZE(bits);
+    if (!(0 <= start && start <= len && output_cap >= 0)) {
+        PyErr_Format(PyExc_ValueError, "start must be in [0, len(bits)] and output_cap >= 0, "
+                     "got start=%zd, len=%zd, output_cap=%zd", start, len, output_cap);
         return NULL;
     }
     budget = PyLong_AsUnsignedLongLong(budget_arg);
     if (budget == (unsigned long long)-1 && PyErr_Occurred())
         return NULL;
 
-    status = execute(PyBytes_AS_STRING(bits), start, total, prefix_free, allow_loops, budget,
+    status = execute(PyBytes_AS_STRING(bits), start, len, prefix_free, allow_loops, budget,
                      output_cap, &steps, &out);
     if (status < 0)
         result = PyErr_NoMemory();
@@ -158,8 +157,8 @@ run_stream(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"run_stream", run_stream, METH_VARARGS,
-     "run_stream(bits, start, total, prefix_free, allow_loops, budget, output_cap)\n--\n\n"
-     "Execute the instruction stream bits[start:total]; see the pure twin."},
+     "run_stream(bits, start, prefix_free, allow_loops, budget, output_cap)\n--\n\n"
+     "Execute the instruction stream bits[start:]; see the pure twin."},
     {NULL, NULL, 0, NULL},
 };
 

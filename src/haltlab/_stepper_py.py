@@ -9,10 +9,11 @@ the kernel interface. Every executed instruction costs one step.
 This kernel does not always take those steps one at a time. A taken LOOP
 jump whose iteration provably repeats forever adds every whole further
 iteration that fits under the budget and the output cap in one go (see
-run_stream). It also answers a call that agrees with its last run on the
-bytes that run read from that run's result, without stepping. (status,
-steps, output) is exactly what stepping one at a time gives; the compiled
-kernel keeps no state and does step one at a time.
+run_stream). It also answers a call with the same arguments as its last
+run, on bits of the same length that hold the bytes that run read, from
+that run's result, without stepping. (status, steps, output) is exactly
+what stepping one at a time gives; the compiled kernel keeps no state and
+does step one at a time.
 """
 
 from __future__ import annotations
@@ -30,19 +31,19 @@ _BUDGET_MAX = 2**64 - 1  # the compiled kernel counts steps in 64 unsigned bits
 # opcode ids: a code word 0 1^j is opcode j for j <= 7
 _END, _OUT0, _OUT1, _DBL, _SPIN, _TIMER, _LOOP, _ZEROS = range(8)
 
-# the last run: (key, bytes read, least and largest budget it holds for,
-# result), replaced whole, so a reader never sees parts of two runs
-_last: tuple = (None, b"", 1, 0, None)
+# the last run: (key, bytes read, result), replaced whole, so a reader
+# never sees parts of two runs
+_last: tuple = (None, b"", None)
 
 
-def _refuse(bits: object, start: int, total: int, budget: object, output_cap: int) -> None:
+def _refuse(bits: object, start: int, budget: object, output_cap: int) -> None:
     """Raise the error of the first rule of the argument contract broken."""
     if not (isinstance(bits, bytes) and isinstance(budget, int)):
-        raise TypeError(f"need bytes bits and an int budget, got {type(bits)} and {type(budget)}")
-    if not (0 <= start <= total <= len(bits) and output_cap >= 0):
+        raise TypeError(f"bits must be bytes and budget an int, got {type(bits)}, {type(budget)}")
+    if not (0 <= start <= len(bits) and output_cap >= 0):
         raise ValueError(
-            f"need 0 <= start <= total <= len(bits) and output_cap >= 0, got "
-            f"start={start}, total={total}, len={len(bits)}, output_cap={output_cap}"
+            f"start must be in [0, len(bits)] and output_cap >= 0, got "
+            f"start={start}, len={len(bits)}, output_cap={output_cap}"
         )
     raise OverflowError(f"budget must be in [0, 2^64 - 1], got {budget}")
 
@@ -50,13 +51,12 @@ def _refuse(bits: object, start: int, total: int, budget: object, output_cap: in
 def run_stream(
     bits: bytes,
     start: int,
-    total: int,
     prefix_free: bool,
     allow_loops: bool,
     budget: int,
     output_cap: int,
 ) -> tuple[int, int, bytes | None]:
-    """Execute the instruction stream bits[start:total].
+    """Execute the instruction stream bits[start:].
 
     Returns (status, steps, output). Output is only meaningful for HALTED.
     steps is the stop time for HALTED and the consumed budget for RUNNING.
@@ -74,22 +74,24 @@ def run_stream(
     length.
 
     The last run is kept with the bytes it read, bits[start:reach], reach
-    one past the last byte decoded. A call with the same start, total,
-    flags and output_cap whose bits hold those bytes gets that run's result
-    tuple without stepping: at the same budget, or, when it ended HALTED or
-    DIVERGED, at any budget that still reaches its END or undecodable word.
+    one past the last byte decoded. A call with the same start, flags,
+    budget and output_cap, whose bits have the same length and hold those
+    bytes at start, gets that run's result tuple without stepping.
 
     Raises TypeError unless bits is bytes and budget an int, ValueError
-    unless 0 <= start <= total <= len(bits) and output_cap >= 0, and
-    OverflowError for a budget outside [0, 2^64 - 1], as _stepper.c does.
+    unless 0 <= start <= len(bits) and output_cap >= 0, and OverflowError
+    for a budget outside [0, 2^64 - 1], as _stepper.c does.
     """
+    total = len(bits)
     if not (isinstance(bits, bytes) and isinstance(budget, int) and 0 <= budget <= _BUDGET_MAX
-            and 0 <= start <= total <= len(bits) and output_cap >= 0):
-        _refuse(bits, start, total, budget, output_cap)
+            and 0 <= start <= total and output_cap >= 0):
+        _refuse(bits, start, budget, output_cap)
     global _last
-    key = (start, total, prefix_free, allow_loops, output_cap)
-    last_key, read, least, most, result = _last
-    if last_key == key and least <= budget <= most and bits.startswith(read, start):
+    # len(bits) is part of the key: a run that met the end of its stream
+    # says nothing about a longer one
+    key = (start, total, prefix_free, allow_loops, budget, output_cap)
+    last_key, read, result = _last
+    if last_key == key and bits.startswith(read, start):
         return result
     pc = consumed = start
     steps = acc = 0
@@ -98,16 +100,13 @@ def run_stream(
     # only INC/OUT0/OUT1 ran since then
     jump_acc = jump_steps = jump_len = 0
     only_inc_out = True
-    # the budgets the result holds for: a RUNNING or OUTPUT_LIMIT run only
-    # its own; an END or an undecodable word every budget from its step on
-    least = most = budget
     result = None
     while steps < budget:
         # fetch + decode; a read past the end, a truncated code word and a
         # LOOP outside the allowed subset leave the loop as undecodable
         if pc >= total:
             break
-        if bits[pc] == _ONE:  # INC, the instruction the workloads run most
+        if bits[pc] == _ONE:  # INC, the commonest instruction of the workloads
             pc += 1
             if pc > consumed:
                 consumed = pc
@@ -129,10 +128,9 @@ def run_stream(
         npc = i if op == _ZEROS else i + 1
         if npc > consumed:
             consumed = npc
-        # execute, the instructions the workloads run most often first
+        # execute, the commonest instructions of the workloads first
         steps += 1
         if op == _END:
-            least, most = steps, _BUDGET_MAX
             if prefix_free and consumed != total:
                 result = (DIVERGED, steps, None)
             else:
@@ -177,7 +175,6 @@ def run_stream(
     if result is None:
         # undecodable: plain halts one step later with empty output,
         # prefix-free never halts
-        least, most = steps + 1, _BUDGET_MAX
         result = (DIVERGED, steps, None) if prefix_free else (HALTED, steps + 1, b"")
-    _last = (key, bits[start:consumed], least, most, result)
+    _last = (key, bits[start:consumed], result)
     return result

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from haltlab.errors import ConfigError
 from haltlab.intervals import format_fraction
 from haltlab.machine import Machine, ToyVM, check_budget
-from haltlab.sweep import check_enum_cap, sweep
+from haltlab.sweep import _scan, check_enum_cap
 
 
 class ProbCurvePoint(NamedTuple):
@@ -63,8 +63,8 @@ def domain_prob_curve(
     for length in range(1, max_len + 1):
         if is_total(machine):
             count = 2**length
-        else:
-            count = len(sweep(machine, length, budget).times)
+        else:  # only counted: no stop time is kept
+            count = sum(1 for _ in _scan(machine, 2**length, 2 ** (length + 1), budget))
         points.append(
             ProbCurvePoint(
                 length=length, halting=count, total=2**length, exact=budget is None

@@ -37,10 +37,10 @@ construction (tables, loop-free VM variants, dispatchers over those) are
 "transparent" and additionally support exact_run / finite_domain.
 
 exact_run() on a loop-free VM is one run() at LOOP_FREE_STEP_CAP. When a
-prefix-free program is not seen halting, exact_run() repeats that kernel call
-at the cap to tell certain divergence from a cap too small: the RunOutcome
-does not carry the kernel's status; the pure kernel answers it from its last
-run. ROADMAP item 5 drops the repeat once the benchmark stops pinning calls.
+prefix-free program is not seen halting, exact_run() repeats run()'s kernel
+call with the same arguments to read its status, which the RunOutcome drops:
+it tells certain divergence from a cap too small. The pure kernel answers the
+repeat from its last run; ROADMAP item 5 drops it.
 
 observe() reads one program either way: exactly (no budget, transparent
 machines only) or within a step budget. check_budget() is the policy for
@@ -200,7 +200,7 @@ def run(machine: Machine, program: str, budget: int) -> RunOutcome:
             return _NOT_HALTED
         if start <= n:
             status, stop, out = vm.run_stream(
-                program.encode(), start, n, kind is PrefixFreeVM, not machine.loop_free,
+                program.encode(), start, kind is PrefixFreeVM, not machine.loop_free,
                 core_budget, DEFAULT_OUTPUT_CAP,
             )
             if status != HALTED:
@@ -241,12 +241,12 @@ def exact_run(machine: Machine, program: str) -> tuple[int, str] | None:
             # loop-free + strict discipline: not halting within the cap is
             # certain divergence, DIVERGED within one pass over the stream, or
             # a SPIN burn larger than the cap. run()'s kernel call is repeated
-            # at the cap to read its status, which the pure kernel answers
-            # from its last run (ROADMAP item 5 drops the repeat)
-            n = len(program)
-            start = (n - len(program.lstrip("1"))) // 2 * 2 + 2
-            if start > n or vm.run_stream(
-                program.encode(), start, n, True, False, LOOP_FREE_STEP_CAP, DEFAULT_OUTPUT_CAP
+            # with the same arguments to read its status
+            depth = (len(program) - len(program.lstrip("1"))) // 2
+            start = 2 * depth + 2
+            if start > len(program) or vm.run_stream(
+                program.encode(), start, True, False,
+                LOOP_FREE_STEP_CAP - depth * TIME_WRAP_STEP_OVERHEAD, DEFAULT_OUTPUT_CAP,
             )[0] == DIVERGED:
                 return None
         raise ResourceLimitError(

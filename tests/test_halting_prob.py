@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -80,3 +81,17 @@ def test_budget_policy(toy_vm, table1):
         domain_prob_curve(table1, 3, budget=10)
     with pytest.raises(ConfigError):
         domain_prob_curve(table1, 0)
+
+
+def test_curve_counts_without_keeping_stop_times(toy_vm):
+    # 4,087 of the 2^12 programs of the last length halt; a
+    # record of their stop times alone would take tens of KiB
+    domain_prob_curve(toy_vm, 2, 4096)
+    tracemalloc.start()
+    try:
+        curve = domain_prob_curve(toy_vm, 12, 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve.points[-1].halting == 4087
+    assert peak < 16 * 1024

@@ -44,13 +44,16 @@ SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "haltlab"
 
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
-    """The compiled kernel: the installed extension if there is one, else
-    _stepper.c built into a temporary directory. Skips only when there is no
+    """The compiled kernel: the importable extension if it is not older than
+    _stepper.c, else _stepper.c built into a temporary directory, so that a
+    stale build never stands in for the source. Skips only when there is no
     C compiler or no Python.h; a file that does not compile fails."""
     try:
         from haltlab import _stepper
 
-        return _stepper
+        stamp = pathlib.Path(_stepper.__file__).stat().st_mtime
+        if stamp >= (SOURCE / "_stepper.c").stat().st_mtime:
+            return _stepper
     except ImportError:
         pass
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
@@ -61,7 +64,7 @@ def compiled(tmp_path_factory):
         pytest.skip(f"no Python.h in {include}")
     target = tmp_path_factory.mktemp("kernel") / ("_stepper" + sysconfig.get_config_var("EXT_SUFFIX"))
     command = compiler + [
-        "-O2", "-Wall", "-Werror", "-shared", "-fPIC", "-I" + include,
+        "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC", "-I" + include,
         str(SOURCE / "_stepper.c"), "-o", str(target),
     ]
     built = subprocess.run(command, capture_output=True, text=True, timeout=300)
@@ -128,24 +131,22 @@ def test_run_refuses_a_budget_that_is_not_an_int(request, monkeypatch, table1, k
 
 @st.composite
 def streams(draw):
-    """A program, the end of its core anywhere up to the program's end, and
-    the offset the core starts at, anywhere up to the core's end."""
+    """A program and the offset its core starts at, anywhere up to its end."""
     program = draw(bits)
-    total = draw(st.integers(min_value=0, max_value=len(program)))
-    return program, draw(st.integers(min_value=0, max_value=total)), total
+    return program, draw(st.integers(min_value=0, max_value=len(program)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(streams(), budgets, st.booleans(), st.booleans(), st.sampled_from([0, 1, 2, 5, 16, 1 << 20]))
 def test_kernels_agree_bit_for_bit(compiled, stream, budget, prefix_free, allow_loops, output_cap):
-    program, start, total = stream
+    program, start = stream
     raw = program.encode("ascii")
-    args = (raw, start, total, prefix_free, allow_loops)
-    # the bytes past total are never read: the core alone gives the same run
-    expected = _stepper_py.run_stream(raw[:total], *args[1:], budget, output_cap)
+    args = (raw, start, prefix_free, allow_loops)
+    # the bytes before start are never read: the core alone gives the same run
+    expected = _stepper_py.run_stream(raw[start:], 0, *args[2:], budget, output_cap)
     for kernel in (compiled, _stepper_py):
         assert kernel.run_stream(*args, budget, output_cap) == expected
-    assert compiled.run_stream(raw[:total], *args[1:], budget, output_cap) == expected
+    assert compiled.run_stream(raw[start:], 0, *args[2:], budget, output_cap) == expected
     if expected[0] != _stepper_py.RUNNING:
         # a run that stops within its budget stops the same way at the
         # largest budget, which only the unsigned 64-bit path can hold
@@ -180,7 +181,7 @@ def word_streams(draw):
 def test_kernels_agree_on_loops(compiled, stream, budget, prefix_free, output_cap):
     # the pure kernel skips repeating LOOP iterations in bulk; the compiled
     # kernel takes every step
-    args = (stream.encode("ascii"), 0, len(stream), prefix_free, True, budget, output_cap)
+    args = (stream.encode("ascii"), 0, prefix_free, True, budget, output_cap)
     assert compiled.run_stream(*args) == _stepper_py.run_stream(*args)
 
 
@@ -207,7 +208,7 @@ EDGE_LOOPS = [
 def test_kernels_agree_on_edge_loops(compiled, stream):
     raw = stream.encode("ascii")
     for budget, output_cap in itertools.product((4096, 50_000), (0, 1, 2, 5, 16, 100, 1 << 20)):
-        args = (raw, 0, len(raw), False, True, budget, output_cap)
+        args = (raw, 0, False, True, budget, output_cap)
         assert compiled.run_stream(*args) == _stepper_py.run_stream(*args)
 
 
@@ -218,7 +219,7 @@ INC_OUT0_LOOP = (INC + OUT0 + LOOP).encode("ascii")
 def test_pure_kernel_skips_a_repeating_loop():
     assert INC_INC_LOOP == b"1101111110"
     began = time.perf_counter()
-    got = _stepper_py.run_stream(INC_INC_LOOP, 0, 10, False, True, 2**64 - 1, 1 << 20)
+    got = _stepper_py.run_stream(INC_INC_LOOP, 0, False, True, 2**64 - 1, 1 << 20)
     assert time.perf_counter() - began < 1
     assert got == (_stepper_py.RUNNING, 2**64 - 1, None)
 
@@ -229,7 +230,7 @@ def test_pure_kernel_counts_skipped_output_without_building_it():
     expected = (_stepper_py.OUTPUT_LIMIT, 3 * 2**24 + 2, None)
     tracemalloc.start()
     try:
-        got = _stepper_py.run_stream(INC_OUT0_LOOP, 0, 12, False, True, 2**64 - 1, 1 << 24)
+        got = _stepper_py.run_stream(INC_OUT0_LOOP, 0, False, True, 2**64 - 1, 1 << 24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -238,7 +239,7 @@ def test_pure_kernel_counts_skipped_output_without_building_it():
 
 
 def test_compiled_kernel_refuses_the_skipped_output_at_the_same_step(compiled):
-    got = compiled.run_stream(INC_OUT0_LOOP, 0, 12, False, True, 2**64 - 1, 1 << 24)
+    got = compiled.run_stream(INC_OUT0_LOOP, 0, False, True, 2**64 - 1, 1 << 24)
     assert got == (compiled.OUTPUT_LIMIT, 3 * 2**24 + 2, None)
 
 
@@ -253,7 +254,7 @@ def test_kernels_agree_exhaustively_short(compiled):
             for start, prefix_free, allow_loops, budget, output_cap in itertools.product(
                 {0, min(2, length)}, (False, True), (False, True), (0, 1, 3, 64, 4096), (2, 1 << 20)
             ):
-                args = (raw, start, length, prefix_free, allow_loops, budget, output_cap)
+                args = (raw, start, prefix_free, allow_loops, budget, output_cap)
                 assert compiled.run_stream(*args) == _stepper_py.run_stream(*args)
 
 
@@ -264,16 +265,15 @@ def test_status_constants_match(compiled):
 
 # (id, arguments, error): the argument contract of docs/machine-isa.md
 BAD_ARGUMENTS = [
-    ("start-negative", (b"0101", -1, 4, False, True, 64, 16), ValueError),
-    ("total-past-the-end", (b"0101", 0, 5, False, True, 64, 16), ValueError),
-    ("start-past-total", (b"0101", 3, 2, True, True, 64, 16), ValueError),
-    ("output-cap-negative", (b"0101", 0, 4, False, True, 64, -1), ValueError),
-    ("budget-negative", (b"0101", 0, 4, False, True, -1, 16), OverflowError),
-    ("budget-over-64-bits", (b"0101", 0, 4, False, True, 2**64, 16), OverflowError),
-    ("bits-str", ("0010", 0, 4, False, True, 64, 16), TypeError),
-    ("bits-bytearray", (bytearray(b"0010"), 0, 4, False, True, 64, 16), TypeError),
-    ("budget-float", (b"0010", 0, 4, False, True, 64.0, 16), TypeError),
-    ("budget-str", (b"0010", 0, 4, False, True, "64", 16), TypeError),
+    ("start-negative", (b"0101", -1, False, True, 64, 16), ValueError),
+    ("start-past-the-end", (b"0101", 5, True, True, 64, 16), ValueError),
+    ("output-cap-negative", (b"0101", 0, False, True, 64, -1), ValueError),
+    ("budget-negative", (b"0101", 0, False, True, -1, 16), OverflowError),
+    ("budget-over-64-bits", (b"0101", 0, False, True, 2**64, 16), OverflowError),
+    ("bits-str", ("0010", 0, False, True, 64, 16), TypeError),
+    ("bits-bytearray", (bytearray(b"0010"), 0, False, True, 64, 16), TypeError),
+    ("budget-float", (b"0010", 0, False, True, 64.0, 16), TypeError),
+    ("budget-str", (b"0010", 0, False, True, "64", 16), TypeError),
 ]
 
 
@@ -295,9 +295,9 @@ RUNNING, HALTED, DIVERGED, OUTPUT_LIMIT = (
 REF_STATUS = {"run": RUNNING, "halt": HALTED, "diverge": DIVERGED, "toolong": OUTPUT_LIMIT}
 
 
-def reference(stream, start, total, prefix_free, allow_loops, budget, output_cap):
+def reference(stream, start, prefix_free, allow_loops, budget, output_cap):
     """The kernel result that tests/oracles/ref_vm.py gives, fresh each time."""
-    status, steps, output = run_core(stream[start:total], prefix_free, allow_loops, budget, output_cap)
+    status, steps, output = run_core(stream[start:], prefix_free, allow_loops, budget, output_cap)
     return REF_STATUS[status], steps, None if output is None else output.encode("ascii")
 
 
@@ -313,13 +313,15 @@ def reference(stream, start, total, prefix_free, allow_loops, budget, output_cap
     ],
     ids=["end", "early-end", "truncated", "truncated-prefix-free", "loop-refused"],
 )
-def test_last_run_holds_from_the_budget_its_end_needs(stream, prefix_free, end, need):
+def test_a_call_at_another_budget_is_a_fresh_run(stream, prefix_free, end, need):
     raw = stream.encode("ascii")
-    args = (raw, 0, len(raw), prefix_free, False)
+    args = (raw, 0, prefix_free, False)
     first = _stepper_py.run_stream(*args, 64, 16)
     assert first == end == reference(stream, *args[1:], 64, 16)
-    assert _stepper_py.run_stream(*args, 2**64 - 1, 16) is first
-    assert _stepper_py.run_stream(*args, need, 16) is first
+    assert _stepper_py.run_stream(*args, 64, 16) is first
+    for budget in (2**64 - 1, need, 64):
+        got = _stepper_py.run_stream(*args, budget, 16)
+        assert got == first and got is not first, budget
     # one step short the run is still running, as a fresh run is
     short = _stepper_py.run_stream(*args, need - 1, 16)
     assert short == (RUNNING, need - 1, None) == reference(stream, *args[1:], need - 1, 16)
@@ -327,7 +329,7 @@ def test_last_run_holds_from_the_budget_its_end_needs(stream, prefix_free, end, 
 
 def test_running_and_output_limit_hold_for_their_own_budget_only():
     # INC OUT0 LOOP repeats: its skipped iterations end RUNNING or OUTPUT_LIMIT
-    args = (INC_OUT0_LOOP, 0, len(INC_OUT0_LOOP), False, True)
+    args = (INC_OUT0_LOOP, 0, False, True)
     running = _stepper_py.run_stream(*args, 10, 16)
     assert running == (RUNNING, 10, None)
     assert _stepper_py.run_stream(*args, 10, 16) is running
@@ -341,21 +343,21 @@ def test_running_and_output_limit_hold_for_their_own_budget_only():
 
 
 @pytest.mark.parametrize(
-    "core, total, allow_loops, reach",
+    "core, allow_loops, reach",
     [
         # a prefix-free END before the last byte: every tail gives DIVERGED
-        (INC + END + OUT1 + OUT0, 10, True, 3),
+        (INC + END + OUT1 + OUT0, True, 3),
         # a LOOP word that a loop-free variant refuses is read to its end
-        (INC + LOOP + OUT1, 13, False, 9),
-        # a word cut off by total is read to total, and no further
-        (INC + OUT0 + OUT1, 3, True, 3),
+        (INC + LOOP + OUT1, False, 9),
+        # a word cut off by the end of the stream is read to that end
+        (INC + OUT0[:2], True, 3),
     ],
     ids=["early-end", "loop-refused", "truncated"],
 )
 @pytest.mark.parametrize("start", [0, 2])
-def test_last_run_holds_for_the_bytes_it_read_only(core, total, allow_loops, reach, start):
+def test_last_run_holds_for_the_bytes_it_read_only(core, allow_loops, reach, start):
     raw = ("11"[:start] + core).encode("ascii")
-    args = (start, start + total, True, allow_loops, 64, 16)
+    args = (start, True, allow_loops, 64, 16)
     for at in range(len(raw)):
         first = _stepper_py.run_stream(raw, *args)
         assert first == reference(raw.decode(), *args)
@@ -367,19 +369,64 @@ def test_last_run_holds_for_the_bytes_it_read_only(core, total, allow_loops, rea
             assert got is not first and got == reference(changed.decode(), *args), at
 
 
+@pytest.mark.parametrize(
+    "short, longer, prefix_free",
+    [
+        # a word cut off by the end, which the longer stream completes
+        (INC + OUT0[:2], INC + OUT1, False),
+        # a read past the end, where the longer stream has an END
+        (INC + OUT0, INC + OUT0 + END, False),
+        # a prefix-free END at the end, which is early in the longer stream
+        (INC + END, INC + END + INC, True),
+    ],
+    ids=["truncated", "read-past-the-end", "prefix-free-end"],
+)
+@pytest.mark.parametrize("start", [0, 2])
+def test_a_run_that_met_the_end_does_not_answer_a_longer_stream(short, longer, prefix_free, start):
+    short, longer = "11"[:start] + short, "11"[:start] + longer
+    assert longer.startswith(short)
+    args = (start, prefix_free, True, 64, 16)
+    first = _stepper_py.run_stream(short.encode("ascii"), *args)
+    assert first == reference(short, *args)
+    got = _stepper_py.run_stream(longer.encode("ascii"), *args)
+    assert got == reference(longer, *args) != first
+
+
 def test_a_call_that_would_be_answered_is_still_checked():
     raw = (INC + END + OUT1 + OUT0).encode("ascii")
-    first = _stepper_py.run_stream(raw, 0, 10, False, True, 64, 16)
+    first = _stepper_py.run_stream(raw, 0, False, True, 64, 16)
     assert first == (HALTED, 2, b"")
-    assert _stepper_py.run_stream(raw[:9] + b"0", 0, 10, False, True, 64, 16) is first
-    for bits, budget, error in [
-        (raw[:9], 64, ValueError),  # holds the bytes read, but is shorter than total
-        (raw, 64.0, TypeError),
-        (bytearray(raw), 64, TypeError),
-    ]:
-        with pytest.raises(error):
-            _stepper_py.run_stream(bits, 0, 10, False, True, budget, 16)
-        assert _stepper_py.run_stream(raw, 0, 10, False, True, 64, 16) is first
+    assert _stepper_py.run_stream(raw[:9] + b"0", 0, False, True, 64, 16) is first
+    # 64.0 == 64 and a bytearray holds the bytes read, so both agree with
+    # the last run's key and bytes
+    for bits, budget in [(raw, 64.0), (bytearray(raw), 64)]:
+        with pytest.raises(TypeError):
+            _stepper_py.run_stream(bits, 0, False, True, budget, 16)
+        assert _stepper_py.run_stream(raw, 0, False, True, 64, 16) is first
+
+
+def test_exact_run_repeats_the_very_call_run_made(monkeypatch):
+    """On the exact prefix-free loop-free VM, exact_run repeats run()'s
+    kernel call for every program not seen halting; with the same
+    arguments the pure kernel answers the repeat with run()'s own tuple."""
+    calls = []
+
+    def recorded(*args):
+        result = _stepper_py.run_stream(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(vm, "run_stream", recorded)
+    machine = PrefixFreeVM(loop_free=True)
+    repeats = 0
+    for program in (format(v, f"0{n}b") if n else "" for n in range(11) for v in range(2**n)):
+        calls.clear()
+        exact_run(machine, program)
+        if len(calls) == 2:
+            (args, result), (again, repeated) = calls
+            assert again == args and repeated is result, program
+            repeats += 1
+    assert repeats > 1000
 
 
 small_budgets = st.sampled_from([0, 1, 2, 3, 4, 5, 8, 13, 64, 500])
@@ -409,9 +456,11 @@ def call_sequences(draw):
             budget = draw(small_budgets)
         if draw(st.integers(0, 5)) == 0:
             output_cap = draw(small_caps)
-        start = draw(st.sampled_from([0, min(2, len(stream))]))
-        total = len(stream) if draw(st.integers(0, 3)) else draw(st.integers(start, len(stream)))
-        calls.append((stream, start, total, prefix_free, allow_loops, budget, output_cap))
+        # now and then a call runs a prefix of the stream, which the next
+        # call's longer stream holds
+        end = len(stream) if draw(st.integers(0, 3)) else draw(st.integers(0, len(stream)))
+        start = draw(st.sampled_from([0, min(2, end)]))
+        calls.append((stream[:end], start, prefix_free, allow_loops, budget, output_cap))
     return calls
 
 

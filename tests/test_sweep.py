@@ -279,8 +279,10 @@ def test_enum_cap_refuses_before_any_sweep(monkeypatch, toy_vm, table1):
     from haltlab import density, halting_prob, runtime_dist
 
     swept = []
-    for module in (density, halting_prob, runtime_dist):
+    for module in (density, runtime_dist):
         monkeypatch.setattr(module, "sweep", lambda *args: swept.append(args) or sweep(*args))
+    # the curve only counts, through the scan that sweep runs
+    monkeypatch.setattr(halting_prob, "_scan", lambda *args: swept.append(args) or _scan(*args))
     monkeypatch.setenv(ENUM_CAP_ENV, "6")
     dist = runtime_dist.induced_distribution(toy_vm, budget=4096)
     for census in (
