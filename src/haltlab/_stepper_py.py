@@ -31,9 +31,10 @@ _BUDGET_MAX = 2**64 - 1  # the compiled kernel counts steps in 64 unsigned bits
 # opcode ids: a code word 0 1^j is opcode j for j <= 7
 _END, _OUT0, _OUT1, _DBL, _SPIN, _TIMER, _LOOP, _ZEROS = range(8)
 
-# the last run: (key, bytes read, result), replaced whole, so a reader
-# never sees parts of two runs
-_last: tuple = (None, b"", None)
+# the last run: (key, reach, bytes read up to reach, result), replaced
+# whole, so a reader never sees parts of two runs; reach is start plus the
+# length read, kept so that a hit takes one slice without adding
+_last: tuple = (None, 0, b"", None)
 
 
 def _refuse(bits: object, start: int, budget: object, output_cap: int) -> None:
@@ -73,26 +74,29 @@ def run_stream(
     the skipped output is only counted, by lowering output_cap by its
     length.
 
-    The last run is kept with the bytes it read, bits[start:reach], reach
-    one past the last byte decoded. A call with the same start, flags,
+    The last run is kept with reach, one past the last byte decoded, and
+    the bytes it read, bits[start:reach]. A call with the same start, flags,
     budget and output_cap, whose bits have the same length and hold those
     bytes at start, gets that run's result tuple without stepping.
 
     Raises TypeError unless bits is bytes and budget an int, ValueError
     unless 0 <= start <= len(bits) and output_cap >= 0, and OverflowError
-    for a budget outside [0, 2^64 - 1], as _stepper.c does.
+    for a budget outside [0, 2^64 - 1], as _stepper.c does. The types are
+    checked on every call; the ranges only on a call whose key differs from
+    the last run's, since that run's key passed them.
     """
-    total = len(bits)
-    if not (isinstance(bits, bytes) and isinstance(budget, int) and 0 <= budget <= _BUDGET_MAX
-            and 0 <= start <= total and output_cap >= 0):
+    if not (isinstance(bits, bytes) and isinstance(budget, int)):
         _refuse(bits, start, budget, output_cap)
     global _last
+    total = len(bits)
     # len(bits) is part of the key: a run that met the end of its stream
     # says nothing about a longer one
     key = (start, total, prefix_free, allow_loops, budget, output_cap)
-    last_key, read, result = _last
-    if last_key == key and bits.startswith(read, start):
+    last_key, reach, read, result = _last
+    if last_key == key and bits[start:reach] == read:
         return result
+    if not (0 <= budget <= _BUDGET_MAX and 0 <= start <= total and output_cap >= 0):
+        _refuse(bits, start, budget, output_cap)
     pc = consumed = start
     steps = acc = 0
     out = bytearray()
@@ -176,5 +180,5 @@ def run_stream(
         # undecodable: plain halts one step later with empty output,
         # prefix-free never halts
         result = (DIVERGED, steps, None) if prefix_free else (HALTED, steps + 1, b"")
-    _last = (key, bits[start:consumed], result)
+    _last = (key, consumed, bits[start:consumed], result)
     return result

@@ -46,8 +46,7 @@ def min_index_map(machine: Machine, cap: int, budget: int | None) -> dict[str, i
         raise ConfigError(f"cap must be >= 0, got {cap}")
     found: dict[str, int] = {}
     for n, (_, output) in _scan(machine, 1, cap + 1, budget):
-        if output not in found:
-            found[output] = n
+        found.setdefault(output, n)
     return found
 
 

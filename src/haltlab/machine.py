@@ -27,7 +27,11 @@ wrappers stops the program at s + d with output code(s + d - 1).
 A RunOutcome is a named tuple (halted, stop_time, output); every run that is
 not seen halting returns one shared instance, equal to RunOutcome.running().
 run() builds a halted one with tuple.__new__, skipping the generated
-__new__, and refuses a budget that is not an int in [0, MAX_BUDGET].
+__new__, and refuses a budget that is not an int in [0, MAX_BUDGET]. It
+encodes the program once and checks the UTF-8 bytes the kernel runs, so a
+str that does not encode (a lone surrogate) is refused as a non-bit string;
+the pure kernel checks the argument types on every call and the ranges only
+on a call it does not answer from its last run (docs/machine-isa.md).
 run() dispatches on the exact machine class (a subclass is an unknown
 machine) and runs a VM program in its own body: one kernel call on the core
 after the wrappers. A VM run whose output passes the fixed DEFAULT_OUTPUT_CAP
@@ -184,23 +188,30 @@ def _route(dispatcher: Dispatcher, program: str) -> tuple[Machine, str] | None:
 
 def run(machine: Machine, program: str, budget: int) -> RunOutcome:
     """Run program for at most budget steps; budget-relative by design."""
-    if not isinstance(program, str) or program.strip("01"):
+    try:
+        # a str is a bit string when its UTF-8 bytes are; str.encode refuses
+        # a non-str and a lone surrogate
+        bits = str.encode(program)
+    except (TypeError, UnicodeEncodeError):
+        bits = None
+    if bits is None or bits.strip(b"01"):
         raise ConfigError(f"program must be a bit string, got {program!r}")
     if not isinstance(budget, int) or not 0 <= budget <= MAX_BUDGET:
         raise ConfigError(f"budget must be an int in [0, 2^64 - 1], got {budget!r}")
     kind = type(machine)
     if kind is PrefixFreeVM or kind is ToyVM:
-        n = len(program)
+        n = len(bits)
         # each pair of leading ones is one "11" mode field; the core starts
-        # after the mode field that follows the wrappers
-        depth = (n - len(program.lstrip("1"))) // 2
+        # after the mode field that follows the wrappers. A bit string starts
+        # with "11" exactly when it sorts at or after "11"
+        depth = (n - len(bits.lstrip(b"1"))) // 2 if bits >= b"11" else 0
         start = 2 * depth + 2
         core_budget = budget - depth * TIME_WRAP_STEP_OVERHEAD
         if core_budget < 1:
             return _NOT_HALTED
         if start <= n:
             status, stop, out = vm.run_stream(
-                program.encode(), start, kind is PrefixFreeVM, not machine.loop_free,
+                bits, start, kind is PrefixFreeVM, not machine.loop_free,
                 core_budget, DEFAULT_OUTPUT_CAP,
             )
             if status != HALTED:
@@ -242,9 +253,10 @@ def exact_run(machine: Machine, program: str) -> tuple[int, str] | None:
             # certain divergence, DIVERGED within one pass over the stream, or
             # a SPIN burn larger than the cap. run()'s kernel call is repeated
             # with the same arguments to read its status
-            depth = (len(program) - len(program.lstrip("1"))) // 2
+            n = len(program)
+            depth = (n - len(program.lstrip("1"))) // 2 if program >= "11" else 0
             start = 2 * depth + 2
-            if start > len(program) or vm.run_stream(
+            if start > n or vm.run_stream(
                 program.encode(), start, True, False,
                 LOOP_FREE_STEP_CAP - depth * TIME_WRAP_STEP_OVERHEAD, DEFAULT_OUTPUT_CAP,
             )[0] == DIVERGED:

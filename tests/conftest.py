@@ -1,10 +1,63 @@
+import importlib.machinery
+import importlib.util
 import pathlib
+import shlex
+import shutil
+import subprocess
+import sysconfig
 
 import pytest
 
+from haltlab import _stepper_py, vm
 from haltlab.machine import TableMachine, load_machine
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "haltlab"
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled kernel: the importable extension if it is not older than
+    _stepper.c, else _stepper.c built into a temporary directory, so that a
+    stale build never stands in for the source. Skips only when there is no
+    C compiler or no Python.h; a file that does not compile fails."""
+    try:
+        from haltlab import _stepper
+
+        stamp = pathlib.Path(_stepper.__file__).stat().st_mtime
+        if stamp >= (SOURCE / "_stepper.c").stat().st_mtime:
+            return _stepper
+    except ImportError:
+        pass
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()["include"]
+    if shutil.which(compiler[0]) is None:
+        pytest.skip(f"no C compiler: {compiler[0]}")
+    if not (pathlib.Path(include) / "Python.h").is_file():
+        pytest.skip(f"no Python.h in {include}")
+    target = tmp_path_factory.mktemp("kernel") / ("_stepper" + sysconfig.get_config_var("EXT_SUFFIX"))
+    command = compiler + [
+        "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC", "-I" + include,
+        str(SOURCE / "_stepper.c"), "-o", str(target),
+    ]
+    built = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    if built.returncode != 0:
+        pytest.fail(f"_stepper.c does not compile:\n{built.stderr}")
+    loader = importlib.machinery.ExtensionFileLoader("haltlab._stepper", str(target))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader("haltlab._stepper", loader, origin=str(target))
+    )
+    loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def kernel(request, monkeypatch):
+    """Each kernel in turn, patched in as haltlab.vm.run_stream; the
+    compiled one skips where the compiled fixture does."""
+    impl = _stepper_py if request.param == "pure" else request.getfixturevalue("compiled")
+    monkeypatch.setattr(vm, "run_stream", impl.run_stream)
+    return impl
 
 
 def table_from_stops(stops):

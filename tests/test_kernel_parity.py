@@ -5,19 +5,12 @@ docs/machine-isa.md without looking at the kernels, so agreement here means
 the doc, the production code, and an independent reading all coincide.
 """
 
-import importlib.machinery
-import importlib.util
 import itertools
-import pathlib
-import shlex
-import shutil
-import subprocess
-import sysconfig
 import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from haltlab import _stepper_py, complexity, vm
@@ -33,49 +26,12 @@ from haltlab.machine import (
     exact_run,
     is_transparent,
     load_machine,
+    observe,
     run,
 )
 from haltlab.sweep import sweep
 
 from oracles.ref_vm import ref_run, run_core
-
-SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "haltlab"
-
-
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The compiled kernel: the importable extension if it is not older than
-    _stepper.c, else _stepper.c built into a temporary directory, so that a
-    stale build never stands in for the source. Skips only when there is no
-    C compiler or no Python.h; a file that does not compile fails."""
-    try:
-        from haltlab import _stepper
-
-        stamp = pathlib.Path(_stepper.__file__).stat().st_mtime
-        if stamp >= (SOURCE / "_stepper.c").stat().st_mtime:
-            return _stepper
-    except ImportError:
-        pass
-    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    include = sysconfig.get_paths()["include"]
-    if shutil.which(compiler[0]) is None:
-        pytest.skip(f"no C compiler: {compiler[0]}")
-    if not (pathlib.Path(include) / "Python.h").is_file():
-        pytest.skip(f"no Python.h in {include}")
-    target = tmp_path_factory.mktemp("kernel") / ("_stepper" + sysconfig.get_config_var("EXT_SUFFIX"))
-    command = compiler + [
-        "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC", "-I" + include,
-        str(SOURCE / "_stepper.c"), "-o", str(target),
-    ]
-    built = subprocess.run(command, capture_output=True, text=True, timeout=300)
-    if built.returncode != 0:
-        pytest.fail(f"_stepper.c does not compile:\n{built.stderr}")
-    loader = importlib.machinery.ExtensionFileLoader("haltlab._stepper", str(target))
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_loader("haltlab._stepper", loader, origin=str(target))
-    )
-    loader.exec_module(module)
-    return module
 
 bits = st.text(alphabet="01", max_size=24)
 budgets = st.integers(min_value=0, max_value=4096)
@@ -127,6 +83,71 @@ def test_run_refuses_a_budget_that_is_not_an_int(request, monkeypatch, table1, k
     for machine in (ToyVM(), PrefixFreeVM(), table1, Dispatcher((table1,))):
         with pytest.raises(ConfigError):
             run(machine, "001111110", budget)
+
+
+class BitStr(str):
+    """A str subclass: a bit string of this type is a program like any other."""
+
+
+# a lone surrogate, which has no UTF-8 bytes, non-ASCII digits, whitespace
+# and objects that are not a str
+ODD_PROGRAMS = [
+    "\ud800", "01\udfff", "\u0661", "0\u0660", "\uff11", "\U0001d7cf", "\u00b9",
+    " ", "0 1", "\t01", "01\n", "\x00", b"01", b"", bytearray(b"1"), None, 1, 0.0, ["0", "1"],
+]
+program_like = st.one_of(
+    bits,
+    bits.map(BitStr),
+    st.text(max_size=8),
+    st.text(alphabet="01 \u0660\u0661\ud800", max_size=8),
+    st.sampled_from(ODD_PROGRAMS),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(program_like)
+def test_run_refuses_exactly_what_is_not_a_bit_string(kernel, table1, program):
+    refused = not isinstance(program, str) or program.strip("01")
+    machines = (ToyVM(), PrefixFreeVM(loop_free=True), table1, Dispatcher((ToyVM(loop_free=True), table1)))
+    for machine in machines:
+        reads = [(run, 64), (observe, 64)]
+        if is_transparent(machine):
+            reads += [(exact_run,), (observe, None)]
+        for read, *budget in reads:
+            if refused:
+                with pytest.raises(ConfigError, match="bit string"):
+                    read(machine, program, *budget)
+            else:
+                assert read(machine, program, *budget) == read(machine, str(program), *budget)
+
+
+def ends_inside_a_mode_field(program):
+    """All ones, or an even run of ones and then a last 0: the program ends
+    before the mode field after its wrappers is complete."""
+    ones = len(program) - len(program.lstrip("1"))
+    return ones == len(program) or (ones % 2 == 0 and ones + 1 == len(program))
+
+
+def test_a_program_that_ends_inside_a_mode_field_makes_no_kernel_call(kernel, monkeypatch):
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return kernel.run_stream(*args)
+
+    monkeypatch.setattr(vm, "run_stream", recorded)
+    programs = [format(v, f"0{n}b") if n else "" for n in range(7) for v in range(2**n)]
+    inside = [program for program in programs if ends_inside_a_mode_field(program)]
+    assert inside[:6] == ["", "0", "1", "11", "110", "111"]
+    for machine, prefix_free, allow_loops in VARIANTS:
+        for program in programs:
+            calls.clear()
+            if machine.loop_free:
+                halted, stop, output = ref_run(program, prefix_free, False, LOOP_FREE_STEP_CAP)
+                assert exact_run(machine, program) == ((stop, output) if halted else None), program
+            else:
+                assert tuple(run(machine, program, 4096)) == ref_run(program, prefix_free, True, 4096)
+            assert (calls == []) == (program in inside), program
 
 
 @st.composite
@@ -284,6 +305,47 @@ def test_kernels_refuse_the_same_arguments(compiled, args, error):
     for kernel in (compiled, _stepper_py):
         with pytest.raises(error):
             kernel.run_stream(*args)
+
+
+def valid_twin(bits, start, prefix_free, allow_loops, budget, output_cap):
+    """The nearest call that keeps the contract: a bad type's twin has the
+    same key, so the pure kernel would answer it from the last run."""
+    raw = bits.encode("ascii") if isinstance(bits, str) else bytes(bits)
+    return raw, min(max(start, 0), len(raw)), prefix_free, allow_loops, 64, max(output_cap, 0)
+
+
+@pytest.mark.parametrize(
+    "args, error", [case[1:] for case in BAD_ARGUMENTS], ids=[case[0] for case in BAD_ARGUMENTS]
+)
+def test_a_bad_call_is_refused_right_after_its_valid_twin(kernel, args, error):
+    twin = valid_twin(*args)
+    first = kernel.run_stream(*twin)
+    assert first == reference(twin[0].decode("ascii"), *twin[1:])
+    with pytest.raises(error):
+        kernel.run_stream(*args)
+    again = kernel.run_stream(*twin)
+    assert again == first
+    if kernel is _stepper_py:
+        # the refused call left the last run as it was
+        assert again is first
+
+
+class Bits(bytes):
+    """A bytes subclass, which both kernels take as bytes."""
+
+
+@pytest.mark.parametrize("budget", [False, True, 64])
+@pytest.mark.parametrize("core", [INC + END, INC + OUT1 + END, INC + OUT0 + "01"])
+def test_kernels_take_a_bytes_subclass_and_a_bool_budget(kernel, core, budget):
+    raw = ("00" + core).encode("ascii")
+    for args in [(Bits(raw), 2, True, False, budget, 16), (raw, 2, False, False, budget, 16)]:
+        expected = reference("00" + core, 2, *args[2:4], int(budget), 16)
+        _stepper_py.run_stream(b"", 0, False, False, 0, 0)  # a last run with another key
+        assert kernel.run_stream(*args) == expected
+        # on the pure kernel, answered from the last run, with plain bytes
+        # and an int budget and with the call's own types
+        assert kernel.run_stream(bytes(raw), 2, *args[2:4], int(budget), 16) == expected
+        assert kernel.run_stream(*args) == expected
 
 
 # ---------------------------------------------------------------------------

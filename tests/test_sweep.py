@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from haltlab import vm
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
 from haltlab.machine import (
@@ -244,6 +245,13 @@ def test_scan_is_the_observe_loop(
         observe(toy_vm, program, 4096)
     with pytest.raises(ResourceLimitError, match="output exceeded"):
         list(_scan(toy_vm, index, index + 1, 4096))
+
+
+def test_scan_is_the_observe_loop_on_the_compiled_kernel(
+    compiled, monkeypatch, toy_vm, loop_free_vm, prefix_free_vm, prefix_free_loop_free_vm, table1
+):
+    monkeypatch.setattr(vm, "run_stream", compiled.run_stream)
+    test_scan_is_the_observe_loop(toy_vm, loop_free_vm, prefix_free_vm, prefix_free_loop_free_vm, table1)
 
 
 def test_exact_sweep_measures(loop_free_vm):
