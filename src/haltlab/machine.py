@@ -24,14 +24,18 @@ values execute the rest directly on the base ISA. Hence a program that starts
 with L ones is L // 2 wrappers deep, and a core that stops at step s under d
 wrappers stops the program at s + d with output code(s + d - 1).
 
-A RunOutcome is a named tuple (halted, stop_time, output); every run that is
-not seen halting returns one shared instance, equal to RunOutcome.running().
-run() builds a halted one with tuple.__new__, skipping the generated
-__new__, and refuses a budget that is not an int in [0, MAX_BUDGET]. It
-encodes the program once and checks the UTF-8 bytes the kernel runs, so a
-str that does not encode (a lone surrogate) is refused as a non-bit string;
-the pure kernel checks the argument types on every call and the ranges only
-on a call it does not answer from its last run (docs/machine-isa.md).
+A RunOutcome is a named tuple (halted, stop_time, output), and run() hands
+out equal ones as one shared instance: RunOutcome.running() for every run
+not seen halting, and for a halted VM run the outcome kept in one of two
+dicts of at most _KEPT entries each: an unwrapped run's by the kernel's
+result tuple if its output has at most _KEPT_OUTPUT_BITS bits, a wrapped
+run's by its final stop time s + d, which alone gives its output. A result
+not kept is built afresh; nothing calls tuple.__new__. run() refuses a
+budget that is not an int in [0, MAX_BUDGET]. It encodes the program once
+and checks the UTF-8 bytes the kernel runs, so a str that does not encode
+(a lone surrogate) is refused as a non-bit string; the pure kernel checks
+the argument types on every call and the ranges only on a call it does not
+answer from its last run (docs/machine-isa.md).
 run() dispatches on the exact machine class (a subclass is an unknown
 machine) and runs a VM program in its own body: one kernel call on the core
 after the wrappers. A VM run whose output passes the fixed DEFAULT_OUTPUT_CAP
@@ -96,8 +100,13 @@ class RunOutcome(NamedTuple):
 
 
 _NOT_HALTED = RunOutcome.running()
-# builds a halted outcome without the generated __new__ and its defaults
-_new_outcome = tuple.__new__
+# the shared halted outcomes (module docstring)
+_KEPT = 1024
+_KEPT_OUTPUT_BITS = 64
+_by_result: dict[tuple, RunOutcome] = {}
+_by_stop: dict[int, RunOutcome] = {}
+# a plain program that ends inside a mode field, as the kernel would report it
+_MODE_FIELD_HALT = (HALTED, 1, b"")
 
 
 class _VM(Value):
@@ -187,7 +196,8 @@ def _route(dispatcher: Dispatcher, program: str) -> tuple[Machine, str] | None:
 
 
 def run(machine: Machine, program: str, budget: int) -> RunOutcome:
-    """Run program for at most budget steps; budget-relative by design."""
+    """Run program for at most budget steps; budget-relative by design.
+    Equal outcomes may be one shared instance: compare them by value."""
     try:
         # a str is a bit string when its UTF-8 bytes are; str.encode refuses
         # a non-str and a lone surrogate
@@ -209,29 +219,41 @@ def run(machine: Machine, program: str, budget: int) -> RunOutcome:
         core_budget = budget - depth * TIME_WRAP_STEP_OVERHEAD
         if core_budget < 1:
             return _NOT_HALTED
-        if start <= n:
-            status, stop, out = vm.run_stream(
+        if start > n:
+            if kind is PrefixFreeVM:
+                return _NOT_HALTED  # the program ends inside a mode field
+            result = _MODE_FIELD_HALT
+        else:
+            result = vm.run_stream(
                 bits, start, kind is PrefixFreeVM, not machine.loop_free,
                 core_budget, DEFAULT_OUTPUT_CAP,
             )
-            if status != HALTED:
-                if status == OUTPUT_LIMIT:
-                    raise ResourceLimitError(
-                        f"output exceeded {DEFAULT_OUTPUT_CAP} bits at step {stop}"
-                    )
-                return _NOT_HALTED
-        elif kind is PrefixFreeVM:
-            return _NOT_HALTED  # the program ends inside a mode field
-        else:
-            stop, out = 1, b""
+        status, stop, out = result
+        if status != HALTED:
+            if status == OUTPUT_LIMIT:
+                raise ResourceLimitError(
+                    f"output exceeded {DEFAULT_OUTPUT_CAP} bits at step {stop}"
+                )
+            return _NOT_HALTED
         if not depth:
-            return _new_outcome(RunOutcome, (True, stop, out.decode()))
+            outcome = _by_result.get(result)
+            if outcome is None:
+                outcome = RunOutcome(True, stop, out.decode())
+                if len(out) <= _KEPT_OUTPUT_BITS and len(_by_result) < _KEPT:
+                    _by_result[result] = outcome
+            return outcome
         stop += depth * TIME_WRAP_STEP_OVERHEAD  # s + d, and the output is code(s + d - 1)
-        return _new_outcome(RunOutcome, (True, stop, bits_of_index(stop - TIME_WRAP_STEP_OVERHEAD)))
+        outcome = _by_stop.get(stop)
+        if outcome is None:
+            outcome = RunOutcome(True, stop, bits_of_index(stop - TIME_WRAP_STEP_OVERHEAD))
+            # stop <= budget <= MAX_BUDGET, so the output has at most 63 bits
+            if len(_by_stop) < _KEPT:
+                _by_stop[stop] = outcome
+        return outcome
     if kind is TableMachine:
         hit = machine.lookup(program)
         if hit is not None and hit[0] <= budget:
-            return _new_outcome(RunOutcome, (True, hit[0], hit[1]))
+            return RunOutcome(True, *hit)
         return _NOT_HALTED
     if kind is Dispatcher:
         routed = _route(machine, program)

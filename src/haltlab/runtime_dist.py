@@ -276,21 +276,38 @@ def tail_threshold(dist: RuntimeDistribution, k: int) -> int:
     """
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
-    target = Fraction(1, 2**k)
+    return _tail_thresholds(dist, [k])[0]
+
+
+def _tail_thresholds(dist: RuntimeDistribution, ks: list[int]) -> list[int]:
+    """tail_threshold of each of the ascending ks, from one search. T(k) does
+    not decrease in k, and past the listed weights it grows by about as much
+    for each k. So each search gallops, 1, 2, 4, ... horizons a step, from the
+    last T plus its last increase: up while the horizon misses the target,
+    then down while the one below still meets it; then it bisects. From the
+    first guess, T = 1, the upward gallop is a single search's doubling."""
     cap = dist.weights.horizon_cap
-    # hi meets the target; lo is 0 or a horizon that misses it
-    lo, hi = 0, 1
-    while tail_certificate(dist, hi) >= target:
-        if hi == cap:
-            raise ResourceLimitError(
-                f"T({k}) lies past horizon {cap}, the last whose tail power "
-                f"fits {POWER_BIT_LIMIT} bits"
-            )
-        lo, hi = hi, min(2 * hi, cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if tail_certificate(dist, mid) < target else (mid, hi)
-    return hi
+    # lo is 0 or a horizon that missed a target, so it misses every later one
+    lo, guess, thresholds = 0, 1, []
+    for k in ks:
+        target = Fraction(1, 2**k)
+        hi, step = min(guess, cap), 1
+        while tail_certificate(dist, hi) >= target:
+            if hi == cap:
+                raise ResourceLimitError(
+                    f"T({k}) lies past horizon {cap}, the last whose tail power "
+                    f"fits {POWER_BIT_LIMIT} bits"
+                )
+            lo, hi, step = hi, min(hi + step, cap), 2 * step
+        while hi - step > lo and tail_certificate(dist, hi - step) < target:
+            hi, step = hi - step, 2 * step
+        lo = max(lo, hi - step)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if tail_certificate(dist, mid) < target else (mid, hi)
+        guess = 2 * hi - (thresholds[-1] if thresholds else hi)
+        thresholds.append(hi)
+    return thresholds
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +333,10 @@ def split_halting_set(dist: RuntimeDistribution, k: int, max_len: int) -> HaltSp
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     check_enum_cap(max_len)  # before any sweep of the shorter lengths
-    cutoffs = {n: 2 ** tail_threshold(dist, k + n + 2) for n in range(1, max_len + 1)}
-    histories = [sweep(dist.machine, n, dist.budget) for n in range(1, max_len + 1)]
+    lengths = range(1, max_len + 1)
+    horizons = _tail_thresholds(dist, [k + n + 2 for n in lengths])
+    cutoffs = {n: 2**horizon for n, horizon in zip(lengths, horizons)}
+    histories = [sweep(dist.machine, n, dist.budget) for n in lengths]
     residual = tuple(pair for h in histories for pair in h.pairs(cutoffs[h.length]))
     measure_hi = sum(
         (Fraction(1, 2 ** len(p)) * dist.mass(t).hi for p, t in residual),

@@ -8,7 +8,7 @@ import sysconfig
 
 import pytest
 
-from haltlab import _stepper_py, vm
+from haltlab import _stepper_py, machine, vm
 from haltlab.machine import TableMachine, load_machine
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -58,6 +58,16 @@ def kernel(request, monkeypatch):
     impl = _stepper_py if request.param == "pure" else request.getfixturevalue("compiled")
     monkeypatch.setattr(vm, "run_stream", impl.run_stream)
     return impl
+
+
+@pytest.fixture
+def kept_outcomes(monkeypatch):
+    """machine.run's two dicts of shared outcomes, emptied for this test and
+    restored after it, so that a test of their identity or size does not
+    depend on the tests run before it: (by kernel result, by wrapped stop)."""
+    monkeypatch.setattr(machine, "_by_result", {})
+    monkeypatch.setattr(machine, "_by_stop", {})
+    return machine._by_result, machine._by_stop
 
 
 def table_from_stops(stops):

@@ -5,10 +5,10 @@ import pytest
 
 from haltlab.errors import ConfigError
 from haltlab.halting_prob import domain_prob_curve, is_total
-from haltlab.machine import exact_run
-from haltlab.sweep import all_programs
+from haltlab.machine import DEFAULT_OUTPUT_CAP, LOOP_FREE_STEP_CAP, exact_run
+from haltlab.sweep import DEFAULT_ENUM_CAP_BITS, all_programs
 
-from oracles.census import halting_counts, kraft_limit
+from oracles.census import halting_counts, kraft_limit, run_bounds
 
 
 def test_kraft_weight_below_one_on_prefix_free(prefix_free_loop_free_vm):
@@ -46,6 +46,24 @@ def test_census_partial_kraft_sum_meets_its_limit():
     limit = kraft_limit()
     assert limit == Fraction(64, 65)
     assert limit - Fraction(1, 2**78) < partial < limit
+
+
+def test_no_enumerable_loop_free_program_reaches_a_cap(loop_free_vm):
+    """By run_bounds' search over the word lengths, no loop-free program of at
+    most DEFAULT_ENUM_CAP_BITS bits, wrappers included, runs
+    LOOP_FREE_STEP_CAP steps or emits DEFAULT_OUTPUT_CAP bits: at 24 bits a
+    run takes at most 47 steps and emits at most 26 bits. The bounds are the
+    exact maxima of an exhaustive run at every length up to 12, and they first
+    reach the caps at 101 (output) and 114 (steps) bits."""
+    bounds = run_bounds(120)
+    assert bounds[DEFAULT_ENUM_CAP_BITS] == (47, 26)
+    for steps, out in bounds[: DEFAULT_ENUM_CAP_BITS + 1]:
+        assert steps < LOOP_FREE_STEP_CAP and out < DEFAULT_OUTPUT_CAP
+    assert min(n for n, (_, out) in enumerate(bounds) if out >= DEFAULT_OUTPUT_CAP) == 101
+    assert min(n for n, (steps, _) in enumerate(bounds) if steps >= LOOP_FREE_STEP_CAP) == 114
+    for n in range(13):
+        runs = [exact_run(loop_free_vm, program) for program in all_programs(n)]
+        assert (max(s for s, _ in runs), max(len(o) for _, o in runs)) == bounds[n], n
 
 
 def test_total_shortcut_matches_a_real_count(loop_free_vm):

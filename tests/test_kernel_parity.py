@@ -53,17 +53,22 @@ def test_machine_matches_reference(program, budget, variant):
     assert (outcome.halted, outcome.stop_time, outcome.output) == expected
 
 
-def test_machine_matches_reference_exhaustively_short():
+def test_machine_matches_reference_exhaustively_short(kernel, kept_outcomes):
     # every program of at most 10 bits, which reaches the odd runs of
     # leading ones ("1", "111", "11111") that end inside a mode field
     programs = [format(v, f"0{n}b") if n else "" for n in range(11) for v in range(2**n)]
     not_halted = set()
+    # the first instance of each halted value, unwrapped and wrapped apart:
+    # an unwrapped run is kept by its kernel result, a wrapped one by its stop
+    unwrapped, wrapped = {}, {}
     for machine, prefix_free, allow_loops in VARIANTS:
         for program, budget in itertools.product(programs, (0, 1, 2, 4096)):
             outcome = run(machine, program, budget)
             assert tuple(outcome) == ref_run(program, prefix_free, allow_loops, budget), program
             if outcome.halted:
                 assert type(outcome) is RunOutcome
+                first = (wrapped if program >= "11" else unwrapped).setdefault(outcome, outcome)
+                assert outcome is first, program
             else:
                 not_halted.add(id(outcome))
         if not allow_loops:
@@ -72,6 +77,9 @@ def test_machine_matches_reference_exhaustively_short():
                 assert exact_run(machine, program) == ((stop, output) if halted else None)
     # a run not seen halting returns the one shared instance
     assert len(not_halted) == 1
+    by_result, by_stop = kept_outcomes
+    assert len(by_result) == len(unwrapped) and len(by_stop) == len(wrapped)
+    assert {stop for _, stop, _ in wrapped} == set(by_stop)
 
 
 @pytest.mark.parametrize("kernel", ["pure", "compiled"])

@@ -4,10 +4,12 @@ import pytest
 
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.complexity import min_index_map
-from haltlab.errors import ConfigError
+from haltlab.errors import ConfigError, ResourceLimitError
 from haltlab.halting_prob import ProbCurvePoint
 from haltlab.intervals import Interval
 from haltlab.machine import (
+    _KEPT,
+    _KEPT_OUTPUT_BITS,
     MAX_DISPATCH_NESTING,
     Dispatcher,
     PrefixFreeVM,
@@ -107,6 +109,50 @@ def test_run_outcome_fields(toy_vm):
     assert (still.halted, still.stop_time, still.output) == (False, None, None)
     stopped = run(toy_vm, "0101000", 64)
     assert (stopped.halted, stopped.stop_time, stopped.output) == (True, 2, "0")
+
+
+def out_words(output):
+    """A toy-vm program that writes output with OUT0/OUT1 and halts by END
+    at step len(output) + 1."""
+    return "00" + "".join("0110" if bit == "1" else "010" for bit in output) + "00"
+
+
+def test_shared_outcomes_are_bounded(kernel, kept_outcomes, toy_vm):
+    """More distinct results than either dict keeps: each dict stops growing
+    at _KEPT entries, every outcome is still right, a kept one is shared and
+    one past the bound is an equal but fresh instance on every call."""
+    by_result, by_stop = kept_outcomes
+    for v in range(_KEPT + 50):
+        output = format(v, "011b")
+        assert run(toy_vm, out_words(output), 64) == (True, 12, output)
+        # d wrappers around END stop at step d + 1 with output code(d)
+        assert run(toy_vm, "11" * (v + 1) + "0000", 4096) == (True, v + 2, bits_of_index(v + 1))
+        assert len(by_result) == min(v + 1, _KEPT) and len(by_stop) == min(v + 1, _KEPT)
+    for program in (out_words(format(0, "011b")), "110000"):
+        assert run(toy_vm, program, 64) is run(toy_vm, program, 64)
+    for program in (out_words(format(_KEPT + 49, "011b")), "11" * (_KEPT + 50) + "0000"):
+        first, again = run(toy_vm, program, 4096), run(toy_vm, program, 4096)
+        assert type(again) is RunOutcome and first == again and first is not again
+    assert len(by_result) == len(by_stop) == _KEPT
+
+
+def test_a_long_output_is_not_kept(kernel, kept_outcomes, toy_vm):
+    by_result, _ = kept_outcomes
+    kept = out_words("1" * _KEPT_OUTPUT_BITS)
+    assert run(toy_vm, kept, 128) is run(toy_vm, kept, 128)
+    longer = out_words("1" * (_KEPT_OUTPUT_BITS + 1))
+    first, again = run(toy_vm, longer, 128), run(toy_vm, longer, 128)
+    assert first == again == (True, _KEPT_OUTPUT_BITS + 2, "1" * (_KEPT_OUTPUT_BITS + 1))
+    assert first is not again
+    assert len(by_result) == 1
+
+
+def test_an_output_past_the_cap_is_refused_on_every_repeat(kernel, kept_outcomes, toy_vm):
+    program = "000111111110111001111110"  # passes DEFAULT_OUTPUT_CAP at step 81
+    for _ in range(3):
+        with pytest.raises(ResourceLimitError, match="output exceeded"):
+            run(toy_vm, program, 4096)
+    assert kept_outcomes == ({}, {})
 
 
 def test_budget_zero_observes_nothing(toy_vm):

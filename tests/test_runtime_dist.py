@@ -3,11 +3,13 @@ from fractions import Fraction
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haltlab import runtime_dist
 from haltlab.errors import ConfigError, DegenerateDistributionError, ResourceLimitError
 from haltlab.intervals import Interval
-from haltlab.machine import TableMachine
+from haltlab.machine import TableMachine, read_json
 from haltlab.runtime_dist import (
     GeometricTableWeights,
     halting_series,
@@ -19,7 +21,7 @@ from haltlab.runtime_dist import (
     weights_from_dict,
 )
 
-from conftest import table_from_stops
+from conftest import FIXTURES, table_from_stops
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +298,53 @@ def test_split_holds_its_pairs_in_arrays(toy_vm):
     pairs = len(split.computable) + len(split.residual)
     assert pairs == len(list(split.computable)) + len(split.residual) > 8000
     assert retained / pairs < 40
+
+
+def per_length_threshold(dist, k):
+    """One T(k) search of its own, doubling from T = 1 and then bisecting:
+    the oracle for the search that split_halting_set shares across lengths."""
+    target = Fraction(1, 2**k)
+    lo, hi = 0, 1
+    while tail_certificate(dist, hi) >= target:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail_certificate(dist, mid) < target else (mid, hi)
+    return hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(min_value=0, max_value=80),
+    max_len=st.integers(min_value=1, max_value=12),
+    weights=st.sampled_from([None, "dyadic_weights.json"]),
+)
+def test_split_cutoffs_equal_the_per_length_searches(table1, k, max_len, weights):
+    if weights is None:
+        dist = induced_distribution(table1)
+    else:
+        dist = user_table_distribution(table1, read_json(FIXTURES / weights, "weights"))
+    expected = {n: 2 ** per_length_threshold(dist, k + n + 2) for n in range(1, max_len + 1)}
+    assert split_halting_set(dist, k, max_len).cutoffs == expected
+    assert {n: 2 ** tail_threshold(dist, k + n + 2) for n in expected} == expected
+
+
+def test_split_shares_one_search_on_a_slow_tail(table1, monkeypatch):
+    """At ratio 999/1000 T(k) grows by about 693 per k: the shared search
+    finds the same cutoffs as one search per length with far fewer
+    certificates."""
+    dist = user_table_distribution(table1, read_json(FIXTURES / "slow_tail_weights.json", "weights"))
+    expected = {n: 2 ** per_length_threshold(dist, n + 3) for n in range(1, 6)}
+    probes = []
+    certificate = runtime_dist.tail_certificate
+    monkeypatch.setattr(
+        runtime_dist, "tail_certificate", lambda d, h: probes.append(h) or certificate(d, h)
+    )
+    assert split_halting_set(dist, 1, 5).cutoffs == expected
+    shared = len(probes)
+    probes.clear()
+    assert {n: 2 ** tail_threshold(dist, n + 3) for n in range(1, 6)} == expected
+    assert 2 * shared < len(probes)
 
 
 def test_split_with_nonempty_residual():
