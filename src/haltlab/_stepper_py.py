@@ -93,10 +93,11 @@ def run_stream(
     # says nothing about a longer one
     key = (start, total, prefix_free, allow_loops, budget, output_cap)
     last_key, reach, read, result = _last
-    if last_key == key and bits[start:reach] == read:
+    if last_key != key:
+        if not (0 <= budget <= _BUDGET_MAX and 0 <= start <= total and output_cap >= 0):
+            _refuse(bits, start, budget, output_cap)
+    elif bits[start:reach] == read:
         return result
-    if not (0 <= budget <= _BUDGET_MAX and 0 <= start <= total and output_cap >= 0):
-        _refuse(bits, start, budget, output_cap)
     pc = consumed = start
     steps = acc = 0
     out = bytearray()

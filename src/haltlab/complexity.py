@@ -40,7 +40,11 @@ UNKNOWN = "unknown"
 def min_index_map(machine: Machine, cap: int, budget: int | None) -> dict[str, int]:
     """Map output -> least index n <= cap producing it (within budget if opaque).
 
-    The returned dict is shared through a cache; treat it as read-only.
+    Each output keeps the first index _scan gives it. A VM's core order keeps
+    that the least, and the first run that raises the least offending one,
+    whenever a range starts at 1 or a length boundary; every range here
+    starts at 1 (haltlab.sweep). The returned dict is shared through a
+    cache; treat it as read-only.
     """
     if cap < 0:
         raise ConfigError(f"cap must be >= 0, got {cap}")

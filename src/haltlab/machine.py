@@ -34,8 +34,9 @@ not kept is built afresh; nothing calls tuple.__new__. run() refuses a
 budget that is not an int in [0, MAX_BUDGET]. It encodes the program once
 and checks the UTF-8 bytes the kernel runs, so a str that does not encode
 (a lone surrogate) is refused as a non-bit string; the pure kernel checks
-the argument types on every call and the ranges only on a call it does not
-answer from its last run (docs/machine-isa.md).
+the argument types on every call and the ranges only on a call whose key
+differs from its last run's, since that run's key passed them
+(docs/machine-isa.md).
 run() dispatches on the exact machine class (a subclass is an unknown
 machine) and runs a VM program in its own body: one kernel call on the core
 after the wrappers. A VM run whose output passes the fixed DEFAULT_OUTPUT_CAP

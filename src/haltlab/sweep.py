@@ -1,17 +1,29 @@
 """Exhaustive halting histories over fixed-length program spaces.
 
-A sweep observes every length-N program, in index order, and records the stop
-times of those seen halting. With a step horizon T it runs each program for at
-most T steps; with no horizon it reads a transparent machine exactly. _scan
-is the package's one loop over an index range of programs: sweep,
-complexity.min_index_map and runtime_dist's tail sum run on it, and it checks
-the enumeration cap before its first program. It calls the machine itself,
-exact_run() or run() once per program, and reads the same (stop time,
-output) that haltlab.machine.observe() reads for one program. A sweep's
-result is one plain record, HaltingHistory: two index-ordered arrays in
-step, each halting program's offset within its length and its stop time. It
-keeps no program strings; pairs() makes a program's string again only where
-it is read.
+A sweep observes every length-N program and records the stop times of those
+seen halting. With a step horizon T it runs each program for at most T steps;
+with no horizon it reads a transparent machine exactly. _scan is the
+package's one loop over an index range of programs: sweep,
+complexity.min_index_map, halting_prob's curve and runtime_dist's tail sum
+run on it, and it checks the enumeration cap before its first program. It
+calls the machine itself, exact_run() or run() once per program, and reads
+the same (stop time, output) that haltlab.machine.observe() reads for one
+program. A sweep's result is one plain record, HaltingHistory: two
+index-ordered arrays in step, each halting program's offset within its
+length and its stop time. It keeps no program strings; pairs() makes a
+program's string again only where it is read.
+
+On the VM kinds _scan visits each length in core order. A program is
+1^(2d) m c: d wrappers, a mode field m and a core c, and the modes 00, 01
+and 10 all run c directly (docs/machine-isa.md). So depth by depth, for each
+core c in ascending order, _scan runs 1^(2d) 00 c, 01 c and 10 c back to
+back, then the programs that end inside a mode field: the pure kernel
+answers the second and third from its last run, where index order puts them
+2^(N-2d-2) programs apart. Equal cores give equal results and the lowest
+mode block leads, so over a range from 1 or a length boundary the first
+program seen for a result, and the first whose run raises, is the least
+index: min_index_map relies on it. sweep restores index order; tables and
+dispatchers are scanned in index order.
 
 For a sweep with horizon T the associated product space is {0,1}^N x {1..T}
 with the uniform measure 2^-N * 1/T; prob_exact and prob_by are measures of
@@ -24,13 +36,13 @@ from __future__ import annotations
 
 import os
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
-from haltlab.machine import Machine, exact_run, run
+from haltlab.machine import Machine, PrefixFreeVM, ToyVM, exact_run, run
 from haltlab.value import Value
 
 DEFAULT_ENUM_CAP_BITS = 24
@@ -38,6 +50,8 @@ ENUM_CAP_ENV = "HALTLAB_ENUM_CAP"
 # history_to_matrix builds one cell per (program, time), about 100 bytes each
 MATRIX_CELL_CAP = 2**20
 CSV_BLOCK = 4096  # rows per join in history_to_csv
+# the machine kinds that _scan visits in core order (module docstring)
+_CORE_ORDERED = (ToyVM, PrefixFreeVM)
 
 
 def enum_cap_bits() -> int:
@@ -117,23 +131,57 @@ def all_programs(length: int) -> Iterator[str]:
     return (bin(v)[3:] for v in range(2**length, 2 ** (length + 1)))
 
 
+def _core_order(lo: int, hi: int) -> Iterator[Iterable[int]]:
+    """Runs of indices, each a C-level iterator, whose chain is [lo, hi) in
+    core order: a depth's mode blocks zipped over the cores they share."""
+    for n in range(max(lo, 1).bit_length() - 1, max(hi - 1, 1).bit_length()):
+        at = 1 << n  # the first index of length n not yet given
+        for r in range(n - 2, -1, -2):  # core length r
+            q = 1 << r
+            bases = range(at, at + 3 * q, q)
+            at += 3 * q
+            # the cores of each mode block within [lo, hi)
+            spans = [(b, min(max(lo - b, 0), q), min(max(hi - b, 0), q)) for b in bases]
+            cuts = sorted({0, q}.union(*((s, e) for _, s, e in spans)))
+            for x, y in zip(cuts, cuts[1:]):
+                runs = [range(b + x, b + y) for b, s, e in spans if s <= x and y <= e]
+                yield runs[0] if len(runs) == 1 else chain.from_iterable(zip(*runs))
+        yield range(max(lo, at), min(hi, 2 << n))  # those that end inside a mode field
+
+
 def _scan(machine: Machine, lo: int, hi: int, budget: int | None) -> Iterator[tuple]:
     """(index, (stop time, output)) of each index in [lo, hi) whose program
-    is seen halting, in index order: one exact_run() per program, or one
-    run() within the budget, as observe() reads one program. The longest
-    program, that of index hi - 1, goes through the enumeration cap before
-    the first one runs."""
+    is seen halting: one exact_run() per program, or one run() within the
+    budget, as observe() reads one program. A VM runs in core order, each
+    core's three mode programs back to back so that the pure kernel's last
+    run answers the repeats; from 1 or a length boundary the least index of
+    a result still comes first, as min_index_map needs (module docstring).
+    Other machines run in index order. The longest program, that of index
+    hi - 1, goes through the enumeration cap before the first one runs."""
     check_enum_cap(max(0, (hi - 1).bit_length() - 1))
+    core_ordered = type(machine) in _CORE_ORDERED
+    order = chain.from_iterable(_core_order(lo, hi)) if core_ordered else range(lo, hi)
     if budget is None:
-        for index in range(lo, hi):
+        for index in order:
             hit = exact_run(machine, bin(index)[3:])
             if hit is not None:
                 yield index, hit
     else:
-        for index in range(lo, hi):
+        for index in order:
             halted, stop, output = run(machine, bin(index)[3:], budget)
             if halted:
                 yield index, (stop, output)
+
+
+def _regroup(at: int, *columns: array) -> None:
+    """Put each column[at:], one depth's hits in core order, in index order:
+    they come in triples, a core's three mode blocks (equal cores give equal
+    results), so every third from the first, then the second, then the third."""
+    for column in columns:
+        depth = column[at:]
+        del column[at:]
+        for mode in range(3):
+            column.extend(depth[mode::3])
 
 
 def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
@@ -145,12 +193,23 @@ def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     top = 2**length
     offsets, times = array("Q"), array("Q")
+    # a VM's depth is regrouped from its first hit, at, once the scan passes
+    # its end (which leaves the two programs ending in a mode field as is)
+    core_ordered = type(machine) in _CORE_ORDERED
+    at, end = 0, 0 if core_ordered else 2 * top
     for index, (stop, _) in _scan(machine, top, 2 * top, horizon):
+        if index >= end:
+            _regroup(at, offsets, times)
+            at = len(offsets)
+            d2 = (length - (index ^ (2 * top - 1)).bit_length()) & ~1  # twice the depth
+            end = 2 * top - (top >> (d2 + 2))
         offsets.append(index - top)
         try:
             times.append(stop)
         except OverflowError:  # past 2^64 - 1: only a table's exact stop time
             times = [*times, stop]
+    if core_ordered:
+        _regroup(at, offsets, times)
     return HaltingHistory(length, horizon, offsets, times)
 
 

@@ -75,6 +75,16 @@ def table_from_stops(stops):
     return TableMachine(tuple((p, t, "") for p, t in stops.items()))
 
 
+def mode_block_bases(n):
+    """The first index of each mode block of length n, and of the programs
+    that end inside a mode field."""
+    bases, at = [], 2**n
+    for core_length in range(n - 2, -1, -2):
+        bases += [at, at + 2**core_length, at + 2 * 2**core_length]
+        at += 3 * 2**core_length
+    return bases + [at]
+
+
 @pytest.fixture(scope="session")
 def table1():
     return load_machine(str(FIXTURES / "table1.json"))

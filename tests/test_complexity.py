@@ -14,8 +14,9 @@ from haltlab.complexity import (
     time_randomness,
 )
 from haltlab.errors import ConfigError
-from haltlab.machine import Dispatcher, TableMachine, run, timed_table
+from haltlab.machine import Dispatcher, TableMachine, observe, run, timed_table
 
+from conftest import mode_block_bases
 from oracles.ref_vm import ref_run
 
 
@@ -140,3 +141,28 @@ def test_random_string_density_floor(loop_free_vm):
 def test_random_string_density_needs_transparency(toy_vm):
     with pytest.raises(ConfigError):
         random_string_density(toy_vm, 4)
+
+
+@pytest.mark.parametrize(
+    "name, budget",
+    [("toy_vm", 256), ("loop_free_vm", None), ("prefix_free_vm", 256), ("prefix_free_loop_free_vm", None)],
+)
+def test_least_index_map_is_setdefault_in_index_order(kernel, name, budget, request):
+    """min_index_map scans a VM in core order, yet keeps the least index of
+    each output, as setdefault over the indices in index order does: at
+    every cap below 2^8 and, below 2^12, at each edge of the first three
+    depths' mode blocks and of the programs that end inside a mode field."""
+    machine = request.getfixturevalue(name)
+    caps = set(range(1, 2**8)) | {2**12 - 1}
+    for n in range(8, 12):
+        bases = mode_block_bases(n)
+        caps |= {c for b in bases[:9] + bases[-1:] for c in (b - 1, b)}
+    expected = {}
+    for index in range(1, 2**12):
+        hit = observe(machine, bits_of_index(index), budget)
+        if hit is not None:
+            expected.setdefault(hit[1], index)
+        if index in caps:
+            min_index_map.cache_clear()
+            assert min_index_map(machine, index, budget) == expected, index
+    min_index_map.cache_clear()

@@ -1,12 +1,13 @@
 from fractions import Fraction
 import importlib
+import itertools
 import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from haltlab import vm
+from haltlab import _stepper_py, vm
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
 from haltlab.machine import (
@@ -16,6 +17,7 @@ from haltlab.machine import (
     is_transparent,
     machine_from_dict,
     observe,
+    run,
 )
 from haltlab.sweep import (
     CSV_BLOCK,
@@ -31,7 +33,7 @@ from haltlab.sweep import (
     sweep,
 )
 
-from conftest import table_from_stops
+from conftest import mode_block_bases, table_from_stops
 
 
 @pytest.fixture(scope="module")
@@ -202,8 +204,11 @@ def test_csv_matches_the_naive_join(toy_vm):
 
 
 def test_stops_are_in_index_order(toy_vm, prefix_free_vm, table1):
-    for machine, length in ((toy_vm, 8), (prefix_free_vm, 8), (table1, 3)):
-        programs = [program for program, _ in sweep(machine, length, 512).pairs()]
+    # at horizon 2 the last depth seen halting on toy-vm has several cores
+    for machine, length, horizon in (
+        (toy_vm, 8, 512), (toy_vm, 8, 2), (prefix_free_vm, 8, 512), (table1, 3, 512)
+    ):
+        programs = [program for program, _ in sweep(machine, length, horizon).pairs()]
         assert programs == sorted(programs, key=index_of_bits)
 
 
@@ -238,7 +243,7 @@ def test_scan_is_the_observe_loop(
                 if (hit := observe(machine, bits_of_index(i), budget)) is not None
             ]
             assert expected
-            assert list(_scan(machine, 1, 2**11, budget)) == expected
+            assert sorted(_scan(machine, 1, 2**11, budget)) == expected
     program = "000111111110111001111110"  # passes DEFAULT_OUTPUT_CAP at step 81
     index = index_of_bits(program)
     with pytest.raises(ResourceLimitError, match="output exceeded"):
@@ -252,6 +257,132 @@ def test_scan_is_the_observe_loop_on_the_compiled_kernel(
 ):
     monkeypatch.setattr(vm, "run_stream", compiled.run_stream)
     test_scan_is_the_observe_loop(toy_vm, loop_free_vm, prefix_free_vm, prefix_free_loop_free_vm, table1)
+
+
+def core_order_key(index):
+    """Where an index falls in core order, from its program's bits alone:
+    its length, then its depth, core and mode field, the programs that end
+    inside a mode field after every depth of their length."""
+    program = bits_of_index(index)
+    n = len(program)
+    depth = (n - len(program.lstrip("1"))) // 2
+    if 2 * depth + 2 > n:
+        return (n, n, index)
+    return (n, depth, program[2 * depth + 2 :], program[2 * depth : 2 * depth + 2])
+
+
+def test_scan_runs_a_vm_in_core_order(kernel, monkeypatch, toy_vm, prefix_free_loop_free_vm, table1):
+    """On a VM _scan runs [lo, hi) in core order: a permutation of [lo, hi),
+    in which a full depth block runs the three programs of each core back to
+    back. Cut at either end or both, it runs the full length's order with
+    the indices outside [lo, hi) left out. A table runs in index order."""
+    sweep_module = importlib.import_module("haltlab.sweep")
+    ran = []
+    monkeypatch.setattr(
+        sweep_module, "run", lambda m, p, b: ran.append(index_of_bits(p)) or run(m, p, b)
+    )
+    monkeypatch.setattr(
+        sweep_module, "exact_run", lambda m, p: ran.append(index_of_bits(p)) or exact_run(m, p)
+    )
+
+    def order(machine, lo, hi, budget):
+        ran.clear()
+        list(_scan(machine, lo, hi, budget))
+        return list(ran)
+
+    for n in range(13):
+        lo, hi = 2**n, 2 ** (n + 1)
+        full = sorted(range(lo, hi), key=core_order_key)
+        got = order(toy_vm, lo, hi, 64)
+        assert got == full
+        assert order(prefix_free_loop_free_vm, lo, hi, None) == full
+        # each core's three programs back to back, then those that end
+        # inside a mode field
+        keys = [core_order_key(i) for i in got]
+        cored = [key for key in keys if len(key) == 4]
+        assert keys[: len(cored)] == cored
+        for at in range(0, len(cored), 3):
+            assert [key[3] for key in cored[at : at + 3]] == ["00", "01", "10"]
+            assert len({key[:3] for key in cored[at : at + 3]}) == 1
+        cuts = sorted({c for b in mode_block_bases(n) for c in (b - 1, b, b + 1, b + 2**n // 7)})
+        cuts = [c for c in cuts if lo <= c <= hi]
+        ranges = [(lo, c) for c in cuts] + [(c, hi) for c in cuts]
+        if n <= 8:  # both ends cut, every pair of cuts
+            ranges += list(itertools.combinations(cuts, 2))
+        else:
+            ranges += list(zip(cuts, cuts[3:]))
+        for a, b in ranges:
+            got = order(toy_vm, a, b, 64)
+            assert sorted(got) == list(range(a, b)), (a, b)
+            assert got == [i for i in full if a <= i < b], (a, b)
+    assert order(table1, 1, 2**5, None) == list(range(1, 2**5))
+
+
+@pytest.mark.parametrize("cap", [0, 1, 3, 16])
+def test_scan_raises_for_the_least_offending_index_first(
+    kernel, monkeypatch, toy_vm, prefix_free_vm, cap
+):
+    """Over a range from a length boundary or from 1, the first run _scan
+    finds past the output cap is the least such index's, as in index order.
+    With the cap lowered, short programs pass it at many different steps."""
+    monkeypatch.setattr(importlib.import_module("haltlab.machine"), "DEFAULT_OUTPUT_CAP", cap)
+    for machine in (toy_vm, prefix_free_vm):
+        for n in range(11):
+            start = 1 if n % 3 == 0 else 2**n
+            end = 2 ** (n + 1)
+            hits, least, message = [], None, None  # index order up to the first raise
+            for i in range(start, end):
+                try:
+                    hit = observe(machine, bits_of_index(i), 64)
+                except ResourceLimitError as exc:
+                    least, message = i, str(exc)
+                    break
+                if hit is not None:
+                    hits.append((i, hit))
+            cuts = set(range(start + 1, end + 1)) if n <= 5 else set(mode_block_bases(n)) | {end}
+            if least is not None:
+                cuts |= {least, least + 1, least + 2}
+            for hi in sorted(c for c in cuts if start < c <= end):
+                if least is not None and least < hi:
+                    with pytest.raises(ResourceLimitError) as raised:
+                        list(_scan(machine, start, hi, 64))
+                    assert str(raised.value) == message, (machine, start, hi)
+                else:
+                    assert sorted(_scan(machine, start, hi, 64)) == [h for h in hits if h[0] < hi]
+    # the program behind the full cap and its 01 and 10 twins: one message
+    core = "0111111110111001111110"
+    messages = set()
+    for mode in ("00", "01", "10"):
+        index = index_of_bits(mode + core)
+        with pytest.raises(ResourceLimitError) as raised:
+            list(_scan(toy_vm, index, index + 1, 4096))
+        messages.add(str(raised.value))
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("name, horizon", [("toy_vm", 4096), ("prefix_free_loop_free_vm", None)])
+def test_pure_kernel_steps_each_distinct_run_once(name, horizon, request, monkeypatch):
+    """In core order a core's three programs make their one kernel call back
+    to back, so over a sweep the pure kernel steps as many runs as there are
+    distinct runs, (key, bytes read), among the sweep's calls; in index
+    order the repeats lie too far apart for its last run to answer them."""
+    machine = request.getfixturevalue(name)
+    monkeypatch.setattr(_stepper_py, "_last", (None, 0, b"", None))
+    calls, runs, stepped = [], set(), []
+
+    def counted(*args):
+        before = _stepper_py._last
+        result = _stepper_py.run_stream(*args)
+        key, _, read, _ = _stepper_py._last
+        calls.append(args)
+        runs.add((key, read))
+        stepped.append(_stepper_py._last is not before)
+        return result
+
+    monkeypatch.setattr(vm, "run_stream", counted)
+    sweep(machine, 12, horizon)
+    assert sum(stepped) == len(runs)
+    assert 3 * len(runs) < len(calls)
 
 
 def test_exact_sweep_measures(loop_free_vm):
