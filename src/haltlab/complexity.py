@@ -29,7 +29,7 @@ from haltlab.machine import (
     run,
     time_wrap,
 )
-from haltlab.sweep import _scan
+from haltlab.sweep import _scan, check_enum_cap
 
 RANDOM = "random"
 NONRANDOM = "nonrandom"
@@ -54,6 +54,12 @@ def min_index_map(machine: Machine, cap: int, budget: int | None) -> dict[str, i
     return found
 
 
+def _witness_map(machine: Machine, cap: int, budget: int | None) -> dict[str, int]:
+    """min_index_map, with its enumeration cap checked on a cache hit too."""
+    check_enum_cap(cap.bit_length() - 1)
+    return min_index_map(machine, cap, budget)
+
+
 def short_index_cap(length: int) -> int:
     """Largest index below 2^length / length: a string of this length is
     non-random when some index at or under this cap produces it."""
@@ -68,7 +74,7 @@ def time_randomness(machine: Machine, t: int, budget: int | None = None) -> str:
     if t < 2:
         raise ConfigError(f"randomness is defined for t >= 2, got {t}")
     code = bits_of_index(t)
-    if min_index_map(machine, short_index_cap(len(code)), budget).get(code) is not None:
+    if _witness_map(machine, short_index_cap(len(code)), budget).get(code) is not None:
         return NONRANDOM  # witness halts, so the bound holds even under budget
     return RANDOM if budget is None else UNKNOWN
 
@@ -110,7 +116,7 @@ def stop_time_bound_holds(machine: Machine, program: str, budget: int) -> BoundC
     witness = wrapper_witness(machine, program, stop, budget)
     if witness is None:  # not a VM kind, so the machine has no wrapper
         budget_arg = None if is_transparent(machine) else budget
-        witness = min_index_map(machine, cap, budget_arg).get(bits_of_index(stop))
+        witness = _witness_map(machine, cap, budget_arg).get(bits_of_index(stop))
     holds = witness is not None and witness <= cap
     return BoundCheck(program, True, stop, cap, witness, holds)
 
@@ -134,7 +140,7 @@ def random_string_density(machine: Machine, length: int) -> RandomStringDensity:
         raise ConfigError(f"length must be >= 1, got {length}")
     if not is_transparent(machine):
         raise ConfigError("random_string_density requires a transparent machine")
-    reached = min_index_map(machine, short_index_cap(length), None)
+    reached = _witness_map(machine, short_index_cap(length), None)
     nonrandom = sum(1 for output in reached if len(output) == length)
     total = 2**length
     return RandomStringDensity(

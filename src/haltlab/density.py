@@ -28,7 +28,7 @@ from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.complexity import (
     RANDOM,
     UNKNOWN,
-    min_index_map,
+    _witness_map,
     short_index_cap,
     stop_time_bound_holds,
     time_randomness,
@@ -178,7 +178,7 @@ def density_report(
     window_size = horizon - window_start + 1
     # every non-random t in the window has its witness at or below the cap
     # of the longest code the window reaches, m + s bits
-    witness_map = min_index_map(machine, short_index_cap(m + s), budget)
+    witness_map = _witness_map(machine, short_index_cap(m + s), budget)
     nonrandom = sum(
         1
         for output, index in witness_map.items()

@@ -4,7 +4,9 @@ The normalizer is the series sum of w(i)/t_i over halting indices i, with the
 default dyadic weights w(i) = 2^-i: DYADIC, the weight table (1/2) continued
 at ratio 1/2. Dividing each term by the normalizer turns stop times into a
 probability distribution over indices; its tail decay is what makes "has not
-stopped by T" quantitatively informative.
+stopped by T" quantitatively informative. T(k), the least T whose tail mass
+is below 2^-k, is solved for from the weights' geometric tail; every exact
+power ratio^e is refused before it is built when it would pass WEIGHT_BIT_LIMIT.
 
 Every quantity is an Interval certificate. On machines with a finite domain
 the intervals are points; on an infinite transparent domain only series
@@ -18,6 +20,7 @@ machine. The split takes its machine and budget from the distribution.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,12 +32,8 @@ from haltlab.machine import Machine, check_budget, finite_domain, observe
 from haltlab.sweep import PairListing, _scan, check_enum_cap, sweep
 
 DEFAULT_PRECISION_BITS = 8
-# bits of a tail power ratio^e past which the T(k) search refuses: such a
-# power takes about 0.13 s to build, so one search stays within seconds
-POWER_BIT_LIMIT = 2**20
-# bits of a power ratio^e past which a weight or a tail bound is refused: the
-# weight of a table's 20-bit program, index about 1.9 million, has about 1.9
-# million bits; the T(k) search stays within POWER_BIT_LIMIT
+# bits of a power ratio^e past which it is refused: the weight of a table's
+# 20-bit program, index about 1.9 million, has about 1.9 million bits
 WEIGHT_BIT_LIMIT = 2**21
 
 
@@ -64,18 +63,16 @@ class GeometricTableWeights(_Weights):
             return self.prefix[i - 1]
         return self.prefix[-1] * self._power(i - len(self.prefix))
 
-    def _power(self, e: int) -> Fraction:
-        """ratio^e, refused before it is built when its denominator, about
+    def _fits(self, e: int) -> bool:
+        """True, or refused when the denominator of ratio^e, about
         e*log2(den) bits, would pass WEIGHT_BIT_LIMIT."""
         if e > WEIGHT_BIT_LIMIT / math.log2(self.ratio.denominator):
             raise ResourceLimitError(f"weight power ratio^{e} needs over {WEIGHT_BIT_LIMIT} bits")
-        return self.ratio**e
+        return True
 
-    @property
-    def horizon_cap(self) -> int:
-        """Largest horizon the T(k) search tries: the tail power ratio^e,
-        whose denominator has about e*log2(den) bits, fits POWER_BIT_LIMIT."""
-        return len(self.prefix) + int(POWER_BIT_LIMIT / math.log2(self.ratio.denominator))
+    def _power(self, e: int) -> Fraction:
+        self._fits(e)
+        return self.ratio**e
 
     def tail_bound(self, start: int) -> Fraction:
         """Exact value of the weight tail sum from start on."""
@@ -84,6 +81,35 @@ class GeometricTableWeights(_Weights):
         n = len(self.prefix)
         geometric = self.prefix[-1] * self._power(max(start - n, 1)) / (1 - self.ratio)
         return listed + geometric
+
+    def least_horizon(self, c: Fraction) -> int:
+        """Least horizon T >= 1 with tail_bound(T) < c > 0: bisected within the
+        n listed weights, T <= n + 1; past them T = n + e for the least e >= 2
+        with w_n*r^e/(1 - r) < c, from logarithms, then steps of one factor r
+        from the one exact power r^(e-1) until r^(e-1) >= bound > r^e."""
+        n, r = len(self.prefix), self.ratio
+        bound = c * (1 - r) / self.prefix[-1]
+        if r < bound:  # tail_bound(n + 1) < c
+            return bisect_left(range(1, n + 2), True, key=lambda t: self.tail_bound(t) < c) + 1
+        # the least e > log(bound)/log(r); an e past exp(60) is refused, so cap it there
+        e = max(2, math.floor(math.exp(min(_log_neg_log(bound) - _log_neg_log(r), 60))) + 1)
+        power = self._power(e - 1)
+        while power < bound:
+            power, e = power / r, e - 1
+        while self._fits(e) and (stepped := power * r) >= bound:
+            power, e = stepped, e + 1
+        return n + e
+
+
+def _log_neg_log(x: Fraction) -> float:
+    """log(-log x) for 0 < x < 1, finite next to 0 and next to 1: there from
+    log1p of the exact 1 - x, or below 2^-1000 from 1 - x itself."""
+    if x <= 0.5:
+        return math.log(math.log(x.denominator) - math.log(x.numerator))
+    d = 1 - x
+    if d > 2.0**-1000:
+        return math.log(-math.log1p(-float(d)))
+    return math.log(d.numerator) - math.log(d.denominator)
 
 
 DYADIC = GeometricTableWeights((Fraction(1, 2),), Fraction(1, 2))
@@ -268,46 +294,14 @@ def tail_certificate(dist: RuntimeDistribution, horizon: int) -> Fraction:
 
 
 def tail_threshold(dist: RuntimeDistribution, k: int) -> int:
-    """Least horizon T >= 1 whose certified tail mass from T on is below 2^-k.
-
-    The certificate does not increase with T, so doubling, capped at the
-    weights' horizon_cap, brackets the least such T and bisection finds it.
-    A T past the cap is refused.
-    """
+    """Least horizon T >= 1 whose certified tail mass from T on is below 2^-k,
+    that is tail_bound(T) < 2^-k * normalizer.lo, in closed form."""
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
-    return _tail_thresholds(dist, [k])[0]
-
-
-def _tail_thresholds(dist: RuntimeDistribution, ks: list[int]) -> list[int]:
-    """tail_threshold of each of the ascending ks, from one search. T(k) does
-    not decrease in k, and past the listed weights it grows by about as much
-    for each k. So each search gallops, 1, 2, 4, ... horizons a step, from the
-    last T plus its last increase: up while the horizon misses the target,
-    then down while the one below still meets it; then it bisects. From the
-    first guess, T = 1, the upward gallop is a single search's doubling."""
-    cap = dist.weights.horizon_cap
-    # lo is 0 or a horizon that missed a target, so it misses every later one
-    lo, guess, thresholds = 0, 1, []
-    for k in ks:
-        target = Fraction(1, 2**k)
-        hi, step = min(guess, cap), 1
-        while tail_certificate(dist, hi) >= target:
-            if hi == cap:
-                raise ResourceLimitError(
-                    f"T({k}) lies past horizon {cap}, the last whose tail power "
-                    f"fits {POWER_BIT_LIMIT} bits"
-                )
-            lo, hi, step = hi, min(hi + step, cap), 2 * step
-        while hi - step > lo and tail_certificate(dist, hi - step) < target:
-            hi, step = hi - step, 2 * step
-        lo = max(lo, hi - step)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if tail_certificate(dist, mid) < target else (mid, hi)
-        guess = 2 * hi - (thresholds[-1] if thresholds else hi)
-        thresholds.append(hi)
-    return thresholds
+    try:
+        return dist.weights.least_horizon(dist.normalizer.lo / (1 << k))
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"T({k}) lies past the power limit: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +328,7 @@ def split_halting_set(dist: RuntimeDistribution, k: int, max_len: int) -> HaltSp
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     check_enum_cap(max_len)  # before any sweep of the shorter lengths
     lengths = range(1, max_len + 1)
-    horizons = _tail_thresholds(dist, [k + n + 2 for n in lengths])
-    cutoffs = {n: 2**horizon for n, horizon in zip(lengths, horizons)}
+    cutoffs = {n: 2 ** tail_threshold(dist, k + n + 2) for n in lengths}
     histories = [sweep(dist.machine, n, dist.budget) for n in lengths]
     residual = tuple(pair for h in histories for pair in h.pairs(cutoffs[h.length]))
     measure_hi = sum(

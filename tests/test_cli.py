@@ -138,8 +138,8 @@ GOLDEN = [
      3, EMPTY),
     ("decompose-cutoffs-too-long", "decompose --machine fixtures/table1.json -k 14278 --max-len 3",
      3, EMPTY),
-    # a tail ratio of 99999/100000 puts T(2) past a million: the T(k) search
-    # refuses at the horizon whose tail power passes POWER_BIT_LIMIT bits
+    # a tail ratio of 99999/100000 puts T(2) past a million: the tail power
+    # ratio^T would pass WEIGHT_BIT_LIMIT bits, so T(2) is refused
     ("threshold-tail-near-one",
      "threshold --machine fixtures/table1.json -k 2 --distribution fixtures/near_one_weights.json",
      3, EMPTY),
@@ -149,14 +149,14 @@ GOLDEN = [
     ("decide-tail-near-one",
      "decide --machine fixtures/table1.json --program 0101 -k 2 "
      "--distribution fixtures/near_one_weights.json", 3, EMPTY),
-    # at ratio 999/1000, T(86) = 65,653 is past the doubling step 65,536 but
-    # within the power limit: the search stops doubling at the limit
+    # at ratio 999/1000, T(86) = 65,653: its tail power, about 654,000 bits,
+    # is within WEIGHT_BIT_LIMIT
     ("decide-tail-999-k86",
      "decide --machine fixtures/table1.json --program 0101 -k 86 "
      "--distribution fixtures/slow_tail_weights.json",
      0, "d1438c32c0100def314e1c03511706683be57bfa7222da0eb95c6a1d407e84a7"),
-    # the power limit binds only the T(k) search: the weight 2^-i of a
-    # 20-bit program and the mass at stop time 600,000 are built exactly
+    # the weight 2^-i of a 20-bit program, about 1.9 million bits, and the
+    # mass at stop time 600,000 fit WEIGHT_BIT_LIMIT and are built exactly
     ("decide-long-program-table",
      "decide --machine fixtures/long_program_table.json --program 11010010110100101101 -k 5",
      0, "9b0b1ee449d52b0b915a046948b79df02770af6d763841b0233edce3a3e4c92a"),
@@ -221,6 +221,37 @@ def test_huge_weight_powers_are_refused_at_once(command, capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert_one_line_error(err)
     assert "weight power" in err
+
+
+@pytest.mark.parametrize(
+    "command, k",
+    [
+        ("threshold --machine fixtures/table1.json -k 2 "
+         "--distribution fixtures/near_one_weights.json", 2),
+        ("threshold --machine fixtures/table1.json -k 2 --distribution {ratio_21}", 2),
+        ("threshold --machine fixtures/table1.json -k 30000000", 30000000),
+    ],
+    ids=["near-one", "ratio-1-minus-10^-21", "k-30000000"],
+)
+def test_tail_thresholds_past_the_power_limit_are_refused_at_once(
+    command, k, tmp_path, capsys, monkeypatch
+):
+    """A T(k) whose tail power passes WEIGHT_BIT_LIMIT is refused before the
+    power is built: exit 3 within a second, one line that names T(k). At a
+    ratio of 1 - 10^-21 the logarithms that give T(k) stay finite."""
+    ratio_21 = tmp_path / "ratio_21.json"
+    ratio_21.write_text(json.dumps({
+        "kind": "user-table",
+        "weights": [["1", "2"]],
+        "tail_modulus": {"type": "geometric", "ratio": f"{10**21 - 1}/{10**21}"},
+    }))
+    monkeypatch.chdir(ROOT)
+    start = time.perf_counter()
+    code, out, err = run_cli(command.format(ratio_21=ratio_21).split(), capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert_one_line_error(err)
+    assert err.startswith(f"error: T({k}) ")
 
 
 def test_exclusion_with_violations(tmp_path, capsys, monkeypatch):

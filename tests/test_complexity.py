@@ -13,8 +13,10 @@ from haltlab.complexity import (
     stop_time_bound_holds,
     time_randomness,
 )
-from haltlab.errors import ConfigError
+from haltlab.density import density_report
+from haltlab.errors import ConfigError, ResourceLimitError
 from haltlab.machine import Dispatcher, TableMachine, observe, run, timed_table
+from haltlab.sweep import ENUM_CAP_ENV
 
 from conftest import mode_block_bases
 from oracles.ref_vm import ref_run
@@ -166,3 +168,20 @@ def test_least_index_map_is_setdefault_in_index_order(kernel, name, budget, requ
             min_index_map.cache_clear()
             assert min_index_map(machine, index, budget) == expected, index
     min_index_map.cache_clear()
+
+
+def test_enum_cap_binds_a_cached_witness_map(monkeypatch, toy_vm, loop_free_vm, table1):
+    """Each caller of min_index_map refuses a map past the enumeration cap,
+    also when the map is already in min_index_map's cache."""
+    callers = [
+        lambda: time_randomness(toy_vm, 2**10, 64),  # indices up to 102
+        lambda: stop_time_bound_holds(table1, "010", 100),  # up to 64
+        lambda: random_string_density(loop_free_vm, 10),  # up to 102
+        lambda: density_report(loop_free_vm, 1, 2**12 - 1),  # up to 186
+    ]
+    for caller in callers:
+        caller()  # fills the cache
+    monkeypatch.setenv(ENUM_CAP_ENV, "5")
+    for caller in callers:
+        with pytest.raises(ResourceLimitError):
+            caller()

@@ -8,7 +8,8 @@ its name appears, as a name or an attribute, anywhere in the package outside
 its own body; the re-exports in __init__.py do not count. A parameter counts
 as passed when some call of the function's name in src/haltlab or tests,
 outside the function's own body, gives it by keyword or by position, or
-passes *args or **kwargs.
+passes *args or **kwargs. And every module-level UPPER_CASE constant is read
+somewhere in src/haltlab, tests or perfbench, outside its own assignment.
 """
 
 import ast
@@ -21,6 +22,8 @@ import haltlab
 
 PACKAGE = pathlib.Path(haltlab.__file__).resolve().parent
 TESTS = pathlib.Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
+CONSTANT = re.compile(r"^[A-Z][A-Z0-9_]*$")
 # a row of the statement table: four spaces and a dotted module.name
 TABLE_ROW = re.compile(r"^    ([a-z_]+(?:\.\w+)+)$", re.MULTILINE)
 
@@ -146,3 +149,29 @@ def test_every_export_resolves():
     assert len(haltlab.__all__) == len(set(haltlab.__all__))
     for name in haltlab.__all__:
         assert hasattr(haltlab, name), name
+
+
+def unread_constants():
+    """Module-level UPPER_CASE names of src/haltlab that nothing reads: a
+    read is a name or an attribute in load context, and an assignment's
+    own targets are stores, so they do not count."""
+    assigned = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned.update(
+                    f"{path.stem}.{t.id}"
+                    for t in targets
+                    if isinstance(t, ast.Name) and CONSTANT.match(t.id)
+                )
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *TESTS.rglob("*.py"), *PERFBENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return {name for name in assigned if name.split(".")[1] not in read}
+
+
+def test_every_constant_is_read():
+    assert unread_constants() == set()

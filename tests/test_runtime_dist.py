@@ -3,7 +3,7 @@ from fractions import Fraction
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from haltlab import runtime_dist
@@ -12,6 +12,7 @@ from haltlab.intervals import Interval
 from haltlab.machine import TableMachine, read_json
 from haltlab.runtime_dist import (
     GeometricTableWeights,
+    RuntimeDistribution,
     halting_series,
     induced_distribution,
     split_halting_set,
@@ -185,32 +186,51 @@ def test_user_table_matches_induced_when_dyadic(fixture_f, toy_vm):
             assert tail_threshold(user, k) == tail_threshold(induced, k)
 
 
-def test_tail_threshold_stops_doubling_at_the_power_limit(table1, monkeypatch):
-    """At ratio 999/1000 with a limit of 10^5 bits, T(4) and T(5) lie past the
-    doubling step 8192 but within horizon_cap, so they are found; T(6) lies
-    past the cap and is refused."""
-    monkeypatch.setattr(runtime_dist, "POWER_BIT_LIMIT", 100_000)
+def test_tail_threshold_is_least_up_to_the_weight_limit(table1, monkeypatch):
+    """At ratio 999/1000 with a limit of 10^5 bits, T(0) .. T(5) are found and
+    are the least horizons; T(6) would need a power past the limit, and it is
+    refused before any power is built, by a message that names T(6)."""
+    monkeypatch.setattr(runtime_dist, "WEIGHT_BIT_LIMIT", 100_000)
     data = {
         "kind": "user-table",
         "weights": [["1", "2"]],
         "tail_modulus": {"type": "geometric", "ratio": "999/1000"},
     }
     dist = user_table_distribution(table1, data)
-    cap = dist.weights.horizon_cap
-    assert cap == 1 + int(100_000 / math.log2(1000)) == 10035
     for k in range(0, 6):
         horizon = tail_threshold(dist, k)
         assert tail_certificate(dist, horizon) < Fraction(1, 2**k)
         assert tail_certificate(dist, horizon - 1) >= Fraction(1, 2**k)
-        assert horizon <= cap and (k < 4 or horizon > 8192)
-    assert tail_certificate(dist, cap) >= Fraction(1, 2**6)
-    with pytest.raises(ResourceLimitError):
+    assert horizon <= 1 + 100_000 / math.log2(1000)
+    built = []
+    monkeypatch.setattr(Fraction, "__pow__", lambda *args: built.append(args))
+    with pytest.raises(ResourceLimitError, match=r"^T\(6\) "):
         tail_threshold(dist, 6)
+    assert built == []
+    monkeypatch.undo()
+    # the steps of one factor r stop at the limit too: 2^-100 fits 100 bits,
+    # 2^-101 does not
+    monkeypatch.setattr(runtime_dist, "WEIGHT_BIT_LIMIT", 100)
+    assert runtime_dist.DYADIC.least_horizon(Fraction(3, 2**101)) == 101
+    with pytest.raises(ResourceLimitError):
+        runtime_dist.DYADIC.least_horizon(Fraction(1, 2**100))
+
+
+@pytest.mark.parametrize("gap", [Fraction(1, 10**21), Fraction(1, 2**1100)])
+def test_least_horizon_is_exact_next_to_one(gap):
+    """A ratio and a bound within 10^-21, or within 2^-1100, of 1 keep their
+    logarithms finite, and the horizon is exact on both sides of each power:
+    a bound of r^e needs e + 1 tail terms, one just above r^e needs e."""
+    r = 1 - gap
+    weights = GeometricTableWeights((Fraction(1),), r)
+    for e in range(2, 40):
+        assert weights.least_horizon(r**e / gap) == 1 + e + 1
+        assert weights.least_horizon((r**e + gap**3) / gap) == 1 + e
 
 
 def test_long_program_weights_are_exact():
-    """A 20-bit program's weight 2^-i, i past the T(k) search's limit of 2^20
-    bits, enters the normalizer exactly. A power past WEIGHT_BIT_LIMIT bits is
+    """A 20-bit program's weight 2^-i, i about 1.9 million, enters the
+    normalizer exactly. A power past WEIGHT_BIT_LIMIT bits is
     refused before it is built, in a weight and in a tail bound alike."""
     long = "11010010110100101101"
     table = table_from_stops({"0": 1, "10": 3, long: 5})
@@ -300,12 +320,14 @@ def test_split_holds_its_pairs_in_arrays(toy_vm):
     assert retained / pairs < 40
 
 
-def per_length_threshold(dist, k):
+def per_length_threshold(dist, k, reach=None):
     """One T(k) search of its own, doubling from T = 1 and then bisecting:
-    the oracle for the search that split_halting_set shares across lengths."""
+    the oracle for the closed form. None once the doubling passes reach."""
     target = Fraction(1, 2**k)
     lo, hi = 0, 1
     while tail_certificate(dist, hi) >= target:
+        if reach is not None and hi > reach:
+            return None
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -326,25 +348,48 @@ def test_split_cutoffs_equal_the_per_length_searches(table1, k, max_len, weights
         dist = user_table_distribution(table1, read_json(FIXTURES / weights, "weights"))
     expected = {n: 2 ** per_length_threshold(dist, k + n + 2) for n in range(1, max_len + 1)}
     assert split_halting_set(dist, k, max_len).cutoffs == expected
-    assert {n: 2 ** tail_threshold(dist, k + n + 2) for n in expected} == expected
 
 
-def test_split_shares_one_search_on_a_slow_tail(table1, monkeypatch):
-    """At ratio 999/1000 T(k) grows by about 693 per k: the shared search
-    finds the same cutoffs as one search per length with far fewer
-    certificates."""
+# zeros are allowed in a weight table, except in its last place
+WEIGHT = st.builds(Fraction, st.integers(0, 2**10), st.integers(1, 2**20))
+LAST_WEIGHT = st.builds(Fraction, st.integers(1, 2**10), st.integers(1, 2**20))
+DENOMINATOR = st.one_of(
+    st.sampled_from([2, 3, 10, 1000, 99991]), st.integers(1, 64).map(lambda j: 2**j)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prefix=st.tuples(st.lists(WEIGHT, max_size=7), LAST_WEIGHT).map(lambda t: (*t[0], t[1])),
+    ratio=DENOMINATOR.flatmap(lambda d: st.integers(1, d - 1).map(lambda a: Fraction(a, d))),
+    lo=st.builds(Fraction, st.integers(1, 2**20), st.integers(1, 2**20)),
+    k=st.integers(min_value=0, max_value=90),
+)
+def test_closed_form_threshold_equals_the_search(prefix, ratio, lo, k):
+    """Wherever the doubling search answers with powers of at most 2^17
+    bits, the closed form gives its T."""
+    weights = GeometricTableWeights(prefix, ratio)
+    dist = RuntimeDistribution(None, weights, Interval.exact(lo), 8, None)
+    reach = len(prefix) + 2**17 / math.log2(ratio.denominator)
+    expected = per_length_threshold(dist, k, reach)
+    event("answered" if expected is not None else "past reach")
+    if expected is not None:
+        assert tail_threshold(dist, k) == expected
+
+
+def test_split_builds_about_two_powers_a_length_on_a_slow_tail(table1, monkeypatch):
+    """At ratio 999/1000 T(k) grows by about 693 per k. The split finds the
+    same cutoffs as one search per length, from at most two exact powers of
+    the ratio per length."""
     dist = user_table_distribution(table1, read_json(FIXTURES / "slow_tail_weights.json", "weights"))
-    expected = {n: 2 ** per_length_threshold(dist, n + 3) for n in range(1, 6)}
-    probes = []
-    certificate = runtime_dist.tail_certificate
+    expected = {n: 2 ** per_length_threshold(dist, n + 3) for n in range(1, 7)}
+    powers = []
+    power = GeometricTableWeights._power
     monkeypatch.setattr(
-        runtime_dist, "tail_certificate", lambda d, h: probes.append(h) or certificate(d, h)
+        GeometricTableWeights, "_power", lambda w, e: powers.append(e) or power(w, e)
     )
-    assert split_halting_set(dist, 1, 5).cutoffs == expected
-    shared = len(probes)
-    probes.clear()
-    assert {n: 2 ** tail_threshold(dist, n + 3) for n in range(1, 6)} == expected
-    assert 2 * shared < len(probes)
+    assert split_halting_set(dist, 1, 6).cutoffs == expected
+    assert 0 < len(powers) <= 2 * len(expected)
 
 
 def test_split_with_nonempty_residual():
