@@ -26,7 +26,6 @@ from haltlab.machine import (
     check_budget,
     is_transparent,
     observe,
-    run,
     time_wrap,
 )
 from haltlab.sweep import _scan, check_enum_cap
@@ -100,19 +99,20 @@ class BoundCheck(NamedTuple):
     holds: bool | None
 
 
-def stop_time_bound_holds(machine: Machine, program: str, budget: int) -> BoundCheck:
-    """Check that the code of the stop time has complexity <= 2^(len(p)+c+1).
+def stop_time_bound_holds(machine: Machine, program: str, budget: int | None) -> BoundCheck:
+    """Check that the code of the stop time has complexity <= 2^(len(p)+c+1),
+    reading the program within budget steps, or exactly when budget is None.
 
     On the VM kinds the timing wrapper is the witness; on the other kinds
     the least producing index at or below the cap is.
     """
-    if budget < 1:
+    if budget is not None and budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
     cap = 2 ** (len(program) + TIME_WRAP_EXTRA_BITS + 1)
-    outcome = run(machine, program, budget)
-    if not outcome.halted:
+    hit = observe(machine, program, budget)
+    if hit is None:
         return BoundCheck(program, False, None, cap, None, None)
-    stop = outcome.stop_time
+    stop = hit[0]
     witness = wrapper_witness(machine, program, stop, budget)
     if witness is None:  # not a VM kind, so the machine has no wrapper
         budget_arg = None if is_transparent(machine) else budget

@@ -172,7 +172,7 @@ def density_report(
     if s < 1:
         raise ConfigError(
             f"horizon {horizon} spans no full doubling past 2^{m}; "
-            f"need horizon >= {2 ** (m + 1) - 1}"
+            f"need horizon >= 2^{m + 1} - 1"
         )
     window_start = 2**m
     window_size = horizon - window_start + 1
@@ -263,5 +263,5 @@ def stop_code_violations(machine: TableMachine) -> tuple[str, ...]:
     return tuple(
         program
         for program, stop, _ in machine.entries
-        if not stop_time_bound_holds(machine, program, stop).holds
+        if not stop_time_bound_holds(machine, program, None).holds
     )

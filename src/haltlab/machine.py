@@ -26,12 +26,14 @@ wrappers stops the program at s + d with output code(s + d - 1).
 
 A RunOutcome is a named tuple (halted, stop_time, output), and run() hands
 out equal ones as one shared instance: RunOutcome.running() for every run
-not seen halting, and for a halted VM run the outcome kept in one of two
-dicts of at most _KEPT entries each: an unwrapped run's by the kernel's
-result tuple if its output has at most _KEPT_OUTPUT_BITS bits, a wrapped
-run's by its final stop time s + d, which alone gives its output. A result
-not kept is built afresh; nothing calls tuple.__new__. run() refuses a
-budget that is not an int in [0, MAX_BUDGET]. It encodes the program once
+not seen halting, and for a halted VM run the outcome kept in one dict of
+at most _KEPT entries: an unwrapped run's keyed by the kernel's result
+tuple, a wrapped run's by its final stop time s + d, an int, which alone
+gives its output and never equals a tuple. Only an output of at most
+_KEPT_OUTPUT_BITS bits is kept; a wrapped output has at most 63 bits, as
+s + d <= MAX_BUDGET. A result not kept is built afresh; nothing calls
+tuple.__new__. run() refuses a budget that is not an int in
+[0, MAX_BUDGET]. It encodes the program once
 and checks the UTF-8 bytes the kernel runs, so a str that does not encode
 (a lone surrogate) is refused as a non-bit string; the pure kernel checks
 the argument types on every call and the ranges only on a call whose key
@@ -104,8 +106,7 @@ _NOT_HALTED = RunOutcome.running()
 # the shared halted outcomes (module docstring)
 _KEPT = 1024
 _KEPT_OUTPUT_BITS = 64
-_by_result: dict[tuple, RunOutcome] = {}
-_by_stop: dict[int, RunOutcome] = {}
+_kept: dict[tuple | int, RunOutcome] = {}
 # a plain program that ends inside a mode field, as the kernel would report it
 _MODE_FIELD_HALT = (HALTED, 1, b"")
 
@@ -236,20 +237,14 @@ def run(machine: Machine, program: str, budget: int) -> RunOutcome:
                     f"output exceeded {DEFAULT_OUTPUT_CAP} bits at step {stop}"
                 )
             return _NOT_HALTED
-        if not depth:
-            outcome = _by_result.get(result)
-            if outcome is None:
-                outcome = RunOutcome(True, stop, out.decode())
-                if len(out) <= _KEPT_OUTPUT_BITS and len(_by_result) < _KEPT:
-                    _by_result[result] = outcome
-            return outcome
-        stop += depth * TIME_WRAP_STEP_OVERHEAD  # s + d, and the output is code(s + d - 1)
-        outcome = _by_stop.get(stop)
+        if depth:  # s + d, and the output is code(s + d - 1)
+            result = stop = stop + depth * TIME_WRAP_STEP_OVERHEAD
+        outcome = _kept.get(result)
         if outcome is None:
-            outcome = RunOutcome(True, stop, bits_of_index(stop - TIME_WRAP_STEP_OVERHEAD))
-            # stop <= budget <= MAX_BUDGET, so the output has at most 63 bits
-            if len(_by_stop) < _KEPT:
-                _by_stop[stop] = outcome
+            output = bits_of_index(stop - TIME_WRAP_STEP_OVERHEAD) if depth else out.decode()
+            outcome = RunOutcome(True, stop, output)
+            if len(output) <= _KEPT_OUTPUT_BITS and len(_kept) < _KEPT:
+                _kept[result] = outcome
         return outcome
     if kind is TableMachine:
         hit = machine.lookup(program)

@@ -205,7 +205,8 @@ def halting_series(
 ) -> Interval:
     """Normalizer certificate with width below 2^-precision_bits."""
     interval = _series_certificate(machine, DYADIC, precision_bits, budget)
-    if interval.width >= Fraction(1, 2**precision_bits):
+    # a finite domain's certificate is a point, whatever the precision
+    if interval.width and interval.width >= Fraction(1, 2**precision_bits):
         raise InvariantViolation(
             f"series certificate width {interval.width} >= 2^-{precision_bits}"
         )
@@ -295,9 +296,14 @@ def tail_certificate(dist: RuntimeDistribution, horizon: int) -> Fraction:
 
 def tail_threshold(dist: RuntimeDistribution, k: int) -> int:
     """Least horizon T >= 1 whose certified tail mass from T on is below 2^-k,
-    that is tail_bound(T) < 2^-k * normalizer.lo, in closed form."""
+    that is tail_bound(T) < 2^-k * normalizer.lo, in closed form. A T = n + e
+    within the power limit has r^e < 2^-k * lo * (1 - r) / w_n and r^e >=
+    2^-WEIGHT_BIT_LIMIT, so a larger k is refused before 2^k is built."""
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
+    q = dist.normalizer.lo / dist.weights.prefix[-1]  # q < 2^(num bits - den bits + 1)
+    if k > WEIGHT_BIT_LIMIT + q.numerator.bit_length() - q.denominator.bit_length() + 1:
+        raise ResourceLimitError(f"T({k}) lies past the power limit of {WEIGHT_BIT_LIMIT} bits")
     try:
         return dist.weights.least_horizon(dist.normalizer.lo / (1 << k))
     except ResourceLimitError as exc:

@@ -22,8 +22,8 @@ answers the second and third from its last run, where index order puts them
 2^(N-2d-2) programs apart. Equal cores give equal results and the lowest
 mode block leads, so over a range from 1 or a length boundary the first
 program seen for a result, and the first whose run raises, is the least
-index: min_index_map relies on it. sweep restores index order; tables and
-dispatchers are scanned in index order.
+index: min_index_map relies on it. sweep restores index order once, after
+the scan; tables and dispatchers are scanned in index order.
 
 For a sweep with horizon T the associated product space is {0,1}^N x {1..T}
 with the uniform measure 2^-N * 1/T; prob_exact and prob_by are measures of
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -173,43 +174,36 @@ def _scan(machine: Machine, lo: int, hi: int, budget: int | None) -> Iterator[tu
                 yield index, (stop, output)
 
 
-def _regroup(at: int, *columns: array) -> None:
-    """Put each column[at:], one depth's hits in core order, in index order:
-    they come in triples, a core's three mode blocks (equal cores give equal
-    results), so every third from the first, then the second, then the third."""
-    for column in columns:
-        depth = column[at:]
-        del column[at:]
-        for mode in range(3):
-            column.extend(depth[mode::3])
-
-
 def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
     """Observe all 2^length programs, within horizon steps or exactly when
-    horizon is None, and record their stop times in index order."""
+    horizon is None, and record their stop times in index order. A VM's hits
+    come in core order; each depth's are put in index order once, after the
+    scan, every third from the first, then the second, then the third. The
+    programs that end inside a mode field come last and in index order."""
     if length < 0:
         raise ConfigError(f"length must be >= 0, got {length}")
     if horizon is not None and horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    check_enum_cap(length)  # before 2^length is built
     top = 2**length
     offsets, times = array("Q"), array("Q")
-    # a VM's depth is regrouped from its first hit, at, once the scan passes
-    # its end (which leaves the two programs ending in a mode field as is)
-    core_ordered = type(machine) in _CORE_ORDERED
-    at, end = 0, 0 if core_ordered else 2 * top
     for index, (stop, _) in _scan(machine, top, 2 * top, horizon):
-        if index >= end:
-            _regroup(at, offsets, times)
-            at = len(offsets)
-            d2 = (length - (index ^ (2 * top - 1)).bit_length()) & ~1  # twice the depth
-            end = 2 * top - (top >> (d2 + 2))
         offsets.append(index - top)
         try:
             times.append(stop)
         except OverflowError:  # past 2^64 - 1: only a table's exact stop time
             times = [*times, stop]
-    if core_ordered:
-        _regroup(at, offsets, times)
+    if type(machine) in _CORE_ORDERED:
+        # depth d ends at offset top - (top >> (2d + 2)), below every offset
+        # of d + 1, so bisection finds it though no depth is sorted; its hits
+        # come in triples, a core's three mode programs, which halt alike
+        at = 0
+        for d2 in range(2, length + 1, 2):
+            end = bisect_left(offsets, top - (top >> d2), at)
+            for column in (offsets, times):
+                h = column[at:end]
+                column[at:end] = h[0::3] + h[1::3] + h[2::3]
+            at = end
     return HaltingHistory(length, horizon, offsets, times)
 
 

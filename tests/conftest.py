@@ -62,12 +62,12 @@ def kernel(request, monkeypatch):
 
 @pytest.fixture
 def kept_outcomes(monkeypatch):
-    """machine.run's two dicts of shared outcomes, emptied for this test and
-    restored after it, so that a test of their identity or size does not
-    depend on the tests run before it: (by kernel result, by wrapped stop)."""
-    monkeypatch.setattr(machine, "_by_result", {})
-    monkeypatch.setattr(machine, "_by_stop", {})
-    return machine._by_result, machine._by_stop
+    """machine.run's dict of shared outcomes, emptied for this test and
+    restored after it, so that a test of its identity or size does not
+    depend on the tests run before it. An unwrapped run is keyed by its
+    kernel result tuple, a wrapped one by its final stop time."""
+    monkeypatch.setattr(machine, "_kept", {})
+    return machine._kept
 
 
 def table_from_stops(stops):

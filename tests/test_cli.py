@@ -10,6 +10,7 @@ from fractions import Fraction
 import hashlib
 import io
 import json
+import multiprocessing
 import pathlib
 import subprocess
 import sys
@@ -186,6 +187,35 @@ def run_cli(argv, capsys):
 def assert_one_line_error(err):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def main_captured(argv):
+    """(exit code, stdout, stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _send_main(argv, send):
+    send.send(main_captured(argv))
+
+
+def main_within(argv, seconds):
+    """main_captured(argv) run in a forked child, or None when it has not
+    answered within seconds. The child is killed then, so a call that hangs
+    fails its test instead of stalling the run. A forked child keeps the
+    test's patches and files; the test process runs no other thread."""
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_send_main, args=(argv, send))
+    child.start()
+    send.close()
+    try:
+        return receive.recv() if receive.poll(seconds) else None
+    finally:
+        child.kill()
+        child.join()
 
 
 @pytest.mark.parametrize(
@@ -477,6 +507,39 @@ def test_malformed_json_is_a_usage_error(name, data, tmp_path, capsys):
     assert_one_line_error(err)
 
 
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        ("history --length 99999999999 --horizon 5", 3),
+        ("history --length 400000000 --horizon 5", 3),
+        ("density --length 400000000 --horizon 5", 2),
+        ("density --machine fixtures/table1.json --length 400000000 --horizon 5", 2),
+        ("density --machine fixtures/table1.json --length 99999999999 --horizon 5", 2),
+        ("threshold --machine fixtures/table1.json -k 99999999999999999999", 3),
+        ("threshold --machine fixtures/table1.json -k 4000000000", 3),
+        ("decompose --machine fixtures/table1.json -k 99999999999 --max-len 2", 3),
+        ("decompose --machine fixtures/table1.json -k 4000000000 --max-len 2", 3),
+        # a finite domain's normalizer is exact at any precision
+        ("upsilon --machine fixtures/table1.json --precision 1000000000000", 0),
+        ("threshold --machine fixtures/table1.json -k 2 --precision 1000000000000", 0),
+        ("decide --machine fixtures/table1.json -k 2 --program 01 --precision 1000000000000", 0),
+    ],
+)
+def test_a_huge_size_is_answered_before_its_power_is_built(command, code, monkeypatch):
+    """Each of these used to build a power of 2 of the size's order before
+    the limit that refuses it, or before the width check that a point
+    certificate passes; each now answers within a second."""
+    monkeypatch.chdir(ROOT)
+    answer = main_within(command.split(), 1.0)
+    assert answer is not None, f"no answer within 1 s: {command}"
+    assert answer[0] == code
+    if code:
+        assert answer[1] == ""
+        assert_one_line_error(answer[2])
+    else:
+        assert answer[2] == "" and '"precision": 1000000000000' in answer[1]
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: machine, table and weight JSON with a junk scalar in any field
 
@@ -536,10 +599,13 @@ WEIGHTS = st.fixed_dictionaries(
 )
 
 
+HUGE = (10**11, 10**20)
+
+
 @st.composite
 def cli_calls(draw):
-    """argv of one subcommand at small sizes, without --budget. MACHINE and
-    WEIGHTS stand for the files."""
+    """argv of one subcommand at small sizes, or with one size in HUGE,
+    without --budget. MACHINE and WEIGHTS stand for the files."""
     small = st.integers(1, 4)
     command = draw(st.sampled_from(
         ["decompose", "threshold", "decide", "upsilon", "density", "probcurve", "history"]
@@ -568,6 +634,12 @@ def cli_calls(draw):
             argv.append(f"--program={draw(field(BITS))}")
         if command == "decompose":
             argv += ["--max-len", draw(small)]
+    # now and then one size is huge: a limit checked after a cost of that
+    # size would hang (HUGE)
+    sizes = [i + 1 for i, a in enumerate(argv) if a in ("--length", "--max-len", "-k", "--precision")]
+    at = draw(st.sampled_from([None] * 5 + sizes))
+    if at is not None:
+        argv[at] = draw(st.sampled_from(HUGE))
     return [str(a) for a in argv]
 
 
@@ -601,16 +673,20 @@ def test_fuzzed_json_never_escapes_the_exit_codes(machine, weights, argv, budget
     argv = [files.get(a, a) for a in argv]
     if budget is not None and argv[0] != "history":
         argv += ["--budget", str(budget)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    if {str(size) for size in HUGE}.isdisjoint(argv):
+        code, out, err = main_captured(argv)
+    else:  # the deadline of a huge size: its limit must come before its cost
+        answer = main_within(argv, 1.0)
+        assert answer is not None, f"no answer within 1 s: {argv}"
+        code, out, err = answer
+        event(f"huge size, exit {code}")
     event(f"{argv[0]} exit {code}")
     assert code in {0, 2, 3, 4, 5}
     if code == 0:
-        assert err.getvalue() == ""
+        assert err == ""
     else:
-        assert out.getvalue() == ""
-        assert_one_line_error(err.getvalue())
+        assert out == ""
+        assert_one_line_error(err)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

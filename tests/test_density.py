@@ -18,10 +18,10 @@ from haltlab.density import (
     stratum_average_bound,
 )
 from haltlab.errors import ConfigError, ResourceLimitError
-from haltlab.machine import Dispatcher, finite_domain, timed_table
+from haltlab.machine import Dispatcher, finite_domain, load_machine, timed_table
 from haltlab.sweep import ENUM_CAP_ENV
 
-from conftest import table_from_stops
+from conftest import FIXTURES, table_from_stops
 
 
 def late_stop_table():
@@ -221,3 +221,8 @@ def test_stop_code_lint(table1):
     assert stop_code_violations(table1) == ("010", "011", "100", "111")
     clean = table_from_stops({"0": 1, "1": 1})
     assert stop_code_violations(clean) == ()
+    # each stop time is read from the table, not run within a budget of it,
+    # which run() refuses past 2^64 - 1: index 2, "0", produces code(1) = "",
+    # and no index up to 2^5 produces the 70 bits of code(2^70)
+    huge = load_machine(str(FIXTURES / "huge_stop_table.json"))
+    assert stop_code_violations(huge) == ("10",)

@@ -118,33 +118,39 @@ def out_words(output):
 
 
 def test_shared_outcomes_are_bounded(kernel, kept_outcomes, toy_vm):
-    """More distinct results than either dict keeps: each dict stops growing
-    at _KEPT entries, every outcome is still right, a kept one is shared and
-    one past the bound is an equal but fresh instance on every call."""
-    by_result, by_stop = kept_outcomes
-    for v in range(_KEPT + 50):
+    """More distinct results than the one dict keeps, unwrapped and wrapped
+    in turn: it stops growing at _KEPT entries, every outcome is still right,
+    a kept one is shared and one past the bound is an equal but fresh
+    instance on every call. Each run is keyed apart: an unwrapped one by its
+    kernel result tuple, a wrapped one by its stop time, an int."""
+    runs = _KEPT // 2 + 50
+    for v in range(runs):
         output = format(v, "011b")
         assert run(toy_vm, out_words(output), 64) == (True, 12, output)
         # d wrappers around END stop at step d + 1 with output code(d)
         assert run(toy_vm, "11" * (v + 1) + "0000", 4096) == (True, v + 2, bits_of_index(v + 1))
-        assert len(by_result) == min(v + 1, _KEPT) and len(by_stop) == min(v + 1, _KEPT)
+        assert len(kept_outcomes) == min(2 * v + 2, _KEPT)
+    assert sum(type(key) is int for key in kept_outcomes) == _KEPT // 2
     for program in (out_words(format(0, "011b")), "110000"):
         assert run(toy_vm, program, 64) is run(toy_vm, program, 64)
-    for program in (out_words(format(_KEPT + 49, "011b")), "11" * (_KEPT + 50) + "0000"):
+    for program in (out_words(format(runs - 1, "011b")), "11" * runs + "0000"):
         first, again = run(toy_vm, program, 4096), run(toy_vm, program, 4096)
         assert type(again) is RunOutcome and first == again and first is not again
-    assert len(by_result) == len(by_stop) == _KEPT
+    assert len(kept_outcomes) == _KEPT
 
 
 def test_a_long_output_is_not_kept(kernel, kept_outcomes, toy_vm):
-    by_result, _ = kept_outcomes
     kept = out_words("1" * _KEPT_OUTPUT_BITS)
     assert run(toy_vm, kept, 128) is run(toy_vm, kept, 128)
     longer = out_words("1" * (_KEPT_OUTPUT_BITS + 1))
     first, again = run(toy_vm, longer, 128), run(toy_vm, longer, 128)
     assert first == again == (True, _KEPT_OUTPUT_BITS + 2, "1" * (_KEPT_OUTPUT_BITS + 1))
     assert first is not again
-    assert len(by_result) == 1
+    assert len(kept_outcomes) == 1
+    # a wrapped output is the code of a stop time below 2^64: always kept
+    wrapped = "11" + kept
+    assert run(toy_vm, wrapped, 128) is run(toy_vm, wrapped, 128)
+    assert len(kept_outcomes) == 2
 
 
 def test_an_output_past_the_cap_is_refused_on_every_repeat(kernel, kept_outcomes, toy_vm):
@@ -152,7 +158,7 @@ def test_an_output_past_the_cap_is_refused_on_every_repeat(kernel, kept_outcomes
     for _ in range(3):
         with pytest.raises(ResourceLimitError, match="output exceeded"):
             run(toy_vm, program, 4096)
-    assert kept_outcomes == ({}, {})
+    assert kept_outcomes == {}
 
 
 def test_budget_zero_observes_nothing(toy_vm):

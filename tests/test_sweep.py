@@ -3,7 +3,7 @@ import importlib
 import itertools
 import tracemalloc
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -15,6 +15,7 @@ from haltlab.machine import (
     RunOutcome,
     exact_run,
     is_transparent,
+    load_machine,
     machine_from_dict,
     observe,
     run,
@@ -181,6 +182,21 @@ def test_builtin_stop_times_read_as_the_observed_dict(name, request):
     for length in range(11):
         expected = observed_stops(machine, length, horizon)
         assert_stops_equal(sweep(machine, length, horizon), expected)
+
+
+BUILTINS = ["toy-vm", "loop-free-vm", "prefix-free-vm", "prefix-free-loop-free-vm"]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(BUILTINS), length=st.integers(0, 10), horizon=st.integers(1, 4096))
+def test_sweep_reads_as_the_observe_loop_at_every_horizon(kernel, name, length, horizon):
+    """The restore of index order at any horizon, where a depth may halt only
+    in part: on the opaque VMs the horizon is drawn, the transparent ones
+    are read exactly."""
+    machine = load_machine(f"builtin:{name}")
+    if is_transparent(machine):
+        horizon = None
+    assert_stops_equal(sweep(machine, length, horizon), observed_stops(machine, length, horizon))
 
 
 def test_exact_sweep_keeps_a_stop_time_past_64_bits():
