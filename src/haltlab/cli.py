@@ -10,18 +10,20 @@ Subcommands:
 * probcurve  halting fraction per program length
 * decompose  computable/rare split of the observed halting set
 
-Each subcommand has a handler _cmd_NAME(machine, args) that only builds its
-result: a dict, written as JSON (sorted keys, two-space indent), or a str,
-written as is (CSV). The writer prints every rational as a "num/den" string
-and every Interval as {hi, lo, width}. It appends the text to one list of
-parts and never joins them: main hands the list to sys.stdout.writelines, so
-a long listing is never held twice. A program listing is a PairListing
-(haltlab.sweep), whose pairs are made one at a time from the sweeps' stop-time
-arrays; it is written with one "%" template per pair at its indent, one part
-per block of _PAIR_BLOCK pairs taken from one pass over it, so no block's
-strings outlive it. Any other list is written item by item. main loads the
-machine and builds every part before it writes the first, so stdout stays
-empty on any error, an int too long to print included.
+This is the one module that turns a result into text. Each subcommand has a
+handler _cmd_NAME(machine, args) that only builds its result: a dict, built
+from the record's own fields (_asdict()) plus what the output adds, and
+written as JSON (sorted keys, two-space indent), or the parts of a CSV text.
+The JSON writer prints every rational as a "num/den" string and every
+Interval as {hi, lo, width}. Either text is one list of parts, never joined:
+main hands the list to sys.stdout.writelines, so a long listing is never
+held twice. A program listing is a PairListing (haltlab.sweep), whose pairs
+are made one at a time from the sweeps' stop-time arrays. Its pairs and the
+rows of a CSV are written by _blocks, one "%" template per item, one part
+per block of _BLOCK items taken from one pass, so no block's strings
+outlive it. Any other list is written item by item. main loads the machine
+and builds every part before it writes the first, so stdout stays empty on
+any error, an int too long to print included.
 The library applies the one budget policy (haltlab.machine.check_budget) to
 --budget: opaque machines need a positive budget, transparent machines are
 read exactly and take none, and run() refuses budgets above 2^64 - 1.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -41,25 +44,33 @@ from typing import NoReturn
 
 from haltlab import density as density_mod
 from haltlab import halting_prob, runtime_dist
-from haltlab.errors import ConfigError, HaltlabError, digit_limit_error
+from haltlab.errors import ConfigError, HaltlabError, ResourceLimitError, digit_limit_error
 from haltlab.intervals import Interval, format_fraction
-from haltlab.machine import Machine, load_machine, read_json, run
+from haltlab.machine import Machine, load_machine, observe, read_json
 from haltlab.sweep import (
+    HaltingHistory,
     PairListing,
-    check_matrix_cells,
+    all_programs,
     conditional_probs,
     eventual_fraction,
-    history_to_csv,
-    history_to_matrix,
     prob_by,
     prob_exact,
     sweep,
 )
 
 
-# pairs per join in _pairs_parts: one block's small strings are freed before
-# the next block is formatted
-_PAIR_BLOCK = 4096
+# items per join in _blocks: one block's small strings are freed before the
+# next block is formatted
+_BLOCK = 4096
+# the history matrix has one cell per (program, time), about 100 bytes each
+_MATRIX_CELL_CAP = 2**20
+
+
+def _blocks(template: str, items: Iterable, sep: str) -> Iterator[str]:
+    """template % item for each item, joined by sep in blocks of _BLOCK."""
+    items = iter(items)
+    while block := sep.join([template % item for item in islice(items, _BLOCK)]):
+        yield block
 
 
 def _json(payload: dict) -> list[str]:
@@ -125,11 +136,27 @@ def _pairs_parts(pairs: PairListing, newline: str, parts: list[str]) -> None:
     pair = "[" + item + '"%s",' + item + "%s" + inner + "]"
     comma = "," + inner
     parts.append("[" + inner)
-    pairs = iter(pairs)
-    while block := comma.join([pair % pt for pt in islice(pairs, _PAIR_BLOCK)]):
-        parts.append(block)
-        parts.append(comma)
+    for block in _blocks(pair, pairs, comma):
+        parts += block, comma
     parts[-1] = newline + "]"  # in place of the last block's comma
+
+
+def _csv(header: str, rows: Iterable[tuple], newline: str) -> list[str]:
+    """The parts of a CSV text: the header line, then one line per row."""
+    parts = [header + newline]
+    for block in _blocks(",".join(["%s"] * (header.count(",") + 1)), rows, newline):
+        parts += block, newline
+    return parts
+
+
+def _history_matrix(history: HaltingHistory) -> dict:
+    """Grid form: cell (p, t) holds "h" once p has stopped by t."""
+    times = range(1, history.horizon + 1)
+    rows = [
+        {"program": program, "cells": ["" if stop is None or t < stop else "h" for t in times]}
+        for program, stop in zip(all_programs(history.length), history.column(None))
+    ]
+    return {"length": history.length, "horizon": history.horizon, "times": [*times], "rows": rows}
 
 
 def _config(args: argparse.Namespace, *names: str) -> dict:
@@ -161,18 +188,23 @@ def _load_distribution(
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
-def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | str:
+def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | list[str]:
     if args.t1 is not None and args.t0 is None:
         raise ConfigError("--t1 needs --t0")
     if args.t0 is not None and args.format != "json":
         raise ConfigError("--t0/--t1 apply to --format json only")
-    if args.format == "matrix":
-        check_matrix_cells(args.length, args.horizon)  # before the sweep runs
-    history = sweep(machine, args.length, args.horizon)
+    length, horizon = args.length, args.horizon
+    if args.format == "matrix" and length >= 0 and horizon > _MATRIX_CELL_CAP >> length:
+        raise ResourceLimitError(  # before the sweep runs
+            f"a matrix of 2^{length} programs x {horizon} times exceeds "
+            f"{_MATRIX_CELL_CAP} cells; use the csv or json format"
+        )
+    history = sweep(machine, length, horizon)
     if args.format == "csv":
-        return history_to_csv(history)
+        rows = zip(all_programs(length), history.column("RUNNING"))
+        return _csv("program,stop_time", rows, "\n")
     if args.format == "matrix":
-        return history_to_matrix(history)
+        return _history_matrix(history)
     config = _config(args, "length", "horizon")
     payload = {
         "config": config,
@@ -211,14 +243,14 @@ def _cmd_threshold(machine: Machine, args: argparse.Namespace) -> dict:
 def _cmd_decide(machine: Machine, args: argparse.Namespace) -> dict:
     dist = _load_distribution(machine, args)
     horizon = runtime_dist.tail_threshold(dist, args.k)
-    outcome = run(machine, args.program, horizon)
+    hit = observe(machine, args.program, horizon)
     payload = {
         "config": _config(args, "program", "k", "precision", "budget", "distribution"),
         "threshold": horizon,
     }
-    if outcome.halted:
+    if hit is not None:
         payload["verdict"] = "halted"
-        payload["stop_time"] = outcome.stop_time
+        payload["stop_time"] = hit[0]
     else:
         payload["verdict"] = "probably-non-halting"
         payload["residual_probability_below"] = Fraction(1, 2**args.k)
@@ -235,48 +267,30 @@ def _cmd_density(machine: Machine, args: argparse.Namespace) -> dict:
             raise ConfigError("--horizon applies to window mode only")
         report = density_mod.random_stop_report(machine, args.length, args.budget)
         return {
-            "config": _config(args, "mode", "length", "budget"),
+            **report._asdict(),
             "threshold": density_mod.exclusion_threshold(args.length),
-            "candidates": report.candidates,
-            "violations": report.violations,
-            "unresolved": report.unresolved,
             "holds": report.holds,
+            "config": _config(args, "mode", "length", "budget"),
         }
     if args.horizon is None:
         raise ConfigError("--horizon is required for window mode")
     report = density_mod.density_report(machine, args.length, args.horizon, args.budget)
-    return {
-        "config": _config(args, "mode", "length", "budget", "horizon"),
-        "m": report.m,
-        "s": report.s,
-        "window": [report.window_start, report.horizon],
-        "window_size": report.window_size,
-        "nonrandom_count": report.nonrandom_count,
-        "random_count": report.random_count,
-        "random_fraction": report.random_fraction,
-        "rare_bound": report.rare_bound,
-        "exact": report.exact,
-        "holds": report.holds,
-    }
+    payload = report._asdict()
+    payload["window"] = [payload.pop("window_start"), payload.pop("horizon")]
+    payload["random_count"] = report.random_count
+    payload["config"] = _config(args, "mode", "length", "budget", "horizon")
+    return payload
 
 
-def _cmd_probcurve(machine: Machine, args: argparse.Namespace) -> dict | str:
+def _cmd_probcurve(machine: Machine, args: argparse.Namespace) -> dict | list[str]:
     curve = halting_prob.domain_prob_curve(machine, args.max_len, args.budget)
     if args.format == "csv":
-        return curve.to_csv()
+        rows = ((p.length, p.halting, p.total, format_fraction(p.fraction)) for p in curve.points)
+        return _csv("length,halting,total,fraction", rows, "\r\n")
     kraft = sum((p.fraction for p in curve.points), Fraction(0))
     return {
         "config": _config(args, "max_len", "budget"),
-        "points": [
-            {
-                "length": p.length,
-                "halting": p.halting,
-                "total": p.total,
-                "fraction": p.fraction,
-                "exact": p.exact,
-            }
-            for p in curve.points
-        ],
+        "points": [{**p._asdict(), "fraction": p.fraction} for p in curve.points],
         "kraft_weight": kraft,
     }
 
@@ -285,14 +299,11 @@ def _cmd_decompose(machine: Machine, args: argparse.Namespace) -> dict:
     dist = _load_distribution(machine, args)
     split = runtime_dist.split_halting_set(dist, args.k, args.max_len)
     return {
-        "config": _config(args, "k", "max_len", "precision", "budget", "distribution"),
+        **split._asdict(),
+        "cutoffs": {str(n): c for n, c in sorted(split.cutoffs.items())},
         "kind": _kind(args),
         "normalizer": dist.normalizer,
-        "cutoffs": {str(n): c for n, c in sorted(split.cutoffs.items())},
-        "computable": split.computable,
-        "residual": split.residual,
-        "residual_measure_hi": split.residual_measure_hi,
-        "residual_bound": split.residual_bound,
+        "config": _config(args, "k", "max_len", "precision", "budget", "distribution"),
     }
 
 
@@ -385,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         machine = load_machine(args.machine)
         result = args.handler(machine, args)
-        parts = _json(result) if isinstance(result, dict) else [result]
+        parts = _json(result) if isinstance(result, dict) else result
     except HaltlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -8,12 +8,10 @@ stays below 1 no matter how far the curve is extended.
 
 from __future__ import annotations
 
-import io
 from fractions import Fraction
 from typing import NamedTuple
 
 from haltlab.errors import ConfigError
-from haltlab.intervals import format_fraction
 from haltlab.machine import Machine, ToyVM, check_budget
 from haltlab.sweep import _scan, check_enum_cap
 
@@ -35,13 +33,6 @@ class ProbCurve(NamedTuple):
     """Per-length halting fractions for lengths 1..max."""
 
     points: tuple[ProbCurvePoint, ...]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("length,halting,total,fraction\r\n")
-        for p in self.points:
-            buf.write(f"{p.length},{p.halting},{p.total},{format_fraction(p.fraction)}\r\n")
-        return buf.getvalue()
 
 
 def is_total(machine: Machine) -> bool:

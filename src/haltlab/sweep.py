@@ -39,7 +39,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
@@ -48,9 +48,6 @@ from haltlab.value import Value
 
 DEFAULT_ENUM_CAP_BITS = 24
 ENUM_CAP_ENV = "HALTLAB_ENUM_CAP"
-# history_to_matrix builds one cell per (program, time), about 100 bytes each
-MATRIX_CELL_CAP = 2**20
-CSV_BLOCK = 4096  # rows per join in history_to_csv
 # the machine kinds that _scan visits in core order (module docstring)
 _CORE_ORDERED = (ToyVM, PrefixFreeVM)
 
@@ -251,12 +248,13 @@ def conditional_probs(history: HaltingHistory, t0: int, t1: int | None = None) -
         raise ConfigError(f"t0 must be in [0, {horizon}], got {t0}")
     if t1 is not None and not t0 < t1 <= horizon:
         raise ConfigError(f"t1 must be in ({t0}, {horizon}], got {t1}")
-    survivors = history.space_size - sum(1 for t in history.times if t <= t0)
+    stopped = sum(1 for t in history.times if t <= t0)
+    survivors = history.space_size - stopped
     if survivors == 0:
         raise UndefinedConditionalError(
             f"every program stopped by t0={t0}; the conditional is undefined"
         )
-    later = sum(1 for t in history.times if t > t0)
+    later = len(history.times) - stopped
     by_t1 = None
     if t1 is not None:
         by_t1 = Fraction(sum(1 for t in history.times if t0 < t <= t1), survivors)
@@ -268,47 +266,3 @@ def conditional_probs(history: HaltingHistory, t0: int, t1: int | None = None) -
         not_by_and_eventual=Fraction(later, history.space_size),
         by_t1_given_not_by=by_t1,
     )
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-def history_to_csv(history: HaltingHistory) -> str:
-    """One row per program in index order; running programs marked RUNNING.
-    The rows are joined in blocks of CSV_BLOCK and the blocks once more, so
-    one block's rows are freed before the next block is made."""
-    rows_made = zip(all_programs(history.length), history.column("RUNNING"))
-    blocks = ["program,stop_time"]
-    while rows := [f"{p},{t}" for p, t in islice(rows_made, CSV_BLOCK)]:
-        blocks.append("\n".join(rows))
-    blocks.append("")  # the final newline
-    return "\n".join(blocks)
-
-
-def check_matrix_cells(length: int, horizon: int) -> None:
-    """Refuse a matrix of more than MATRIX_CELL_CAP cells, 2^length x horizon."""
-    if length >= 0 and horizon > MATRIX_CELL_CAP >> length:
-        raise ResourceLimitError(
-            f"a matrix of 2^{length} programs x {horizon} times exceeds "
-            f"{MATRIX_CELL_CAP} cells; use the csv or json format"
-        )
-
-
-def history_to_matrix(history: HaltingHistory) -> dict:
-    """Grid form: cell (p, t) holds "h" once p has stopped by t."""
-    horizon = _horizon(history)
-    check_matrix_cells(history.length, horizon)
-    rows = []
-    for program, stop in zip(all_programs(history.length), history.column(None)):
-        cells = [
-            "h" if stop is not None and t >= stop else ""
-            for t in range(1, horizon + 1)
-        ]
-        rows.append({"program": program, "cells": cells})
-    return {
-        "length": history.length,
-        "horizon": horizon,
-        "times": list(range(1, horizon + 1)),
-        "rows": rows,
-    }
-

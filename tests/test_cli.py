@@ -5,6 +5,7 @@ argument, so machine files are named relative to the repository root and the
 tests run from there.
 """
 
+import argparse
 import contextlib
 from fractions import Fraction
 import hashlib
@@ -25,7 +26,9 @@ from haltlab import cli
 from haltlab.errors import ConfigError, HaltlabError
 from haltlab.intervals import Interval, format_fraction
 from haltlab.machine import is_transparent, load_machine
-from haltlab.sweep import PairListing
+from haltlab.sweep import PairListing, all_programs, sweep
+
+from conftest import table_from_stops
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -362,7 +365,7 @@ JSON_VALUES = st.recursive(
 # a listing of more than two blocks, then, under a key that sorts after it,
 # an int one digit past the limit
 LONG_LISTING_THEN_TOO_LONG_INT = {
-    "a": [(bin(i), i) for i in range(2 * cli._PAIR_BLOCK + 3)],
+    "a": [(bin(i), i) for i in range(2 * cli._BLOCK + 3)],
     "b": 10**4300,
 }
 
@@ -383,8 +386,8 @@ def rational_json(value):
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(TRICKY_TEXT, JSON_VALUES, max_size=4))
 @example({"i": [Interval(Fraction(1, 3), Fraction(1, 2))], "f": Fraction(-4)})
-@example({"pairs": [(bin(i), i) for i in range(2 * cli._PAIR_BLOCK + 3)]})
-@example({"pairs": [("\u2028", i) for i in range(2 * cli._PAIR_BLOCK + 3)] + [("end", True)]})
+@example({"pairs": [(bin(i), i) for i in range(2 * cli._BLOCK + 3)]})
+@example({"pairs": [("\u2028", i) for i in range(2 * cli._BLOCK + 3)] + [("end", True)]})
 @example({"a": {"b": [[("x", 1), ("\n", -2)], [], {}, 3]}})
 @example(LONG_LISTING_THEN_TOO_LONG_INT)
 def test_json_writer_matches_json_dumps(payload):
@@ -405,7 +408,7 @@ def test_pair_listing_through_main_matches_json_dumps(capsys):
     argv = "history --machine builtin:toy-vm --length 14 --horizon 64".split()
     args = cli.build_parser().parse_args(argv)
     payload = args.handler(load_machine(args.machine), args)
-    assert len(payload["stops"]) == 16324 > 3 * cli._PAIR_BLOCK
+    assert len(payload["stops"]) == 16324 > 3 * cli._BLOCK
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == json.dumps(payload, sort_keys=True, indent=2, default=rational_json) + "\n"
@@ -452,6 +455,73 @@ def test_main_holds_its_output_once(monkeypatch):
         tracemalloc.stop()
     assert sink.written > 2_900_000
     assert peak < 1.8 * sink.written
+
+
+def test_history_csv_is_never_joined(monkeypatch):
+    """The history CSV goes to stdout as its blocks of rows, so the 1.25 MB
+    text of a 65,536-program sweep peaks under 2.5 times itself (about 2.2
+    here, 2.9 with a join)."""
+    argv = "history --machine builtin:toy-vm --length {} --horizon 64 --format csv".split()
+    monkeypatch.setattr("sys.stdout", CountingSink())
+    assert cli.main([a.format(4) for a in argv]) == 0  # warm the imports
+    sink = CountingSink()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        assert cli.main([a.format(16) for a in argv]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 1_200_000
+    assert peak < 2.5 * sink.written
+
+
+def history_output(machine, length, horizon, form):
+    """What the history handler returns for a loaded machine: the CSV text
+    joined, or the matrix dict."""
+    args = argparse.Namespace(
+        command="history", length=length, horizon=horizon, format=form, t0=None, t1=None
+    )
+    result = cli._cmd_history(machine, args)
+    return result if form == "matrix" else "".join(result)
+
+
+def test_csv_golden(fixture_f):
+    assert history_output(fixture_f, 1, 5, "csv") == "program,stop_time\n0,2\n1,RUNNING\n"
+
+
+def test_csv_keeps_a_stop_time_past_64_bits():
+    table = table_from_stops({"01": 2**70, "10": 3})
+    rows = ["program,stop_time", "00,RUNNING", f"01,{2**70}", "10,3", "11,RUNNING", ""]
+    assert history_output(table, 2, None, "csv") == "\n".join(rows)
+
+
+def test_csv_of_an_exact_sweep(loop_free_vm):
+    assert history_output(loop_free_vm, 3, None, "csv").count("RUNNING") == 0
+
+
+def test_csv_matches_the_naive_join(toy_vm):
+    """More than two blocks of rows give the same bytes as one join of
+    every row."""
+    stops = dict(sweep(toy_vm, 14, 16).pairs())
+    assert 2**14 > 2 * cli._BLOCK
+    lines = ["program,stop_time"]
+    for program in all_programs(14):
+        stop = stops.get(program)
+        lines.append(f"{program},{stop if stop is not None else 'RUNNING'}")
+    assert history_output(toy_vm, 14, 16, "csv") == "\n".join(lines) + "\n"
+
+
+def test_matrix_golden(fixture_f):
+    assert history_output(fixture_f, 1, 3, "matrix") == {
+        "length": 1,
+        "horizon": 3,
+        "times": [1, 2, 3],
+        "rows": [
+            {"program": "0", "cells": ["", "h", "h"]},
+            {"program": "1", "cells": ["", "", ""]},
+        ],
+    }
 
 
 @pytest.mark.parametrize(

@@ -21,14 +21,11 @@ from haltlab.machine import (
     run,
 )
 from haltlab.sweep import (
-    CSV_BLOCK,
     ENUM_CAP_ENV,
     _scan,
     all_programs,
     conditional_probs,
     eventual_fraction,
-    history_to_csv,
-    history_to_matrix,
     prob_by,
     prob_exact,
     sweep,
@@ -202,21 +199,6 @@ def test_sweep_reads_as_the_observe_loop_at_every_horizon(kernel, name, length, 
 def test_exact_sweep_keeps_a_stop_time_past_64_bits():
     history = sweep(table_from_stops({"01": 2**70, "10": 3}), 2, None)
     assert_stops_equal(history, {"01": 2**70, "10": 3})
-    rows = ["program,stop_time", "00,RUNNING", f"01,{2**70}", "10,3", "11,RUNNING", ""]
-    assert history_to_csv(history) == "\n".join(rows)
-
-
-def test_csv_matches_the_naive_join(toy_vm):
-    """More than two blocks of rows give the same bytes as one join of
-    every row."""
-    history = sweep(toy_vm, 14, 16)
-    assert 2**14 > 2 * CSV_BLOCK
-    stops = dict(history.pairs())
-    lines = ["program,stop_time"]
-    for program in all_programs(14):
-        stop = stops.get(program)
-        lines.append(f"{program},{stop if stop is not None else 'RUNNING'}")
-    assert history_to_csv(history) == "\n".join(lines) + "\n"
 
 
 def test_stops_are_in_index_order(toy_vm, prefix_free_vm, table1):
@@ -403,10 +385,9 @@ def test_pure_kernel_steps_each_distinct_run_once(name, horizon, request, monkey
 
 def test_exact_sweep_measures(loop_free_vm):
     history = sweep(loop_free_vm, 3, None)
-    for measure in (prob_exact, prob_by, history_to_matrix, lambda h: conditional_probs(h, 1)):
+    for measure in (prob_exact, prob_by, lambda h: conditional_probs(h, 1)):
         with pytest.raises(ConfigError):
             measure(history)  # no horizon, so no product space
-    assert history_to_csv(history).count("RUNNING") == 0
     # stops seen within a budget persist verbatim in the exact sweep
     budgeted = sweep(loop_free_vm, 3, 2)
     assert set(budgeted.pairs()) <= set(history.pairs())
@@ -474,21 +455,3 @@ def test_enum_cap_refuses_in_the_scan(monkeypatch, toy_vm):
         with pytest.raises(ResourceLimitError):
             enumeration()
         assert observed == []
-
-
-def test_csv_golden(fixture_f):
-    history = sweep(fixture_f, 1, 5)
-    assert history_to_csv(history) == "program,stop_time\n0,2\n1,RUNNING\n"
-
-
-def test_matrix_golden(fixture_f):
-    history = sweep(fixture_f, 1, 3)
-    assert history_to_matrix(history) == {
-        "length": 1,
-        "horizon": 3,
-        "times": [1, 2, 3],
-        "rows": [
-            {"program": "0", "cells": ["", "h", "h"]},
-            {"program": "1", "cells": ["", "", ""]},
-        ],
-    }
