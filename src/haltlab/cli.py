@@ -25,8 +25,8 @@ outlive it. Any other list is written item by item. main loads the machine
 and builds every part before it writes the first, so stdout stays empty on
 any error, an int too long to print included.
 The library applies the one budget policy (haltlab.machine.check_budget) to
---budget: opaque machines need a positive budget, transparent machines are
-read exactly and take none, and run() refuses budgets above 2^64 - 1.
+--budget: opaque machines need a budget in [1, 2^64 - 1], transparent
+machines are read exactly and take none.
 Exit codes: 0 ok, 2 usage, 3 resource limit (also for a number too long to
 print), 4 degenerate distribution, 5 violated invariant; each error, a
 malformed command line too, is one "error: ..." line on stderr.
@@ -59,9 +59,9 @@ from haltlab.sweep import (
 )
 
 
-# items per join in _blocks: one block's small strings are freed before the
-# next block is formatted
-_BLOCK = 4096
+# items per join in _blocks: one block's small strings, 50-80 KB at 512,
+# are the formatter's whole transient, freed before the next block is made
+_BLOCK = 512
 # the history matrix has one cell per (program, time), about 100 bytes each
 _MATRIX_CELL_CAP = 2**20
 

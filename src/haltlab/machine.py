@@ -296,12 +296,12 @@ def exact_run(machine: Machine, program: str) -> tuple[int, str] | None:
 
 def check_budget(machine: Machine, budget: int | None) -> None:
     """The budget policy: transparent machines are read exactly and take no
-    budget; opaque machines need a positive one."""
+    budget; opaque machines need one in [1, MAX_BUDGET]."""
     if is_transparent(machine):
         if budget is not None:
             raise ConfigError("transparent machines take no budget (verdicts are exact)")
-    elif budget is None or budget < 1:
-        raise ConfigError(f"opaque machines require a positive budget, got {budget}")
+    elif budget is None or not 1 <= budget <= MAX_BUDGET:
+        raise ConfigError(f"opaque machines require a budget in [1, 2^64 - 1], got {budget}")
 
 
 def observe(machine: Machine, program: str, budget: int | None) -> tuple[int, str] | None:

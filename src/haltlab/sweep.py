@@ -10,8 +10,10 @@ calls the machine itself, exact_run() or run() once per program, and reads
 the same (stop time, output) that haltlab.machine.observe() reads for one
 program. A sweep's result is one plain record, HaltingHistory: two
 index-ordered arrays in step, each halting program's offset within its
-length and its stop time. It keeps no program strings; pairs() makes a
-program's string again only where it is read.
+length and its stop time, each of the narrowest type of B, H, I and Q that
+holds its bound: 2^N - 1, or the horizon. An exact sweep's times are Q, and
+a list once a stop time passes 2^64 - 1. It keeps no program strings;
+pairs() makes a program's string again only where it is read.
 
 On the VM kinds _scan visits each length in core order. A program is
 1^(2d) m c: d wrappers, a mode field m and a core c, and the modes 00, 01
@@ -43,7 +45,7 @@ from itertools import chain, repeat
 from typing import NamedTuple
 
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
-from haltlab.machine import Machine, PrefixFreeVM, ToyVM, exact_run, run
+from haltlab.machine import MAX_BUDGET, Machine, PrefixFreeVM, ToyVM, exact_run, run
 from haltlab.value import Value
 
 DEFAULT_ENUM_CAP_BITS = 24
@@ -75,7 +77,8 @@ def check_enum_cap(length: int) -> None:
 class HaltingHistory(NamedTuple):
     """Result of one sweep: the halting length-N programs in index order, as
     two arrays in step, each program's offset within its length and its stop
-    time. horizon None marks an exact sweep of a transparent machine."""
+    time, each of the narrowest type for 2^N - 1 or the horizon. horizon
+    None marks an exact sweep, the only one whose times can be a list."""
 
     length: int
     horizon: int | None
@@ -171,6 +174,11 @@ def _scan(machine: Machine, lo: int, hi: int, budget: int | None) -> Iterator[tu
                 yield index, (stop, output)
 
 
+def _typecode(bound: int) -> str:
+    """The narrowest array type of B, H, I and Q whose items hold 0..bound."""
+    return next((c for c in "BHI" if bound >> 8 * array(c).itemsize == 0), "Q")
+
+
 def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
     """Observe all 2^length programs, within horizon steps or exactly when
     horizon is None, and record their stop times in index order. A VM's hits
@@ -179,11 +187,12 @@ def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
     programs that end inside a mode field come last and in index order."""
     if length < 0:
         raise ConfigError(f"length must be >= 0, got {length}")
-    if horizon is not None and horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    if horizon is not None and not 1 <= horizon <= MAX_BUDGET:
+        raise ConfigError(f"horizon must be in [1, 2^64 - 1], got {horizon}")
     check_enum_cap(length)  # before 2^length is built
     top = 2**length
-    offsets, times = array("Q"), array("Q")
+    offsets = array(_typecode(top - 1))
+    times = array("Q" if horizon is None else _typecode(horizon))
     for index, (stop, _) in _scan(machine, top, 2 * top, horizon):
         offsets.append(index - top)
         try:

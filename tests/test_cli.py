@@ -109,6 +109,8 @@ GOLDEN = [
     ("budget-zero", "upsilon --machine builtin:prefix-free-vm --budget 0", 2, EMPTY),
     ("budget-over-64-bits",
      "upsilon --machine builtin:toy-vm --precision 4 --budget 18446744073709551616", 2, EMPTY),
+    ("history-horizon-over-64-bits",
+     "history --machine builtin:toy-vm --length 2 --horizon 18446744073709551616", 2, EMPTY),
     ("distribution-is-a-directory",
      "threshold --machine fixtures/table1.json -k 1 --distribution fixtures", 2, EMPTY),
     # --precision must be positive on the user-table path too
@@ -233,6 +235,25 @@ def test_golden(command, code, digest, capsys, monkeypatch):
         assert err == ""
     else:
         assert_one_line_error(err)
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("history --machine builtin:toy-vm --length 2 --horizon 18446744073709551616", "horizon"),
+        ("upsilon --machine builtin:toy-vm --precision 4 --budget 18446744073709551616", "budget"),
+        # exclusion passes its budget to the sweep as the horizon
+        ("density --machine builtin:toy-vm --mode exclusion --length 1 "
+         "--budget 18446744073709551616", "budget"),
+    ],
+)
+def test_a_number_past_64_bits_is_named(command, name, capsys):
+    """A horizon or budget past 2^64 - 1 is refused under its own name."""
+    code, out, err = run_cli(command.split(), capsys)
+    assert (code, out) == (2, "")
+    assert_one_line_error(err)
+    (other,) = {"horizon", "budget"} - {name}
+    assert name in err and other not in err
 
 
 @pytest.mark.parametrize(
@@ -438,42 +459,53 @@ class CountingSink:
             self.write(part)
 
 
-def test_main_holds_its_output_once(monkeypatch):
-    """main hands the writer's parts to stdout without joining them, so the
-    2.9 MB text of a 65,534-program decompose never exists twice: the traced
-    peak stays under 1.8 times the text (about 1.5 here, 2.4 with a join)."""
-    argv = "decompose --machine builtin:toy-vm -k 4 --max-len {} --budget 4096".split()
+def traced_run(argv, length, monkeypatch):
+    """(characters written, traced peak) of main on argv at this length,
+    after a warm run at length 4."""
+    argv = argv.split()
     monkeypatch.setattr("sys.stdout", CountingSink())
     assert cli.main([a.format(4) for a in argv]) == 0  # warm the imports
     sink = CountingSink()
     monkeypatch.setattr("sys.stdout", sink)
     tracemalloc.start()
     try:
-        assert cli.main([a.format(15) for a in argv]) == 0
+        assert cli.main([a.format(length) for a in argv]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.written > 2_900_000
-    assert peak < 1.8 * sink.written
+    return sink.written, peak
+
+
+def test_main_holds_its_output_once(monkeypatch):
+    """main hands the writer's parts to stdout without joining them, and the
+    sweeps keep narrow arrays, so the 2.9 MB text of a 65,534-program
+    decompose peaks under 1.25 times itself (about 1.13 here, 1.52 with
+    64-bit arrays and blocks of 4,096 pairs, 2.4 with a join)."""
+    argv = "decompose --machine builtin:toy-vm -k 4 --max-len {} --budget 4096"
+    written, peak = traced_run(argv, 15, monkeypatch)
+    assert written > 2_900_000
+    assert peak < 1.25 * written
+
+
+def test_history_json_peaks_near_its_text(monkeypatch):
+    """The 3.1 MB listing of a 65,536-program sweep at horizon 4096 peaks
+    under 1.25 times itself (about 1.12 here, 1.49 with 64-bit arrays and
+    blocks of 4,096 pairs)."""
+    argv = "history --machine builtin:toy-vm --length {} --horizon 4096"
+    written, peak = traced_run(argv, 16, monkeypatch)
+    assert written > 3_000_000
+    assert peak < 1.25 * written
 
 
 def test_history_csv_is_never_joined(monkeypatch):
     """The history CSV goes to stdout as its blocks of rows, so the 1.25 MB
-    text of a 65,536-program sweep peaks under 2.5 times itself (about 2.2
-    here, 2.9 with a join)."""
-    argv = "history --machine builtin:toy-vm --length {} --horizon 64 --format csv".split()
-    monkeypatch.setattr("sys.stdout", CountingSink())
-    assert cli.main([a.format(4) for a in argv]) == 0  # warm the imports
-    sink = CountingSink()
-    monkeypatch.setattr("sys.stdout", sink)
-    tracemalloc.start()
-    try:
-        assert cli.main([a.format(16) for a in argv]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sink.written > 1_200_000
-    assert peak < 2.5 * sink.written
+    text of a 65,536-program sweep peaks under 1.4 times itself (about 1.24
+    here, 2.15 with 64-bit arrays and blocks of 4,096 rows, 2.9 with a
+    join)."""
+    argv = "history --machine builtin:toy-vm --length {} --horizon 64 --format csv"
+    written, peak = traced_run(argv, 16, monkeypatch)
+    assert written > 1_200_000
+    assert peak < 1.4 * written
 
 
 def history_output(machine, length, horizon, form):

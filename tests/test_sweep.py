@@ -3,7 +3,7 @@ import importlib
 import itertools
 import tracemalloc
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -23,6 +23,7 @@ from haltlab.machine import (
 from haltlab.sweep import (
     ENUM_CAP_ENV,
     _scan,
+    _typecode,
     all_programs,
     conditional_probs,
     eventual_fraction,
@@ -162,12 +163,43 @@ small_tables = st.dictionaries(
 ).map(table_from_stops)
 
 
+# stop times on both sides of each array type's edge, and past 2^64 - 1
+EDGE_STOPS = [1, 255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70]
+edge_table = table_from_stops(dict(zip(map(bits_of_index, range(1, 32, 3)), EDGE_STOPS)))
+
+
 @settings(max_examples=120, deadline=None)
 @given(small_tables, st.one_of(st.none(), st.integers(1, 2**64 - 1)))
+@example(edge_table, None)
+@example(edge_table, 255)
+@example(edge_table, 256)
+@example(edge_table, 2**16 - 1)
+@example(edge_table, 2**16)
+@example(edge_table, 2**32 - 1)
+@example(edge_table, 2**32)
+@example(edge_table, 2**64 - 1)
 def test_stop_times_read_as_the_observed_dict(machine, horizon):
     for length in range(5):
         history = sweep(machine, length, horizon)
         assert_stops_equal(history, observed_stops(machine, length, horizon))
+
+
+@pytest.mark.parametrize(
+    "bound, code",
+    [(255, "B"), (256, "H"), (2**16 - 1, "H"), (2**16, "I"),
+     (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q")],
+)
+def test_typecode_is_the_narrowest_that_holds_the_bound(bound, code):
+    assert _typecode(bound) == code
+
+
+def test_a_vm_sweep_takes_the_narrowest_arrays(toy_vm):
+    """At length 9 the offsets pass 255 and widen from B to H; stop times
+    within a horizon of 255 stay B."""
+    for length, code in [(8, "B"), (9, "H")]:
+        history = sweep(toy_vm, length, 255)
+        assert (history.offsets.typecode, history.times.typecode) == (code, "B")
+        assert_stops_equal(history, observed_stops(toy_vm, length, 255))
 
 
 @pytest.mark.parametrize(
