@@ -106,8 +106,7 @@ def stop_time_bound_holds(machine: Machine, program: str, budget: int | None) ->
     On the VM kinds the timing wrapper is the witness; on the other kinds
     the least producing index at or below the cap is.
     """
-    if budget is not None and budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {budget}")
+    check_budget(machine, budget)
     cap = 2 ** (len(program) + TIME_WRAP_EXTRA_BITS + 1)
     hit = observe(machine, program, budget)
     if hit is None:
@@ -115,8 +114,7 @@ def stop_time_bound_holds(machine: Machine, program: str, budget: int | None) ->
     stop = hit[0]
     witness = wrapper_witness(machine, program, stop, budget)
     if witness is None:  # not a VM kind, so the machine has no wrapper
-        budget_arg = None if is_transparent(machine) else budget
-        witness = _witness_map(machine, cap, budget_arg).get(bits_of_index(stop))
+        witness = _witness_map(machine, cap, budget).get(bits_of_index(stop))
     holds = witness is not None and witness <= cap
     return BoundCheck(program, True, stop, cap, witness, holds)
 

@@ -229,14 +229,14 @@ class RuntimeDistribution(NamedTuple):
         """Certificate for the normalized mass at index i."""
         if i < 1:
             raise ConfigError(f"index must be >= 1, got {i}")
-        w = self.weights.weight(i)
         lo_n, hi_n = self.normalizer.lo, self.normalizer.hi
         hit = observe(self.machine, bits_of_index(i), self.budget)
         if hit is not None:
+            w = self.weights.weight(i)
             return Interval(w / (hit[0] * hi_n), w / (hit[0] * lo_n))
         if self.budget is None:
-            return Interval.exact(0)
-        return Interval(Fraction(0), w / (self.budget * lo_n))
+            return Interval.exact(0)  # no weight is built for a certain zero
+        return Interval(Fraction(0), self.weights.weight(i) / (self.budget * lo_n))
 
     def tail_mass(self, start: int) -> Interval:
         """Certificate for the mass at indices >= start."""

@@ -1,15 +1,19 @@
+from bisect import bisect_left
 import importlib.machinery
 import importlib.util
+from operator import itemgetter
 import pathlib
 import shlex
 import shutil
 import subprocess
 import sysconfig
+from typing import NamedTuple
 
 import pytest
 
 from haltlab import _stepper_py, machine, vm
-from haltlab.machine import TableMachine, load_machine
+from haltlab.codec import bits_of_index
+from haltlab.machine import Dispatcher, TableMachine, load_machine, observe
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "haltlab"
@@ -75,6 +79,12 @@ def table_from_stops(stops):
     return TableMachine(tuple((p, t, "") for p, t in stops.items()))
 
 
+def assert_stops_equal(history, expected):
+    """history lists the pairs of the dict expected, in the same order."""
+    assert list(history.pairs()) == list(expected.items())
+    assert list(history.times) == list(expected.values())
+
+
 def mode_block_bases(n):
     """The first index of each mode block of length n, and of the programs
     that end inside a mode field."""
@@ -113,3 +123,65 @@ def prefix_free_vm():
 @pytest.fixture(scope="session")
 def prefix_free_loop_free_vm():
     return load_machine("builtin:prefix-free-loop-free-vm")
+
+
+# the census holds every index 1 .. 2^CENSUS_BITS - 1, lengths 0..12
+CENSUS_BITS = 13
+
+
+class Census(NamedTuple):
+    """Every program of length at most 12 observed once on each census
+    machine: within its budget on an opaque one, exactly on a transparent
+    one. A run within budget b halts exactly when its stop time is at most
+    b, so the record at budget 4096 answers every budget up to 4096 by a
+    filter on stop times."""
+
+    machines: dict  # name -> (machine, the budget of its record)
+    hits: dict  # name -> [(index, (stop time, output))] in index order
+
+    def scan(self, name: str, lo: int, hi: int, budget: int | None) -> list:
+        """What an observe() loop over [lo, hi) within budget sees halting,
+        in index order: (index, (stop time, output))."""
+        recorded = self.machines[name][1]
+        assert 1 <= lo and hi <= 2**CENSUS_BITS
+        assert budget is None if recorded is None else 1 <= budget <= recorded
+        hits = self.hits[name]
+        at, end = (bisect_left(hits, i, key=itemgetter(0)) for i in (lo, hi))
+        return [hit for hit in hits[at:end] if budget is None or hit[1][0] <= budget]
+
+    def stops(self, name: str, length: int, horizon: int | None) -> dict:
+        """The stop-time dict of an observe() loop over one length."""
+        return {
+            bits_of_index(i): hit[0]
+            for i, hit in self.scan(name, 2**length, 2 ** (length + 1), horizon)
+        }
+
+
+@pytest.fixture(scope="session")
+def census(toy_vm, prefix_free_vm, loop_free_vm, prefix_free_loop_free_vm, table1, fixture_f):
+    """The Census of seven machines, named as their fixtures: toy_vm and
+    prefix_free_vm at budget 4096; the loop-free VMs, table1, fixture_f
+    (whose domain holds the empty program) and a dispatcher over
+    loop_free_vm and table1 read exactly. It is built once, through
+    observe() on the pure kernel whatever HALTLAB_KERNEL says, and fails
+    if any run raises."""
+    machines = {
+        "toy_vm": (toy_vm, 4096),
+        "prefix_free_vm": (prefix_free_vm, 4096),
+        "loop_free_vm": (loop_free_vm, None),
+        "prefix_free_loop_free_vm": (prefix_free_loop_free_vm, None),
+        "table1": (table1, None),
+        "fixture_f": (fixture_f, None),
+        "dispatcher": (Dispatcher((loop_free_vm, table1)), None),
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vm, "run_stream", _stepper_py.run_stream)
+        hits = {
+            name: [
+                (i, hit)
+                for i in range(1, 2**CENSUS_BITS)
+                if (hit := observe(m, bits_of_index(i), budget)) is not None
+            ]
+            for name, (m, budget) in machines.items()
+        }
+    return Census(machines, hits)

@@ -171,6 +171,10 @@ GOLDEN = [
     # an exact stop time of 2^70 does not fit a sweep's 64-bit stop-time array
     ("probcurve-huge-stop", "probcurve --machine fixtures/huge_stop_table.json --max-len 3",
      0, "184b0c033bba1434ad079b05e8187bc52a6538684cb2f3bf8974242d433646a9"),
+    # the mass at the stop time 2^70 is that of program 0^70, which never
+    # halts: exactly 0, with no weight 2^-(2^70) built
+    ("decompose-huge-stop", "decompose --machine fixtures/huge_stop_table.json -k 2 --max-len 3",
+     0, "17201e7e5823c3d9fb508db626708e6d9c75ac5b1b1da0175ab22fecef809bca"),
     # the same precision and budget on both series of threshold: the induced
     # normalizer equals upsilon's above, and T(2) = 4
     ("threshold-opaque-precision-cap",
@@ -261,8 +265,6 @@ def test_a_number_past_64_bits_is_named(command, name, capsys):
     [
         # the normalizer needs the weight 2^-(2^40) of the 40-bit program 0^40
         "upsilon --machine fixtures/far_index_table.json",
-        # the residual measure needs the mass, so the weight, at index 2^70
-        "decompose --machine fixtures/huge_stop_table.json -k 2 --max-len 3",
     ],
 )
 def test_huge_weight_powers_are_refused_at_once(command, capsys, monkeypatch):

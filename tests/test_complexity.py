@@ -15,7 +15,7 @@ from haltlab.complexity import (
 )
 from haltlab.density import density_report
 from haltlab.errors import ConfigError, ResourceLimitError
-from haltlab.machine import Dispatcher, TableMachine, observe, run, timed_table
+from haltlab.machine import Dispatcher, TableMachine, run, timed_table
 from haltlab.sweep import ENUM_CAP_ENV
 
 from conftest import mode_block_bases
@@ -114,14 +114,17 @@ def test_stop_bound_witness_is_the_wrapper(toy_vm):
 def test_bare_table_misses_the_bound(table1):
     """A finite table is not closed under timing, so the compressibility
     bound genuinely fails there; registering the timed twin restores it."""
-    bad = stop_time_bound_holds(table1, "011", 100)
+    bad = stop_time_bound_holds(table1, "011", None)
     assert bad.applicable and not bad.holds
 
     u = Dispatcher((table1, timed_table(table1)))
-    good = stop_time_bound_holds(u, "1011", 100)
+    good = stop_time_bound_holds(u, "1011", None)
     assert good.applicable and good.holds
     assert run(u, "1011", 100).stop_time == 8
     assert good.witness_index == index_of_bits("01" + "011")
+    # one budget policy: a transparent machine is read exactly, never within a budget
+    with pytest.raises(ConfigError):
+        stop_time_bound_holds(table1, "011", 100)
 
 
 def test_random_string_density_floor(loop_free_vm):
@@ -149,21 +152,21 @@ def test_random_string_density_needs_transparency(toy_vm):
     "name, budget",
     [("toy_vm", 256), ("loop_free_vm", None), ("prefix_free_vm", 256), ("prefix_free_loop_free_vm", None)],
 )
-def test_least_index_map_is_setdefault_in_index_order(kernel, name, budget, request):
+def test_least_index_map_is_setdefault_in_index_order(kernel, census, name, budget):
     """min_index_map scans a VM in core order, yet keeps the least index of
     each output, as setdefault over the indices in index order does: at
     every cap below 2^8 and, below 2^12, at each edge of the first three
     depths' mode blocks and of the programs that end inside a mode field."""
-    machine = request.getfixturevalue(name)
+    machine = census.machines[name][0]
     caps = set(range(1, 2**8)) | {2**12 - 1}
     for n in range(8, 12):
         bases = mode_block_bases(n)
         caps |= {c for b in bases[:9] + bases[-1:] for c in (b - 1, b)}
+    hits = dict(census.scan(name, 1, 2**12, budget))
     expected = {}
     for index in range(1, 2**12):
-        hit = observe(machine, bits_of_index(index), budget)
-        if hit is not None:
-            expected.setdefault(hit[1], index)
+        if index in hits:
+            expected.setdefault(hits[index][1], index)
         if index in caps:
             min_index_map.cache_clear()
             assert min_index_map(machine, index, budget) == expected, index
@@ -175,7 +178,7 @@ def test_enum_cap_binds_a_cached_witness_map(monkeypatch, toy_vm, loop_free_vm, 
     also when the map is already in min_index_map's cache."""
     callers = [
         lambda: time_randomness(toy_vm, 2**10, 64),  # indices up to 102
-        lambda: stop_time_bound_holds(table1, "010", 100),  # up to 64
+        lambda: stop_time_bound_holds(table1, "010", None),  # up to 64
         lambda: random_string_density(loop_free_vm, 10),  # up to 102
         lambda: density_report(loop_free_vm, 1, 2**12 - 1),  # up to 186
     ]

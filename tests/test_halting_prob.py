@@ -5,8 +5,8 @@ import pytest
 
 from haltlab.errors import ConfigError
 from haltlab.halting_prob import domain_prob_curve, is_total
-from haltlab.machine import DEFAULT_OUTPUT_CAP, LOOP_FREE_STEP_CAP, exact_run
-from haltlab.sweep import DEFAULT_ENUM_CAP_BITS, all_programs
+from haltlab.machine import DEFAULT_OUTPUT_CAP, LOOP_FREE_STEP_CAP
+from haltlab.sweep import DEFAULT_ENUM_CAP_BITS
 
 from oracles.census import halting_counts, kraft_limit, run_bounds
 
@@ -48,7 +48,7 @@ def test_census_partial_kraft_sum_meets_its_limit():
     assert limit - Fraction(1, 2**78) < partial < limit
 
 
-def test_no_enumerable_loop_free_program_reaches_a_cap(loop_free_vm):
+def test_no_enumerable_loop_free_program_reaches_a_cap(census):
     """By run_bounds' search over the word lengths, no loop-free program of at
     most DEFAULT_ENUM_CAP_BITS bits, wrappers included, runs
     LOOP_FREE_STEP_CAP steps or emits DEFAULT_OUTPUT_CAP bits: at 24 bits a
@@ -62,17 +62,17 @@ def test_no_enumerable_loop_free_program_reaches_a_cap(loop_free_vm):
     assert min(n for n, (_, out) in enumerate(bounds) if out >= DEFAULT_OUTPUT_CAP) == 101
     assert min(n for n, (steps, _) in enumerate(bounds) if steps >= LOOP_FREE_STEP_CAP) == 114
     for n in range(13):
-        runs = [exact_run(loop_free_vm, program) for program in all_programs(n)]
+        runs = [hit for _, hit in census.scan("loop_free_vm", 2**n, 2 ** (n + 1), None)]
+        assert len(runs) == 2**n
         assert (max(s for s, _ in runs), max(len(o) for _, o in runs)) == bounds[n], n
 
 
-def test_total_shortcut_matches_a_real_count(loop_free_vm):
+def test_total_shortcut_matches_a_real_count(loop_free_vm, census):
     assert is_total(loop_free_vm)
     curve = domain_prob_curve(loop_free_vm, 8)
     for point in curve.points:
-        counted = sum(
-            1 for p in all_programs(point.length) if exact_run(loop_free_vm, p) is not None
-        )
+        n = point.length
+        counted = len(census.scan("loop_free_vm", 2**n, 2 ** (n + 1), None))
         assert point.halting == counted == point.total
         assert point.exact
 

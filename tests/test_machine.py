@@ -27,7 +27,7 @@ from haltlab.machine import (
     timed_table,
 )
 from haltlab.runtime_dist import DYADIC
-from haltlab.sweep import PairListing, all_programs, sweep
+from haltlab.sweep import PairListing, sweep
 
 bits = st.text(alphabet="01", max_size=18)
 
@@ -190,16 +190,12 @@ def test_time_wrap_recodes_stop_time(toy_vm, program):
         assert not wrapped.halted
 
 
-def test_time_wrap_exhaustive_short(toy_vm):
-    # every halting program of length <= 7, no sampling
-    for length in range(8):
-        for program in all_programs(length):
-            inner = run(toy_vm, program, 4096)
-            if not inner.halted:
-                continue
-            wrapped = run(toy_vm, time_wrap(program), 4097)
-            assert wrapped.stop_time == inner.stop_time + 1
-            assert wrapped.output == bits_of_index(inner.stop_time)
+def test_time_wrap_exhaustive_short(toy_vm, census):
+    # every program of length <= 7 that halts within 4096 steps, no sampling
+    for index, (stop, _) in census.scan("toy_vm", 1, 2**8, 4096):
+        wrapped = run(toy_vm, time_wrap(bits_of_index(index)), 4097)
+        assert wrapped.stop_time == stop + 1
+        assert wrapped.output == bits_of_index(stop)
 
 
 # ---------------------------------------------------------------------------

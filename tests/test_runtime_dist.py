@@ -228,10 +228,12 @@ def test_least_horizon_is_exact_next_to_one(gap):
         assert weights.least_horizon((r**e + gap**3) / gap) == 1 + e
 
 
-def test_long_program_weights_are_exact():
+def test_long_program_weights_are_exact(toy_vm):
     """A 20-bit program's weight 2^-i, i about 1.9 million, enters the
-    normalizer exactly. A power past WEIGHT_BIT_LIMIT bits is
-    refused before it is built, in a weight and in a tail bound alike."""
+    normalizer exactly. A power past WEIGHT_BIT_LIMIT bits is refused
+    before it is built, in a weight, in a tail bound and in the mass of an
+    index that halts; the mass of one that never halts is exactly 0, with
+    no weight built."""
     long = "11010010110100101101"
     table = table_from_stops({"0": 1, "10": 3, long: 5})
     expected = Fraction(1, 2**2) + Fraction(1, 2**6) / 3 + Fraction(1, 2 ** int("1" + long, 2)) / 5
@@ -240,9 +242,10 @@ def test_long_program_weights_are_exact():
     assert dist.mass(int("1" + long, 2)).lo == Fraction(1, 2 ** int("1" + long, 2)) / (5 * expected)
     limit = runtime_dist.WEIGHT_BIT_LIMIT
     assert runtime_dist.DYADIC.weight(limit + 1) == Fraction(1, 2 ** (limit + 1))
+    assert dist.mass(2**40) == Interval.exact(0)
     for refused in (
         lambda: runtime_dist.DYADIC.weight(limit + 2),
-        lambda: dist.mass(2**40),
+        lambda: induced_distribution(toy_vm, 8, 4096).mass(2**40),
         lambda: dist.tail_mass(2**40),
     ):
         with pytest.raises(ResourceLimitError):

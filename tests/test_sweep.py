@@ -10,16 +10,7 @@ import pytest
 from haltlab import _stepper_py, vm
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
-from haltlab.machine import (
-    Dispatcher,
-    RunOutcome,
-    exact_run,
-    is_transparent,
-    load_machine,
-    machine_from_dict,
-    observe,
-    run,
-)
+from haltlab.machine import RunOutcome, exact_run, machine_from_dict, observe, run
 from haltlab.sweep import (
     ENUM_CAP_ENV,
     _scan,
@@ -32,7 +23,7 @@ from haltlab.sweep import (
     sweep,
 )
 
-from conftest import mode_block_bases, table_from_stops
+from conftest import assert_stops_equal, mode_block_bases, table_from_stops
 
 
 @pytest.fixture(scope="module")
@@ -148,12 +139,6 @@ def observed_stops(machine, length, horizon):
     return stops
 
 
-def assert_stops_equal(history, expected):
-    """history lists the pairs of the dict expected, in the same order."""
-    assert list(history.pairs()) == list(expected.items())
-    assert list(history.times) == list(expected.values())
-
-
 # random tables over programs of at most 4 bits, stop times up to 2^70: past
 # 2^64 - 1 the sweep keeps its stop times in a list
 small_tables = st.dictionaries(
@@ -193,39 +178,36 @@ def test_typecode_is_the_narrowest_that_holds_the_bound(bound, code):
     assert _typecode(bound) == code
 
 
-def test_a_vm_sweep_takes_the_narrowest_arrays(toy_vm):
+def test_a_vm_sweep_takes_the_narrowest_arrays(toy_vm, census):
     """At length 9 the offsets pass 255 and widen from B to H; stop times
     within a horizon of 255 stay B."""
     for length, code in [(8, "B"), (9, "H")]:
         history = sweep(toy_vm, length, 255)
         assert (history.offsets.typecode, history.times.typecode) == (code, "B")
-        assert_stops_equal(history, observed_stops(toy_vm, length, 255))
+        assert_stops_equal(history, census.stops("toy_vm", length, 255))
 
 
-@pytest.mark.parametrize(
-    "name", ["toy_vm", "loop_free_vm", "prefix_free_vm", "prefix_free_loop_free_vm"]
-)
-def test_builtin_stop_times_read_as_the_observed_dict(name, request):
-    machine = request.getfixturevalue(name)
-    horizon = None if is_transparent(machine) else 256
+BUILTINS = ["toy_vm", "loop_free_vm", "prefix_free_vm", "prefix_free_loop_free_vm"]
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_builtin_stop_times_read_as_the_observed_dict(name, census):
+    machine, recorded = census.machines[name]
+    horizon = None if recorded is None else 256
     for length in range(11):
-        expected = observed_stops(machine, length, horizon)
-        assert_stops_equal(sweep(machine, length, horizon), expected)
-
-
-BUILTINS = ["toy-vm", "loop-free-vm", "prefix-free-vm", "prefix-free-loop-free-vm"]
+        assert_stops_equal(sweep(machine, length, horizon), census.stops(name, length, horizon))
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(name=st.sampled_from(BUILTINS), length=st.integers(0, 10), horizon=st.integers(1, 4096))
-def test_sweep_reads_as_the_observe_loop_at_every_horizon(kernel, name, length, horizon):
+def test_sweep_reads_as_the_observe_loop_at_every_horizon(kernel, census, name, length, horizon):
     """The restore of index order at any horizon, where a depth may halt only
     in part: on the opaque VMs the horizon is drawn, the transparent ones
     are read exactly."""
-    machine = load_machine(f"builtin:{name}")
-    if is_transparent(machine):
+    machine, recorded = census.machines[name]
+    if recorded is None:
         horizon = None
-    assert_stops_equal(sweep(machine, length, horizon), observed_stops(machine, length, horizon))
+    assert_stops_equal(sweep(machine, length, horizon), census.stops(name, length, horizon))
 
 
 def test_exact_sweep_keeps_a_stop_time_past_64_bits():
@@ -245,35 +227,17 @@ def test_stops_are_in_index_order(toy_vm, prefix_free_vm, table1):
 @pytest.mark.parametrize(
     "name", ["loop_free_vm", "prefix_free_loop_free_vm", "table1", "fixture_f"]
 )
-def test_exact_sweep_matches_exact_run(name, request):
-    machine = request.getfixturevalue(name)
+def test_exact_sweep_matches_exact_run(name, census):
+    machine = census.machines[name][0]
     for n in range(11):
         history = sweep(machine, n, None)
         assert history.horizon is None
-        expected = {}
-        for program in all_programs(n):
-            hit = exact_run(machine, program)
-            if hit is not None:
-                expected[program] = hit[0]
-        assert_stops_equal(history, expected)
+        assert_stops_equal(history, census.stops(name, n, None))
 
 
-def test_scan_is_the_observe_loop(
-    toy_vm, loop_free_vm, prefix_free_vm, prefix_free_loop_free_vm, table1
-):
-    """_scan reads each index as observe() reads its program: exactly on a
-    transparent machine, within each budget on an opaque one, and it refuses
-    an output past the cap as observe() does."""
-    machines = [toy_vm, loop_free_vm, prefix_free_vm, prefix_free_loop_free_vm, table1]
-    for machine in machines + [Dispatcher((loop_free_vm, table1))]:
-        for budget in [None] if is_transparent(machine) else [1, 5, 64]:
-            expected = [
-                (i, hit)
-                for i in range(1, 2**11)
-                if (hit := observe(machine, bits_of_index(i), budget)) is not None
-            ]
-            assert expected
-            assert sorted(_scan(machine, 1, 2**11, budget)) == expected
+def test_scan_is_the_observe_loop(toy_vm):
+    """_scan refuses an output past the cap as observe() does; what it reads
+    of every other index is observe()'s (tests/test_census.py)."""
     program = "000111111110111001111110"  # passes DEFAULT_OUTPUT_CAP at step 81
     index = index_of_bits(program)
     with pytest.raises(ResourceLimitError, match="output exceeded"):
@@ -282,11 +246,9 @@ def test_scan_is_the_observe_loop(
         list(_scan(toy_vm, index, index + 1, 4096))
 
 
-def test_scan_is_the_observe_loop_on_the_compiled_kernel(
-    compiled, monkeypatch, toy_vm, loop_free_vm, prefix_free_vm, prefix_free_loop_free_vm, table1
-):
+def test_scan_is_the_observe_loop_on_the_compiled_kernel(compiled, monkeypatch, toy_vm):
     monkeypatch.setattr(vm, "run_stream", compiled.run_stream)
-    test_scan_is_the_observe_loop(toy_vm, loop_free_vm, prefix_free_vm, prefix_free_loop_free_vm, table1)
+    test_scan_is_the_observe_loop(toy_vm)
 
 
 def core_order_key(index):

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from haltlab import _stepper_py, cli, complexity, halting_prob, machine as machine_module, vm
+from haltlab import cli, complexity, halting_prob, machine as machine_module
 from haltlab.machine import load_machine
 from haltlab.sweep import sweep
 
@@ -42,7 +42,6 @@ def test_traced_results_have_what_the_tracer_reads():
     assert [point.total for point in points] == [2, 4]
 
 
-@pytest.mark.skipif(vm.KERNEL_NAME != "pure", reason="counts the pure kernel's code object")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -53,21 +52,27 @@ def test_traced_results_have_what_the_tracer_reads():
          "--horizon", "4095"],
     ],
 )
-def test_tracer_sees_every_fine_call(argv):
+def test_tracer_sees_every_fine_call(kernel, argv):
     """Every call of the kernel, run() and exact_run() goes through the
     tracer's wrappers. A call site that binds one of them where the tracer
     cannot rebind it, in a default argument or a closure, is not counted, and
-    the benchmark's traced run then fails on its pinned counts."""
+    the benchmark's traced run then fails on its pinned counts. The pure
+    kernel's calls are the calls of its code object, the compiled kernel's
+    the C calls of its run_stream."""
+    stepper = kernel.run_stream  # read before the profile runs
     names = {
-        _stepper_py.run_stream.__code__: "vm.run_stream.calls",
         machine_module.run.__code__: "machine.run.calls",
         machine_module.exact_run.__code__: "machine.exact_run.calls",
     }
-    made = dict.fromkeys(names.values(), 0)
+    if hasattr(stepper, "__code__"):  # the pure kernel
+        names[stepper.__code__] = "vm.run_stream.calls"
+    made = dict.fromkeys(["vm.run_stream.calls", *names.values()], 0)
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in names:
             made[names[frame.f_code]] += 1
+        elif event == "c_call" and arg is stepper:
+            made["vm.run_stream.calls"] += 1
 
     complexity.min_index_map.cache_clear()  # a cached map would run nothing
     with tracer_layers().Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
@@ -76,5 +81,5 @@ def test_tracer_sees_every_fine_call(argv):
             assert cli.main(argv) == 0
         finally:
             sys.setprofile(None)
-    assert made["machine.run.calls"] > 0
+    assert made["machine.run.calls"] > 0 and made["vm.run_stream.calls"] > 0
     assert {name: tracer.count(name) for name in made} == made
