@@ -9,8 +9,10 @@ The CLI states the paper's three claims (Calude & Stay, "Most programs stop
 quickly or never halt"): a computable horizon T(k) past which halting has
 probability below 2^-k (threshold, decide), a computable/rare split of the
 halting set (decompose), and the zero density of late stop times (density).
-No subcommand calls the functions below; each checks one statement the
-proofs rest on. Here c = 2 is the timing wrapper's program overhead.
+Its exclusion mode checks, one length at a time, that every stop time
+t_p >= 2^(2|p|+2c+1) is non-random. No subcommand calls the functions
+below; each checks one statement the proofs rest on. Here c = 2 is the
+timing wrapper's program overhead.
 
     runtime_dist.RuntimeDistribution.tail_mass
         the observed mass at indices >= T(k) is below 2^-k
@@ -24,9 +26,6 @@ proofs rest on. Here c = 2 is the timing wrapper's program overhead.
         the least window end 2^(m+s) - 1 with 5/(m+s-1) < 2^-k
     density.density_with_margin
         random times fill more than 1 - 2^-k of the window [2^m, that end]
-    density.exponential_stop_density
-        every stop time t_p >= 2^(2|p|+2c+1) is non-random, at all lengths
-        up to a bound
     density.stop_code_violations
         the code of t_p has complexity <= 2^(|p|+c+1), linted on a table
     machine.timed_table
@@ -48,7 +47,7 @@ from haltlab.machine import (
     time_wrap,
 )
 from haltlab.complexity import time_randomness
-from haltlab.density import density_report, random_stop_report
+from haltlab.density import density_report, exclusion_report
 from haltlab.halting_prob import domain_prob_curve
 from haltlab.runtime_dist import (
     halting_series,
@@ -85,7 +84,7 @@ __all__ = [
     "tail_threshold",
     "split_halting_set",
     "density_report",
-    "random_stop_report",
+    "exclusion_report",
     "domain_prob_curve",
     "__version__",
 ]

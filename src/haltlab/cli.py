@@ -173,16 +173,10 @@ def _kind(args: argparse.Namespace) -> str:
 def _load_distribution(
     machine: Machine, args: argparse.Namespace
 ) -> runtime_dist.RuntimeDistribution:
+    weights = runtime_dist.DYADIC
     if args.distribution is not None:
-        return runtime_dist.user_table_distribution(
-            machine,
-            read_json(args.distribution, "distribution file"),
-            precision_bits=args.precision,
-            budget=args.budget,
-        )
-    return runtime_dist.induced_distribution(
-        machine, precision_bits=args.precision, budget=args.budget
-    )
+        weights = runtime_dist.weights_from_dict(read_json(args.distribution, "distribution file"))
+    return runtime_dist.induced_distribution(machine, args.precision, args.budget, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +259,7 @@ def _cmd_density(machine: Machine, args: argparse.Namespace) -> dict:
     if args.mode == "exclusion":
         if args.horizon is not None:
             raise ConfigError("--horizon applies to window mode only")
-        report = density_mod.random_stop_report(machine, args.length, args.budget)
+        report = density_mod.exclusion_report(machine, (args.length,), None, args.budget)
         return {
             **report._asdict(),
             "threshold": density_mod.exclusion_threshold(args.length),

@@ -6,9 +6,8 @@ of results live here, both at the exponent m = 2*length + 2c + 1 with c the
 wrapper overhead:
 
 * exclusion: stop times of length-n programs at or past 2^m are never
-  random, because the timing wrapper compresses them. random_stop_report
-  (one length) and exponential_stop_density (lengths 0..max_len up to a
-  horizon) are two parameterisations of one check;
+  random, because the timing wrapper compresses them. exclusion_report
+  checks this for any lengths, with or without an upper end to the times;
 * window density: within [2^m, T] the non-random times are so sparse that
   the random fraction provably exceeds 1 - 5/(m+s-1), where s is the number
   of doublings the window spans.
@@ -93,12 +92,17 @@ class ExclusionReport(NamedTuple):
         return not self.violations
 
 
-def _exclusion_report(
-    machine: Machine, lengths: Iterable[int], horizon: int | None, budget: int | None
+def exclusion_report(
+    machine: Machine,
+    lengths: Iterable[int],
+    horizon: int | None = None,
+    budget: int | None = None,
 ) -> ExclusionReport:
-    """Sweep each length, keep the stops in [threshold, horizon] (no upper
-    end when horizon is None) and check that each one is non-random: the
-    wrapper witness first, then the least producing index."""
+    """Sweep each length n, keep the stop times in [2^m, horizon], m =
+    2n + 2c + 1 (no upper end when horizon is None), and check that each one
+    is non-random: the wrapper witness first, then the least producing index."""
+    if horizon is not None and horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     check_budget(machine, budget)
     # only lengths whose late stops can reach the horizon are swept; refuse
     # the longest of them before the first sweep runs
@@ -120,17 +124,6 @@ def _exclusion_report(
         elif verdict == UNKNOWN:
             unresolved.append((program, stop))
     return ExclusionReport(tuple(candidates), tuple(violations), tuple(unresolved))
-
-
-def random_stop_report(
-    machine: Machine,
-    length: int,
-    budget: int | None = None,
-) -> ExclusionReport:
-    """Check that every late stop time at this length is non-random."""
-    if length < 1:
-        raise ConfigError(f"length must be >= 1, got {length}")
-    return _exclusion_report(machine, (length,), None, budget)
 
 
 class DensityReport(NamedTuple):
@@ -238,21 +231,6 @@ def density_with_margin(
             f"rare bound {report.rare_bound} exceeds 2^-{k} at horizon {horizon}"
         )
     return report
-
-
-def exponential_stop_density(
-    machine: Machine,
-    max_len: int,
-    horizon: int,
-    budget: int | None = None,
-) -> ExclusionReport:
-    """Collect stop times t_p <= horizon with t_p >= 2^(2|p|+2c+1) for
-    |p| <= max_len and confirm each is non-random."""
-    if max_len < 0:
-        raise ConfigError(f"max_len must be >= 0, got {max_len}")
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    return _exclusion_report(machine, range(max_len + 1), horizon, budget)
 
 
 def stop_code_violations(machine: TableMachine) -> tuple[str, ...]:

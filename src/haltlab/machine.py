@@ -13,7 +13,8 @@ Four machine kinds share one run() interface:
                  the submachine's: the index prefix is free of charge.
 
 The descriptors are immutable haltlab.value.Value objects, not tuples, equal
-and hashed by kind and fields (a TableMachine's lookup dict takes no part):
+and hashed by kind and fields (a TableMachine's lookup dict and a
+Dispatcher's transparency take no part):
 ToyVM(True) != PrefixFreeVM(True), also as a key of min_index_map's cache.
 
 Every program is (2-bit mode)(rest). Mode "11" is the timing wrapper: run the
@@ -156,14 +157,19 @@ class TableMachine(Value):
 
 
 class Dispatcher(Value):
-    """Routes 0^i 1 x to submachine i on x; all-zero programs never halt."""
+    """Routes 0^i 1 x to submachine i on x; all-zero programs never halt.
+    Whether it is transparent is decided once, here, and takes no part in
+    equality or the hash; a submachine of unknown kind is refused."""
 
-    __slots__ = _fields = ("submachines",)
+    __slots__ = ("submachines", "_transparent")
+    _fields = ("submachines",)
 
     def __init__(self, submachines: tuple["Machine", ...]) -> None:
         if not submachines:
             raise ConfigError("dispatcher needs at least one submachine")
         object.__setattr__(self, "submachines", submachines)
+        # a list, so that every submachine's kind is checked
+        object.__setattr__(self, "_transparent", all([is_transparent(m) for m in submachines]))
 
 
 Machine = Union[ToyVM, PrefixFreeVM, TableMachine, Dispatcher]
@@ -184,7 +190,7 @@ def is_transparent(machine: Machine) -> bool:
     if kind is ToyVM or kind is PrefixFreeVM:
         return machine.loop_free
     if kind is Dispatcher:
-        return all(is_transparent(sub) for sub in machine.submachines)
+        return machine._transparent
     raise ConfigError(f"unknown machine {machine!r}")
 
 

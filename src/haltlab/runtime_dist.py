@@ -1,12 +1,14 @@
 """Runtime distributions induced by weighted halting series.
 
-The normalizer is the series sum of w(i)/t_i over halting indices i, with the
-default dyadic weights w(i) = 2^-i: DYADIC, the weight table (1/2) continued
-at ratio 1/2. Dividing each term by the normalizer turns stop times into a
-probability distribution over indices; its tail decay is what makes "has not
-stopped by T" quantitatively informative. T(k), the least T whose tail mass
-is below 2^-k, is solved for from the weights' geometric tail; every exact
-power ratio^e is refused before it is built when it would pass WEIGHT_BIT_LIMIT.
+The normalizer is the series sum of w(i)/t_i over halting indices i. The
+weight table is the one parameter of the construction: halting_series and
+induced_distribution take it as an argument, by default the dyadic weights
+w(i) = 2^-i, DYADIC, the table (1/2) continued at ratio 1/2. Dividing each
+term by the normalizer turns stop times into a probability distribution over
+indices; its tail decay is what makes "has not stopped by T" quantitatively
+informative. T(k), the least T whose tail mass is below 2^-k, is solved for
+from the weights' geometric tail; every exact power ratio^e is refused
+before it is built when it would pass WEIGHT_BIT_LIMIT.
 
 Every quantity is an Interval certificate. On machines with a finite domain
 the intervals are points; on an infinite transparent domain only series
@@ -175,14 +177,15 @@ def _tail_sum(
     return Interval(total, total + slack + weights.tail_bound(start + count))
 
 
-def _series_certificate(
+def halting_series(
     machine: Machine,
-    weights: GeometricTableWeights,
-    precision_bits: int,
-    budget: int | None,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
+    budget: int | None = None,
+    weights: GeometricTableWeights = DYADIC,
 ) -> Interval:
-    """Certified enclosure of sum of w(i)/t_i over halting indices, from the
-    first precision+2 indices. An opaque machine's budget must reach
+    """Certified enclosure of the normalizer, the sum of w(i)/t_i over halting
+    indices, from the first precision+2 indices; with the dyadic weights its
+    width is below 2^-precision_bits. An opaque machine's budget must reach
     2^(precision+2), so that the slack stays within the truncation tail; as
     run() takes no budget past 2^64 - 1, that bounds its precision at 61."""
     if precision_bits < 1:
@@ -195,18 +198,9 @@ def _series_certificate(
             f"budget {budget} is below 2^(precision+2) = 2^{terms}; "
             "the width certificate needs at least that many steps per run"
         )
-    return _tail_sum(machine, weights, 1, terms, budget)
-
-
-def halting_series(
-    machine: Machine,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    budget: int | None = None,
-) -> Interval:
-    """Normalizer certificate with width below 2^-precision_bits."""
-    interval = _series_certificate(machine, DYADIC, precision_bits, budget)
+    interval = _tail_sum(machine, weights, 1, terms, budget)
     # a finite domain's certificate is a point, whatever the precision
-    if interval.width and interval.width >= Fraction(1, 2**precision_bits):
+    if weights is DYADIC and interval.width and interval.width >= Fraction(1, 2**precision_bits):
         raise InvariantViolation(
             f"series certificate width {interval.width} >= 2^-{precision_bits}"
         )
@@ -239,50 +233,28 @@ class RuntimeDistribution(NamedTuple):
         return Interval(Fraction(0), self.weights.weight(i) / (self.budget * lo_n))
 
     def tail_mass(self, start: int) -> Interval:
-        """Certificate for the mass at indices >= start."""
+        """Certificate for the mass at indices >= start; as each index adds at
+        most w(i), it never passes tail_certificate(self, start)."""
         if start < 1:
             raise ConfigError(f"start must be >= 1, got {start}")
         tail = _tail_sum(self.machine, self.weights, start, self.precision_bits + 2, self.budget)
-        lo_n, hi_n = self.normalizer.lo, self.normalizer.hi
-        cap = self.weights.tail_bound(start) / lo_n
-        return Interval(tail.lo / hi_n, min(tail.hi / lo_n, cap))
-
-
-def _distribution(
-    machine: Machine,
-    weights: GeometricTableWeights,
-    normalizer: Interval,
-    precision_bits: int,
-    budget: int | None,
-) -> RuntimeDistribution:
-    if normalizer.lo <= 0:
-        raise DegenerateDistributionError(
-            "no halting program found among the enumerated indices; "
-            "the runtime distribution has no certified mass"
-        )
-    return RuntimeDistribution(machine, weights, normalizer, precision_bits, budget)
+        return Interval(tail.lo / self.normalizer.hi, tail.hi / self.normalizer.lo)
 
 
 def induced_distribution(
     machine: Machine,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     budget: int | None = None,
+    weights: GeometricTableWeights = DYADIC,
 ) -> RuntimeDistribution:
-    """Distribution with dyadic weights and the machine's own stop times."""
-    normalizer = halting_series(machine, precision_bits, budget)
-    return _distribution(machine, DYADIC, normalizer, precision_bits, budget)
-
-
-def user_table_distribution(
-    machine: Machine,
-    data: dict,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    budget: int | None = None,
-) -> RuntimeDistribution:
-    """Distribution with declared weights and a geometric tail modulus."""
-    weights = weights_from_dict(data)
-    normalizer = _series_certificate(machine, weights, precision_bits, budget)
-    return _distribution(machine, weights, normalizer, precision_bits, budget)
+    """Distribution with the given weights and the machine's own stop times."""
+    normalizer = halting_series(machine, precision_bits, budget, weights)
+    if normalizer.lo <= 0:
+        raise DegenerateDistributionError(
+            "no halting program found among the enumerated indices; "
+            "the runtime distribution has no certified mass"
+        )
+    return RuntimeDistribution(machine, weights, normalizer, precision_bits, budget)
 
 
 # ---------------------------------------------------------------------------

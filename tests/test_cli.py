@@ -81,6 +81,10 @@ GOLDEN = [
     ("density-exclusion-exact",
      "density --machine builtin:prefix-free-loop-free-vm --mode exclusion --length 3",
      0, "304f86360eb5153712c8a99ab175e4fb90019d33904798fae5b2ebcc2022e521"),
+    # the empty program's stops start at 2^5; table1's "" has none
+    ("density-exclusion-length-0",
+     "density --machine fixtures/table1.json --mode exclusion --length 0",
+     0, "afae1206a87a9b3015e083fffcb82a6e44b9f76634fdaf84cc07aad55dd825f4"),
     ("probcurve-pf-loop-free", "probcurve --machine builtin:prefix-free-loop-free-vm --max-len 8",
      0, "c4bf0978d16a363b7c37d7de4b6bcedf46ebd98655548c03a94165057ea28c05"),
     ("probcurve-total-csv", "probcurve --machine builtin:loop-free-vm --max-len 6 --format csv",

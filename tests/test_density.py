@@ -8,10 +8,9 @@ from haltlab.density import (
     DensityReport,
     density_report,
     density_with_margin,
+    exclusion_report,
     exclusion_threshold,
-    exponential_stop_density,
     power_gap_holds,
-    random_stop_report,
     required_horizon,
     stop_code_violations,
     stratum_average,
@@ -96,13 +95,13 @@ def test_exclusion_threshold_exponent():
 def test_exclusions_on_fixtures(table1, fixture_f):
     for machine in (table1, fixture_f):
         for n in range(2, 4):
-            report = random_stop_report(machine, n)
+            report = exclusion_report(machine, (n,))
             assert report.holds and not report.candidates
 
 
 def test_exclusions_on_toy_vm(toy_vm):
     for n in range(2, 7):
-        report = random_stop_report(toy_vm, n, budget=2 ** (2 * n + 5) + 2**12)
+        report = exclusion_report(toy_vm, (n,), budget=2 ** (2 * n + 5) + 2**12)
         assert report.holds
         assert not report.unresolved
         # the plain VM never runs past the threshold, so this holds vacuously
@@ -114,7 +113,7 @@ def test_exclusion_with_real_candidates():
     satisfies the exclusion with actual over-threshold candidates."""
     table = late_stop_table()
     u = Dispatcher((table, timed_table(table)))
-    report = random_stop_report(u, 3)  # dispatcher programs are '1' + 2 bits
+    report = exclusion_report(u, (3,))  # dispatcher programs are '1' + 2 bits
     # '00' stops at 600, below the length-3 threshold 2^11; the other two qualify
     assert len(report.candidates) == 2
     assert report.holds and not report.violations
@@ -123,7 +122,7 @@ def test_exclusion_with_real_candidates():
 def test_exclusion_violated_by_bare_table():
     """Without closure under timing the same stop times are provably random,
     which is exactly the failure mode the report is meant to surface."""
-    report = random_stop_report(late_stop_table(), 2)
+    report = exclusion_report(late_stop_table(), (2,))
     assert len(report.candidates) == 3
     assert not report.holds
     assert report.violations == report.candidates
@@ -203,15 +202,17 @@ def test_density_margin_k2_large_window(loop_free_vm):
 # exponential stopping times
 
 def test_exponential_stops_empty_on_fixtures(table1, toy_vm):
-    assert not exponential_stop_density(table1, 3, 2**12).candidates
-    report = exponential_stop_density(toy_vm, 4, 2**13, budget=2**13)
+    assert not exclusion_report(table1, range(4), 2**12).candidates
+    report = exclusion_report(toy_vm, range(5), 2**13, 2**13)
     assert report.holds and not report.candidates
+    with pytest.raises(ConfigError):
+        exclusion_report(table1, range(4), 0)
 
 
 def test_exponential_stops_with_candidates():
     table = late_stop_table()
     u = Dispatcher((table, timed_table(table)))
-    report = exponential_stop_density(u, 4, 2**12)
+    report = exclusion_report(u, range(5), 2**12)
     assert len(report.candidates) == 2  # the 600 stop is not exponential for length 3
     assert report.holds
 

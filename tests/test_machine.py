@@ -313,6 +313,11 @@ def test_dispatcher_index_inflation_bound(table1):
 def test_dispatcher_transparency(table1, toy_vm, loop_free_vm):
     assert is_transparent(Dispatcher((table1, loop_free_vm)))
     assert not is_transparent(Dispatcher((table1, toy_vm)))
+    # decided when the dispatcher is built, so a submachine of unknown kind
+    # is refused there, also after an opaque one
+    for subs in ((object(),), (toy_vm, object())):
+        with pytest.raises(ConfigError, match="unknown machine"):
+            Dispatcher(subs)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +385,7 @@ def test_min_index_map_keeps_each_machines_own_map():
         (TableMachine((("", 2, ""),)), "entries"),
         (TableMachine((("", 2, ""),)), "_lookup"),
         (Dispatcher((ToyVM(),)), "submachines"),
+        (Dispatcher((ToyVM(),)), "_transparent"),
         (Interval(0, 1), "lo"),
         (PairListing((), 0), "size"),
         (RunOutcome(False), "halted"),

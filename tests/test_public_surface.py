@@ -8,8 +8,11 @@ its name appears, as a name or an attribute, anywhere in the package outside
 its own body; the re-exports in __init__.py do not count. A parameter counts
 as passed when some call of the function's name in src/haltlab or tests,
 outside the function's own body, gives it by keyword or by position, or
-passes *args or **kwargs. And every module-level UPPER_CASE constant is read
-somewhere in src/haltlab, tests or perfbench, outside its own assignment.
+passes *args or **kwargs. No row of that table may be reached from a
+cli._cmd_* handler, following by name the definitions each reached body
+uses, as the table is for what no subcommand calls. And every module-level
+UPPER_CASE constant is read somewhere in src/haltlab, tests or perfbench,
+outside its own assignment.
 """
 
 import ast
@@ -143,6 +146,38 @@ def test_the_statement_table_resolves():
     assert table and len(table) == len(set(table))
     for dotted in table:
         assert callable(resolve(dotted)), dotted
+
+
+def reached_from_subcommands():
+    """Names of the package's definitions that some cli._cmd_* handler
+    reaches: the names its body uses, then the names used by every
+    definition of those names, and so on."""
+    trees = package_trees()
+    bodies = collections.defaultdict(list)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies[node.name].append(node)
+    todo = [
+        node.name
+        for node in trees["cli"].body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")
+    ]
+    reached = set(todo)
+    while todo:
+        for node in bodies[todo.pop()]:
+            for name in names_used(node).keys() & bodies.keys() - reached:
+                reached.add(name)
+                todo.append(name)
+    return reached
+
+
+def test_no_statement_is_reached_from_a_subcommand():
+    """Rows of the statement table are exempt from the default guard, so a
+    row that a subcommand reaches would escape it."""
+    reached = reached_from_subcommands()
+    assert reached >= {"_cmd_density", "exclusion_report", "induced_distribution"}
+    assert {row for row in statement_table() if row.rsplit(".", 1)[1] in reached} == set()
 
 
 def test_every_export_resolves():

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from haltlab import runtime_dist
 from haltlab.errors import ConfigError, DegenerateDistributionError, ResourceLimitError
 from haltlab.intervals import Interval
-from haltlab.machine import TableMachine, read_json
+from haltlab.machine import TableMachine, is_transparent, load_machine, read_json
 from haltlab.runtime_dist import (
+    DYADIC,
     GeometricTableWeights,
     RuntimeDistribution,
     halting_series,
@@ -18,7 +19,6 @@ from haltlab.runtime_dist import (
     split_halting_set,
     tail_certificate,
     tail_threshold,
-    user_table_distribution,
     weights_from_dict,
 )
 
@@ -71,9 +71,9 @@ def test_series_budget_rules(toy_vm, fixture_f):
     with pytest.raises(ConfigError):
         halting_series(toy_vm, 17, budget=2**19 - 1)
     with pytest.raises(ConfigError):
-        user_table_distribution(toy_vm, FAST_WEIGHTS, 17, budget=2**19 - 1)
+        induced_distribution(toy_vm, 17, 2**19 - 1, weights_from_dict(FAST_WEIGHTS))
     assert halting_series(toy_vm, 17, budget=2**19).width < Fraction(1, 2**17)
-    assert user_table_distribution(toy_vm, FAST_WEIGHTS, 17, budget=2**19).budget == 2**19
+    assert induced_distribution(toy_vm, 17, 2**19, weights_from_dict(FAST_WEIGHTS)).budget == 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def test_tail_threshold_is_minimal_and_monotone(fixture_f, weights, at_k4):
     if weights is None:
         dist = induced_distribution(fixture_f)
     else:
-        dist = user_table_distribution(fixture_f, weights)
+        dist = induced_distribution(fixture_f, weights=weights_from_dict(weights))
     previous = 1
     for k in range(0, 41):
         b = tail_threshold(dist, k)
@@ -160,6 +160,28 @@ def test_opaque_tail_mass_certified(toy_vm):
         assert dist.tail_mass(horizon).hi < Fraction(1, 2**k)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    source=st.sampled_from(
+        [FIXTURES / "table1.json", FIXTURES / "fixture_f.json", "builtin:loop-free-vm",
+         "builtin:toy-vm"]
+    ),
+    weights=st.sampled_from([None, "slow_tail_weights.json"]),
+    start=st.integers(min_value=1, max_value=2**12),
+)
+def test_tail_mass_is_within_its_certificate(source, weights, start):
+    """Each observed index adds at most its weight to the tail sum, and the
+    weight tail bounds the rest, so the tail mass never passes the closed
+    form: no cap is needed, and a finite domain's tail can be exactly 0."""
+    machine = load_machine(source)
+    budget = None if is_transparent(machine) else 4096
+    table = DYADIC if weights is None else weights_from_dict(read_json(FIXTURES / weights, "w"))
+    dist = induced_distribution(machine, budget=budget, weights=table)
+    tail = dist.tail_mass(start)
+    event("zero tail" if tail.hi == 0 else "positive tail")
+    assert tail.hi <= tail_certificate(dist, start)
+
+
 # ---------------------------------------------------------------------------
 # user-table weights
 
@@ -173,7 +195,7 @@ def test_user_table_matches_induced_when_dyadic(fixture_f, toy_vm):
         "tail_modulus": {"type": "geometric", "ratio": "1/2"},
     }
     for machine, budget in ((fixture_f, None), (toy_vm, 4096)):
-        user = user_table_distribution(machine, data, budget=budget)
+        user = induced_distribution(machine, budget=budget, weights=weights_from_dict(data))
         induced = induced_distribution(machine, budget=budget)
         assert user.normalizer == induced.normalizer
         for i in range(1, 12):
@@ -196,7 +218,7 @@ def test_tail_threshold_is_least_up_to_the_weight_limit(table1, monkeypatch):
         "weights": [["1", "2"]],
         "tail_modulus": {"type": "geometric", "ratio": "999/1000"},
     }
-    dist = user_table_distribution(table1, data)
+    dist = induced_distribution(table1, weights=weights_from_dict(data))
     for k in range(0, 6):
         horizon = tail_threshold(dist, k)
         assert tail_certificate(dist, horizon) < Fraction(1, 2**k)
@@ -233,7 +255,8 @@ def test_long_program_weights_are_exact(toy_vm):
     normalizer exactly. A power past WEIGHT_BIT_LIMIT bits is refused
     before it is built, in a weight, in a tail bound and in the mass of an
     index that halts; the mass of one that never halts is exactly 0, with
-    no weight built."""
+    no weight built, and so is the tail of a finite domain past its last
+    index."""
     long = "11010010110100101101"
     table = table_from_stops({"0": 1, "10": 3, long: 5})
     expected = Fraction(1, 2**2) + Fraction(1, 2**6) / 3 + Fraction(1, 2 ** int("1" + long, 2)) / 5
@@ -243,10 +266,11 @@ def test_long_program_weights_are_exact(toy_vm):
     limit = runtime_dist.WEIGHT_BIT_LIMIT
     assert runtime_dist.DYADIC.weight(limit + 1) == Fraction(1, 2 ** (limit + 1))
     assert dist.mass(2**40) == Interval.exact(0)
+    assert dist.tail_mass(2**40) == Interval.exact(0)
     for refused in (
         lambda: runtime_dist.DYADIC.weight(limit + 2),
+        lambda: runtime_dist.DYADIC.tail_bound(limit + 2),
         lambda: induced_distribution(toy_vm, 8, 4096).mass(2**40),
-        lambda: dist.tail_mass(2**40),
     ):
         with pytest.raises(ResourceLimitError):
             refused()
@@ -348,7 +372,8 @@ def test_split_cutoffs_equal_the_per_length_searches(table1, k, max_len, weights
     if weights is None:
         dist = induced_distribution(table1)
     else:
-        dist = user_table_distribution(table1, read_json(FIXTURES / weights, "weights"))
+        data = read_json(FIXTURES / weights, "weights")
+        dist = induced_distribution(table1, weights=weights_from_dict(data))
     expected = {n: 2 ** per_length_threshold(dist, k + n + 2) for n in range(1, max_len + 1)}
     assert split_halting_set(dist, k, max_len).cutoffs == expected
 
@@ -384,7 +409,8 @@ def test_split_builds_about_two_powers_a_length_on_a_slow_tail(table1, monkeypat
     """At ratio 999/1000 T(k) grows by about 693 per k. The split finds the
     same cutoffs as one search per length, from at most two exact powers of
     the ratio per length."""
-    dist = user_table_distribution(table1, read_json(FIXTURES / "slow_tail_weights.json", "weights"))
+    weights = weights_from_dict(read_json(FIXTURES / "slow_tail_weights.json", "weights"))
+    dist = induced_distribution(table1, weights=weights)
     expected = {n: 2 ** per_length_threshold(dist, n + 3) for n in range(1, 7)}
     powers = []
     power = GeometricTableWeights._power

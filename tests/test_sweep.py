@@ -417,14 +417,14 @@ def test_enum_cap_refuses_before_any_sweep(monkeypatch, toy_vm, table1):
     dist = runtime_dist.induced_distribution(toy_vm, budget=4096)
     for census in (
         lambda: runtime_dist.split_halting_set(dist, 2, 7),
-        lambda: density.exponential_stop_density(toy_vm, 7, 2**19, budget=4096),
+        lambda: density.exclusion_report(toy_vm, range(8), 2**19, 4096),
         lambda: halting_prob.domain_prob_curve(toy_vm, 7, 4096),
     ):
         with pytest.raises(ResourceLimitError):
             census()
         assert swept == []
     # lengths whose late stops lie past the horizon are not swept, so not refused
-    assert density.exponential_stop_density(table1, 30, 2**12).holds
+    assert density.exclusion_report(table1, range(31), 2**12).holds
     assert max(length for _, length, _ in swept) == 3
 
 
