@@ -18,6 +18,8 @@ timing wrapper's program overhead.
         the observed mass at indices >= T(k) is below 2^-k
     complexity.random_string_density
         at least a 1 - 1/n share of n-bit strings have complexity >= 2^n/n
+    complexity.time_randomness
+        a time t is random when no index below 2^|code(t)|/|code(t)| produces code(t)
     density.power_gap_holds
         2^|code(t)| > 2^n * |code(t)| for every t >= 2^(2n-1), n >= 4
     density.stratum_average

@@ -14,19 +14,22 @@ This is the one module that turns a result into text. Each subcommand has a
 handler _cmd_NAME(machine, args) that only builds its result: a dict, built
 from the record's own fields (_asdict()) plus what the output adds, and
 written as JSON (sorted keys, two-space indent), or the parts of a CSV text.
-The JSON writer prints every rational as a "num/den" string and every
-Interval as {hi, lo, width}. Either text is one list of parts, never joined:
-main hands the list to sys.stdout.writelines, so a long listing is never
-held twice. A program listing is a PairListing (haltlab.sweep), whose pairs
-are made one at a time from the sweeps' stop-time arrays. Its pairs and the
-rows of a CSV are written by _blocks, one "%" template per item, one part
-per block of _BLOCK items taken from one pass, so no block's strings
-outlive it. Any other list is written item by item. main loads the machine
-and builds every part before it writes the first, so stdout stays empty on
-any error, an int too long to print included.
-The library applies the one budget policy (haltlab.machine.check_budget) to
---budget: opaque machines need a budget in [1, 2^64 - 1], transparent
-machines are read exactly and take none.
+Every line printed, a CSV line too, ends with "\\n". The JSON writer prints
+every rational as a "num/den" string and every Interval as {hi, lo, width}.
+Either text is one list of parts, never joined: main hands the list to
+sys.stdout.writelines, so a long listing is never held twice. A program
+listing is a PairListing (haltlab.sweep), whose pairs are made one at a time
+from the sweeps' stop-time arrays. Its pairs and the rows of a CSV are
+written by _blocks, one "%" template per item, one part per block of _BLOCK
+items taken from one pass, so no block's strings outlive it. Any other list
+is written item by item. main loads the machine and builds every part before
+it writes the first, so stdout stays empty on any error, an int too long to
+print included.
+An argument that several subcommands take (--machine, --budget, --precision,
+-k, --distribution) is declared once, on a parent parser. The library
+applies the one budget policy (haltlab.machine.check_budget) to --budget:
+opaque machines need a budget in [1, 2^64 - 1], transparent machines are
+read exactly and take none.
 Exit codes: 0 ok, 2 usage, 3 resource limit (also for a number too long to
 print), 4 degenerate distribution, 5 violated invariant; each error, a
 malformed command line too, is one "error: ..." line on stderr.
@@ -141,11 +144,11 @@ def _pairs_parts(pairs: PairListing, newline: str, parts: list[str]) -> None:
     parts[-1] = newline + "]"  # in place of the last block's comma
 
 
-def _csv(header: str, rows: Iterable[tuple], newline: str) -> list[str]:
+def _csv(header: str, rows: Iterable[tuple]) -> list[str]:
     """The parts of a CSV text: the header line, then one line per row."""
-    parts = [header + newline]
-    for block in _blocks(",".join(["%s"] * (header.count(",") + 1)), rows, newline):
-        parts += block, newline
+    parts = [header + "\n"]
+    for block in _blocks(",".join(["%s"] * (header.count(",") + 1)), rows, "\n"):
+        parts += block, "\n"
     return parts
 
 
@@ -196,7 +199,7 @@ def _cmd_history(machine: Machine, args: argparse.Namespace) -> dict | list[str]
     history = sweep(machine, length, horizon)
     if args.format == "csv":
         rows = zip(all_programs(length), history.column("RUNNING"))
-        return _csv("program,stop_time", rows, "\n")
+        return _csv("program,stop_time", rows)
     if args.format == "matrix":
         return _history_matrix(history)
     config = _config(args, "length", "horizon")
@@ -280,7 +283,7 @@ def _cmd_probcurve(machine: Machine, args: argparse.Namespace) -> dict | list[st
     curve = halting_prob.domain_prob_curve(machine, args.max_len, args.budget)
     if args.format == "csv":
         rows = ((p.length, p.halting, p.total, format_fraction(p.fraction)) for p in curve.points)
-        return _csv("length,halting,total,fraction", rows, "\r\n")
+        return _csv("length,halting,total,fraction", rows)
     kraft = sum((p.fraction for p in curve.points), Fraction(0))
     return {
         "config": _config(args, "max_len", "budget"),
@@ -304,22 +307,6 @@ def _cmd_decompose(machine: Machine, args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_machine(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--machine",
-        default="builtin:toy-vm",
-        help="machine file or builtin:{toy-vm,loop-free-vm,prefix-free-vm,"
-        "prefix-free-loop-free-vm}",
-    )
-
-
-def _add_distribution(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-k", type=int, required=True, help="tail target exponent: mass < 2^-k")
-    parser.add_argument("--precision", type=int, default=runtime_dist.DEFAULT_PRECISION_BITS)
-    parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument("--distribution", default=None, help="user-table weight file")
-
-
 def _usage_error(parser: argparse.ArgumentParser, message: str) -> NoReturn:
     raise ConfigError(message)
 
@@ -334,9 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Empirical halting statistics with exact certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    machine, budget, precision, tail = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    machine.add_argument(
+        "--machine",
+        default="builtin:toy-vm",
+        help="machine file or builtin:{toy-vm,loop-free-vm,prefix-free-vm,"
+        "prefix-free-loop-free-vm}",
+    )
+    budget.add_argument("--budget", type=int, default=None)
+    precision.add_argument("--precision", type=int, default=runtime_dist.DEFAULT_PRECISION_BITS)
+    tail.add_argument("-k", type=int, required=True, help="tail target exponent: mass < 2^-k")
+    tail.add_argument("--distribution", default=None, help="user-table weight file")
+    series, solved = [machine, precision, budget], [machine, tail, precision, budget]
 
-    p = sub.add_parser("history", help="sweep one length up to a horizon")
-    _add_machine(p)
+    p = sub.add_parser("history", parents=[machine], help="sweep one length up to a horizon")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--t0", type=int, default=None, help="condition on surviving past t0")
@@ -344,42 +342,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv", "matrix"], default="json")
     p.set_defaults(handler=_cmd_history)
 
-    p = sub.add_parser("upsilon", help="certified normalizer series")
-    _add_machine(p)
-    p.add_argument("--precision", type=int, default=runtime_dist.DEFAULT_PRECISION_BITS)
-    p.add_argument("--budget", type=int, default=None)
+    p = sub.add_parser("upsilon", parents=series, help="certified normalizer series")
     p.set_defaults(handler=_cmd_upsilon)
 
-    p = sub.add_parser("threshold", help="tail-mass stopping horizon")
-    _add_machine(p)
-    _add_distribution(p)
+    p = sub.add_parser("threshold", parents=solved, help="tail-mass stopping horizon")
     p.set_defaults(handler=_cmd_threshold)
 
-    p = sub.add_parser("decide", help="run a program to the tail threshold")
-    _add_machine(p)
+    p = sub.add_parser("decide", parents=solved, help="run a program to the tail threshold")
     p.add_argument("--program", required=True, help="bit string to run")
-    _add_distribution(p)
     p.set_defaults(handler=_cmd_decide)
 
-    p = sub.add_parser("density", help="random stop-time density and exclusions")
-    _add_machine(p)
+    p = sub.add_parser(
+        "density", parents=[machine, budget], help="random stop-time density and exclusions"
+    )
     p.add_argument("--mode", choices=["window", "exclusion"], default="window")
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--horizon", type=int, default=None, help="window end (window mode)")
-    p.add_argument("--budget", type=int, default=None)
     p.set_defaults(handler=_cmd_density)
 
-    p = sub.add_parser("probcurve", help="halting fraction per length")
-    _add_machine(p)
+    p = sub.add_parser("probcurve", parents=[machine, budget], help="halting fraction per length")
     p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(handler=_cmd_probcurve)
 
-    p = sub.add_parser("decompose", help="computable/rare halting split")
-    _add_machine(p)
+    p = sub.add_parser("decompose", parents=solved, help="computable/rare halting split")
     p.add_argument("--max-len", type=int, required=True)
-    _add_distribution(p)
     p.set_defaults(handler=_cmd_decompose)
 
     return parser

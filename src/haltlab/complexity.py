@@ -4,9 +4,10 @@ The complexity of a string x relative to a machine is the least index n whose
 program produces x. Indices double as time values, so a time t is called
 random when no index at or below short_index_cap(len), the largest index
 under 2^len / len, produces code(t). Late stop times of short programs are
-never random, because the timing wrapper 11p (wrapper_witness) compresses
-them. On transparent machines the verdicts are exact; on opaque machines a
-found witness certifies "nonrandom" but absence of one only yields "unknown".
+never random, because the timing wrapper 11p compresses them: find_witness,
+given the program, tries its wrapper before the least producing index. On
+transparent machines the verdicts are exact; on opaque machines a found
+witness certifies "nonrandom" but absence of one only yields "unknown".
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import NamedTuple
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError
 from haltlab.machine import (
+    MAX_BUDGET,
     TIME_WRAP_EXTRA_BITS,
     TIME_WRAP_STEP_OVERHEAD,
     Machine,
@@ -67,25 +69,31 @@ def short_index_cap(length: int) -> int:
     return (2**length - 1) // length
 
 
+def find_witness(
+    machine: Machine, code: str, cap: int, budget: int | None, program: str | None = None
+) -> int | None:
+    """An index at or below cap that produces code, or None. On the VM kinds
+    a given program's timing wrapper is tried first, run exactly when budget
+    is None, else within budget + 1 steps capped at MAX_BUDGET (a halt seen
+    is a witness either way); then the least index producing code (min_index_map)."""
+    if program is not None and isinstance(machine, (ToyVM, PrefixFreeVM)):
+        wrapped = time_wrap(program)
+        wrap_budget = None if budget is None else min(budget + TIME_WRAP_STEP_OVERHEAD, MAX_BUDGET)
+        hit = observe(machine, wrapped, wrap_budget)
+        if hit is not None and hit[1] == code and index_of_bits(wrapped) <= cap:
+            return index_of_bits(wrapped)
+    return _witness_map(machine, cap, budget).get(code)
+
+
 def time_randomness(machine: Machine, t: int, budget: int | None = None) -> str:
     """Classify stop time t as random / nonrandom / unknown."""
     check_budget(machine, budget)
     if t < 2:
         raise ConfigError(f"randomness is defined for t >= 2, got {t}")
     code = bits_of_index(t)
-    if _witness_map(machine, short_index_cap(len(code)), budget).get(code) is not None:
+    if find_witness(machine, code, short_index_cap(len(code)), budget) is not None:
         return NONRANDOM  # witness halts, so the bound holds even under budget
     return RANDOM if budget is None else UNKNOWN
-
-
-def wrapper_witness(machine: Machine, program: str, stop: int, budget: int | None) -> int | None:
-    """Index of the timing wrapper 11p when it outputs code(stop) within
-    budget + TIME_WRAP_STEP_OVERHEAD steps; None on the kinds without it."""
-    if not isinstance(machine, (ToyVM, PrefixFreeVM)):
-        return None
-    wrapped = time_wrap(program)
-    hit = observe(machine, wrapped, None if budget is None else budget + TIME_WRAP_STEP_OVERHEAD)
-    return index_of_bits(wrapped) if hit is not None and hit[1] == bits_of_index(stop) else None
 
 
 class BoundCheck(NamedTuple):
@@ -103,20 +111,16 @@ def stop_time_bound_holds(machine: Machine, program: str, budget: int | None) ->
     """Check that the code of the stop time has complexity <= 2^(len(p)+c+1),
     reading the program within budget steps, or exactly when budget is None.
 
-    On the VM kinds the timing wrapper is the witness; on the other kinds
-    the least producing index at or below the cap is.
+    On the VM kinds the timing wrapper, whose index is below the cap, is
+    the witness; on the other kinds the least producing index is.
     """
     check_budget(machine, budget)
     cap = 2 ** (len(program) + TIME_WRAP_EXTRA_BITS + 1)
     hit = observe(machine, program, budget)
     if hit is None:
         return BoundCheck(program, False, None, cap, None, None)
-    stop = hit[0]
-    witness = wrapper_witness(machine, program, stop, budget)
-    if witness is None:  # not a VM kind, so the machine has no wrapper
-        witness = _witness_map(machine, cap, budget).get(bits_of_index(stop))
-    holds = witness is not None and witness <= cap
-    return BoundCheck(program, True, stop, cap, witness, holds)
+    witness = find_witness(machine, bits_of_index(hit[0]), cap, budget, program)
+    return BoundCheck(program, True, hit[0], cap, witness, witness is not None)
 
 
 class RandomStringDensity(NamedTuple):

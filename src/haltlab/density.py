@@ -7,7 +7,9 @@ wrapper overhead:
 
 * exclusion: stop times of length-n programs at or past 2^m are never
   random, because the timing wrapper compresses them. exclusion_report
-  checks this for any lengths, with or without an upper end to the times;
+  checks this for any lengths, with or without an upper end to the times,
+  asking complexity.find_witness for a witness to each stop: a stop without
+  one is a violation when read exactly and unresolved under a budget;
 * window density: within [2^m, T] the non-random times are so sparse that
   the random fraction provably exceeds 1 - 5/(m+s-1), where s is the number
   of doublings the window spans.
@@ -24,22 +26,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from haltlab.codec import bits_of_index, index_of_bits
-from haltlab.complexity import (
-    RANDOM,
-    UNKNOWN,
-    _witness_map,
-    short_index_cap,
-    stop_time_bound_holds,
-    time_randomness,
-    wrapper_witness,
-)
+from haltlab.complexity import _witness_map, find_witness, short_index_cap, stop_time_bound_holds
 from haltlab.errors import ConfigError, InvariantViolation
-from haltlab.machine import (
-    Machine,
-    TableMachine,
-    TIME_WRAP_EXTRA_BITS,
-    check_budget,
-)
+from haltlab.machine import TIME_WRAP_EXTRA_BITS, Machine, TableMachine, check_budget
 from haltlab.sweep import check_enum_cap, sweep
 
 
@@ -100,7 +89,7 @@ def exclusion_report(
 ) -> ExclusionReport:
     """Sweep each length n, keep the stop times in [2^m, horizon], m =
     2n + 2c + 1 (no upper end when horizon is None), and check that each one
-    is non-random: the wrapper witness first, then the least producing index."""
+    is non-random: find_witness, given the program, at the time's cap."""
     if horizon is not None and horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     check_budget(machine, budget)
@@ -112,17 +101,12 @@ def exclusion_report(
     end = None if horizon is None else horizon + 1
     for length in swept:
         candidates.extend(sweep(machine, length, budget).pairs(exclusion_threshold(length), end))
-    violations = []
-    unresolved = []
+    violations, unresolved = [], []
     for program, stop in candidates:
-        witness = wrapper_witness(machine, program, stop, budget)
-        if witness is not None and witness <= short_index_cap(len(bits_of_index(stop))):
-            continue
-        verdict = time_randomness(machine, stop, budget)
-        if verdict == RANDOM:
-            violations.append((program, stop))
-        elif verdict == UNKNOWN:
-            unresolved.append((program, stop))
+        code = bits_of_index(stop)
+        if find_witness(machine, code, short_index_cap(len(code)), budget, program) is None:
+            # no witness: provably random when read exactly, unknown under a budget
+            (violations if budget is None else unresolved).append((program, stop))
     return ExclusionReport(tuple(candidates), tuple(violations), tuple(unresolved))
 
 

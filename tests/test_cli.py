@@ -26,6 +26,7 @@ from haltlab import cli
 from haltlab.errors import ConfigError, HaltlabError
 from haltlab.intervals import Interval, format_fraction
 from haltlab.machine import is_transparent, load_machine
+from haltlab.runtime_dist import DEFAULT_PRECISION_BITS
 from haltlab.sweep import PairListing, all_programs, sweep
 
 from conftest import table_from_stops
@@ -88,7 +89,7 @@ GOLDEN = [
     ("probcurve-pf-loop-free", "probcurve --machine builtin:prefix-free-loop-free-vm --max-len 8",
      0, "c4bf0978d16a363b7c37d7de4b6bcedf46ebd98655548c03a94165057ea28c05"),
     ("probcurve-total-csv", "probcurve --machine builtin:loop-free-vm --max-len 6 --format csv",
-     0, "752392c311e4a07fc1b47570e98901b711a056865c5ef4c32d8ace5ed716bbd2"),
+     0, "5c0206fc36a6c64e969fc8b2246ce572b7e035db71149927360fabfd197f3367"),
     ("probcurve-opaque",
      "probcurve --machine builtin:prefix-free-vm --max-len 6 --budget 256",
      0, "a4107d79b796cbdef78ec3838557a7ea652ebcba3721766b35610c4255c58c49"),
@@ -613,6 +614,41 @@ def test_malformed_json_is_a_usage_error(name, data, tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert_one_line_error(err)
+
+
+# the arguments of the subcommands that solve a tail threshold
+TAIL = {"k": 1, "precision": DEFAULT_PRECISION_BITS, "budget": None, "distribution": None}
+PARSE_TABLE = [
+    ("history --length 1 --horizon 2",
+     {"length": 1, "horizon": 2, "t0": None, "t1": None, "format": "json"}),
+    ("upsilon", {"precision": DEFAULT_PRECISION_BITS, "budget": None}),
+    ("threshold -k 1", TAIL),
+    ("decide -k 1 --program 0", {**TAIL, "program": "0"}),
+    ("density --length 1", {"mode": "window", "length": 1, "horizon": None, "budget": None}),
+    ("probcurve --max-len 1", {"max_len": 1, "budget": None, "format": "json"}),
+    ("decompose -k 1 --max-len 1", {**TAIL, "max_len": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", PARSE_TABLE, ids=[row[0].split()[0] for row in PARSE_TABLE]
+)
+def test_each_subcommand_parses_to_its_dests_and_defaults(argv, expected):
+    """Every dest a subcommand has, with its default, and no other."""
+    args = vars(cli.build_parser().parse_args(argv.split()))
+    assert callable(args.pop("handler"))
+    assert args == {"command": argv.split()[0], "machine": "builtin:toy-vm", **expected}
+
+
+@pytest.mark.parametrize(
+    "argv", ["history --length 1 --horizon 2 --budget 5", "upsilon -k 1",
+             "density --length 1 --precision 3", "probcurve --max-len 1 --distribution x"],
+)
+def test_a_subcommand_refuses_options_it_never_had(argv, capsys):
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 2 and out == ""
+    assert_one_line_error(err)
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize(

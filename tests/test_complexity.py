@@ -7,6 +7,7 @@ from haltlab.complexity import (
     NONRANDOM,
     RANDOM,
     UNKNOWN,
+    find_witness,
     min_index_map,
     random_string_density,
     short_index_cap,
@@ -100,15 +101,21 @@ def test_stop_bound_on_vm_programs(toy_vm):
             if not check.applicable:
                 continue
             assert check.holds
-            assert check.witness_index is not None
-            assert check.witness_index <= 2 ** (length + 3)
+            assert check.witness_index == index_of_bits("11" + program) <= 2 ** (length + 3)
 
 
 def test_stop_bound_witness_is_the_wrapper(toy_vm):
     check = stop_time_bound_holds(toy_vm, "0000", 100)
     assert check.stop_time == 1
     # the wrapper 11p is itself the witness, so its index is known in advance
-    assert check.witness_index == index_of_bits("110000")
+    assert check.witness_index == index_of_bits("110000") == 112
+    # the wrapper runs one step past the budget, but never past 2^64 - 1
+    for budget in (2**64 - 2, 2**64 - 1):
+        check = stop_time_bound_holds(toy_vm, "0000", budget)
+        assert (check.witness_index, check.holds) == (112, True)
+    # a wrapper over the cap is no witness: "11", the empty program's, has index 7
+    assert find_witness(toy_vm, "", 7, 100, "") == 7
+    assert find_witness(toy_vm, "", 6, 100, "") == 1  # the least index producing ""
 
 
 def test_bare_table_misses_the_bound(table1):
