@@ -7,7 +7,8 @@ under 2^len / len, produces code(t). Late stop times of short programs are
 never random, because the timing wrapper 11p compresses them: find_witness,
 given the program, tries its wrapper before the least producing index. On
 transparent machines the verdicts are exact; on opaque machines a found
-witness certifies "nonrandom" but absence of one only yields "unknown".
+witness certifies "nonrandom" but absence of one only yields "unknown". The
+least-index maps are cached, and the constant enumeration cap binds each.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from haltlab.machine import (
     observe,
     time_wrap,
 )
-from haltlab.sweep import _scan, check_enum_cap
+from haltlab.sweep import _scan
 
 RANDOM = "random"
 NONRANDOM = "nonrandom"
@@ -44,8 +45,8 @@ def min_index_map(machine: Machine, cap: int, budget: int | None) -> dict[str, i
     Each output keeps the first index _scan gives it. A VM's core order keeps
     that the least, and the first run that raises the least offending one,
     whenever a range starts at 1 or a length boundary; every range here
-    starts at 1 (haltlab.sweep). The returned dict is shared through a
-    cache; treat it as read-only.
+    starts at 1 (haltlab.sweep). The dict is shared through the cache, so
+    treat it as read-only; every map in it has passed _scan's cap check.
     """
     if cap < 0:
         raise ConfigError(f"cap must be >= 0, got {cap}")
@@ -53,12 +54,6 @@ def min_index_map(machine: Machine, cap: int, budget: int | None) -> dict[str, i
     for n, (_, output) in _scan(machine, 1, cap + 1, budget):
         found.setdefault(output, n)
     return found
-
-
-def _witness_map(machine: Machine, cap: int, budget: int | None) -> dict[str, int]:
-    """min_index_map, with its enumeration cap checked on a cache hit too."""
-    check_enum_cap(cap.bit_length() - 1)
-    return min_index_map(machine, cap, budget)
 
 
 def short_index_cap(length: int) -> int:
@@ -82,7 +77,7 @@ def find_witness(
         hit = observe(machine, wrapped, wrap_budget)
         if hit is not None and hit[1] == code and index_of_bits(wrapped) <= cap:
             return index_of_bits(wrapped)
-    return _witness_map(machine, cap, budget).get(code)
+    return min_index_map(machine, cap, budget).get(code)
 
 
 def time_randomness(machine: Machine, t: int, budget: int | None = None) -> str:
@@ -142,7 +137,7 @@ def random_string_density(machine: Machine, length: int) -> RandomStringDensity:
         raise ConfigError(f"length must be >= 1, got {length}")
     if not is_transparent(machine):
         raise ConfigError("random_string_density requires a transparent machine")
-    reached = _witness_map(machine, short_index_cap(length), None)
+    reached = min_index_map(machine, short_index_cap(length), None)
     nonrandom = sum(1 for output in reached if len(output) == length)
     total = 2**length
     return RandomStringDensity(

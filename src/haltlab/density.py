@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from haltlab.codec import bits_of_index, index_of_bits
-from haltlab.complexity import _witness_map, find_witness, short_index_cap, stop_time_bound_holds
+from haltlab.complexity import find_witness, min_index_map, short_index_cap, stop_time_bound_holds
 from haltlab.errors import ConfigError, InvariantViolation
 from haltlab.machine import TIME_WRAP_EXTRA_BITS, Machine, TableMachine, check_budget
 from haltlab.sweep import check_enum_cap, sweep
@@ -155,7 +155,7 @@ def density_report(
     window_size = horizon - window_start + 1
     # every non-random t in the window has its witness at or below the cap
     # of the longest code the window reaches, m + s bits
-    witness_map = _witness_map(machine, short_index_cap(m + s), budget)
+    witness_map = min_index_map(machine, short_index_cap(m + s), budget)
     nonrandom = sum(
         1
         for output, index in witness_map.items()
@@ -188,26 +188,32 @@ def density_report(
     )
 
 
-def required_horizon(length: int, k: int) -> int:
-    """Smallest horizon whose window certifies a random fraction above 1 - 2^-k."""
+def _check_margin(length: int, k: int) -> None:
+    """Refuse k < 0, and a window that starts past the margin: 5*2^k + 2 <= m."""
     if k < 0:
         raise ConfigError(f"k must be >= 0, got {k}")
     m = _exponent(length)
-    s = 5 * 2**k + 2 - m
-    if s < 1:
-        raise ConfigError(
-            f"window at length {length} already starts past the 2^-{k} margin"
-        )
-    return 2 ** (m + s) - 1
+    if k < m.bit_length() and 5 * 2**k + 2 <= m:  # builds no 2^k past m
+        raise ConfigError(f"window at length {length} already starts past the 2^-{k} margin")
+
+
+def required_horizon(length: int, k: int) -> int:
+    """Smallest horizon whose window certifies a random fraction above 1 - 2^-k."""
+    _check_margin(length, k)
+    return 2 ** (5 * 2**k + 2) - 1
 
 
 def density_with_margin(
-    machine: Machine,
-    length: int,
-    k: int,
-    budget: int | None = None,
+    machine: Machine, length: int, k: int, budget: int | None = None
 ) -> DensityReport:
-    """Density report at the smallest horizon giving rare_bound <= 2^-k."""
+    """Density report at the smallest horizon giving rare_bound <= 2^-k; its
+    witnesses, of L - L.bit_length() bits, meet the cap before 2^L is built."""
+    _check_margin(length, k)
+    if length < 1:
+        raise ConfigError(f"length must be >= 1, got {length}")
+    check_budget(machine, budget)
+    code_length = 5 * 2 ** min(k, 64) + 2  # L = m + s; past k = 64 no 2^L fits in memory
+    check_enum_cap(code_length - code_length.bit_length())
     horizon = required_horizon(length, k)
     report = density_report(machine, length, horizon, budget)
     if report.rare_bound > Fraction(1, 2**k):

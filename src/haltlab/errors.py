@@ -26,8 +26,8 @@ class UndefinedConditionalError(ConfigError):
 class ResourceLimitError(HaltlabError):
     """An enumeration, output buffer, or precision request exceeded its cap.
 
-    Caps are refusals, never silent truncation; raise the cap explicitly to
-    proceed (e.g. via HALTLAB_ENUM_CAP).
+    Caps are refusals, never silent truncation. Each of haltlab's caps is a
+    module constant; none is read from the environment.
     """
 
     exit_code = 3

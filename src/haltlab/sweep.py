@@ -36,7 +36,6 @@ ever rounded.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
@@ -48,29 +47,15 @@ from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditional
 from haltlab.machine import MAX_BUDGET, Machine, PrefixFreeVM, ToyVM, exact_run, run
 from haltlab.value import Value
 
-DEFAULT_ENUM_CAP_BITS = 24
-ENUM_CAP_ENV = "HALTLAB_ENUM_CAP"
+ENUM_CAP_BITS = 24  # the longest program length an enumeration may reach
 # the machine kinds that _scan visits in core order (module docstring)
 _CORE_ORDERED = (ToyVM, PrefixFreeVM)
 
 
-def enum_cap_bits() -> int:
-    """Largest program length an exhaustive 2^N enumeration may use."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP_BITS
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from exc
-
-
 def check_enum_cap(length: int) -> None:
-    cap = enum_cap_bits()
-    if length > cap:
+    if length > ENUM_CAP_BITS:
         raise ResourceLimitError(
-            f"enumerating 2^{length} programs exceeds the cap of 2^{cap}; "
-            f"set {ENUM_CAP_ENV} to allow it"
+            f"enumerating 2^{length} programs exceeds the cap of 2^{ENUM_CAP_BITS}"
         )
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import importlib
 
 import pytest
 
@@ -17,7 +18,6 @@ from haltlab.complexity import (
 from haltlab.density import density_report
 from haltlab.errors import ConfigError, ResourceLimitError
 from haltlab.machine import Dispatcher, TableMachine, run, timed_table
-from haltlab.sweep import ENUM_CAP_ENV
 
 from conftest import mode_block_bases
 from oracles.ref_vm import ref_run
@@ -180,18 +180,17 @@ def test_least_index_map_is_setdefault_in_index_order(kernel, census, name, budg
     min_index_map.cache_clear()
 
 
-def test_enum_cap_binds_a_cached_witness_map(monkeypatch, toy_vm, loop_free_vm, table1):
-    """Each caller of min_index_map refuses a map past the enumeration cap,
-    also when the map is already in min_index_map's cache."""
+def test_enum_cap_binds_every_min_index_map_caller(monkeypatch, toy_vm, loop_free_vm, table1):
+    """Each caller of min_index_map refuses a map past the enumeration cap:
+    the map's _scan checks the cap before its first program runs."""
     callers = [
         lambda: time_randomness(toy_vm, 2**10, 64),  # indices up to 102
         lambda: stop_time_bound_holds(table1, "010", None),  # up to 64
         lambda: random_string_density(loop_free_vm, 10),  # up to 102
-        lambda: density_report(loop_free_vm, 1, 2**12 - 1),  # up to 186
+        lambda: density_report(loop_free_vm, 1, 2**12 - 1),  # up to 341
     ]
-    for caller in callers:
-        caller()  # fills the cache
-    monkeypatch.setenv(ENUM_CAP_ENV, "5")
+    min_index_map.cache_clear()  # a cached map would not enumerate
+    monkeypatch.setattr(importlib.import_module("haltlab.sweep"), "ENUM_CAP_BITS", 5)
     for caller in callers:
         with pytest.raises(ResourceLimitError):
             caller()

@@ -1,9 +1,10 @@
 from fractions import Fraction
+import importlib
 
 import pytest
 
 from haltlab.codec import bits_of_index, index_of_bits
-from haltlab.complexity import short_index_cap
+from haltlab.complexity import min_index_map, short_index_cap
 from haltlab.density import (
     DensityReport,
     density_report,
@@ -18,7 +19,6 @@ from haltlab.density import (
 )
 from haltlab.errors import ConfigError, ResourceLimitError
 from haltlab.machine import Dispatcher, finite_domain, load_machine, timed_table
-from haltlab.sweep import ENUM_CAP_ENV
 
 from conftest import FIXTURES, table_from_stops
 
@@ -169,7 +169,8 @@ def test_density_window_validation(loop_free_vm, toy_vm, monkeypatch):
     with pytest.raises(ResourceLimitError):
         density_report(loop_free_vm, 9, 2**30)
     # and it can be lowered: m + s = 26 needs 21-bit programs
-    monkeypatch.setenv(ENUM_CAP_ENV, "20")
+    min_index_map.cache_clear()  # a cached map would not enumerate
+    monkeypatch.setattr(importlib.import_module("haltlab.sweep"), "ENUM_CAP_BITS", 20)
     with pytest.raises(ResourceLimitError):
         density_report(loop_free_vm, 9, 2**26)
 
@@ -189,6 +190,28 @@ def test_density_margin_k1(loop_free_vm):
     report = density_with_margin(loop_free_vm, 2, 1)
     assert report.rare_bound <= Fraction(1, 2)
     assert report.holds
+
+
+def test_density_margin_refuses_past_the_cap_before_the_horizon(loop_free_vm, toy_vm, monkeypatch):
+    """A margin whose witnesses pass the enumeration cap is refused before
+    required_horizon builds 2^L, L = 5*2^k + 2, also where 2^L fits in no
+    memory; the refusals of the arguments still come first."""
+
+    def unbuilt(length, k):
+        raise AssertionError(f"the horizon of k = {k} was built")
+
+    monkeypatch.setattr(importlib.import_module("haltlab.density"), "required_horizon", unbuilt)
+    with pytest.raises(ResourceLimitError, match=r"^enumerating 2\^36 programs"):
+        density_with_margin(loop_free_vm, 1, 3)  # L = 42: 36-bit witnesses
+    for k in (40, 10**12):
+        with pytest.raises(ResourceLimitError):
+            density_with_margin(loop_free_vm, 1, k)
+    # length 0, k < 0, a window past the margin at k = 0 and at k = 3 (m = 43)
+    for length, k in [(0, 40), (-1, 40), (1, -1), (1, 0), (19, 3)]:
+        with pytest.raises(ConfigError):
+            density_with_margin(loop_free_vm, length, k)
+    with pytest.raises(ConfigError, match="budget"):
+        density_with_margin(toy_vm, 1, 40)  # an opaque machine needs one
 
 
 def test_density_margin_k2_large_window(loop_free_vm):

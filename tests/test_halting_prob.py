@@ -6,7 +6,7 @@ import pytest
 from haltlab.errors import ConfigError
 from haltlab.halting_prob import domain_prob_curve, is_total
 from haltlab.machine import DEFAULT_OUTPUT_CAP, LOOP_FREE_STEP_CAP
-from haltlab.sweep import DEFAULT_ENUM_CAP_BITS
+from haltlab.sweep import ENUM_CAP_BITS
 
 from oracles.census import halting_counts, kraft_limit, run_bounds
 
@@ -50,14 +50,15 @@ def test_census_partial_kraft_sum_meets_its_limit():
 
 def test_no_enumerable_loop_free_program_reaches_a_cap(census):
     """By run_bounds' search over the word lengths, no loop-free program of at
-    most DEFAULT_ENUM_CAP_BITS bits, wrappers included, runs
+    most ENUM_CAP_BITS bits, wrappers included, runs
     LOOP_FREE_STEP_CAP steps or emits DEFAULT_OUTPUT_CAP bits: at 24 bits a
     run takes at most 47 steps and emits at most 26 bits. The bounds are the
     exact maxima of an exhaustive run at every length up to 12, and they first
-    reach the caps at 101 (output) and 114 (steps) bits."""
+    reach the caps at 101 (output) and 114 (steps) bits. The enumeration cap
+    is a constant, so the bound holds for every run."""
     bounds = run_bounds(120)
-    assert bounds[DEFAULT_ENUM_CAP_BITS] == (47, 26)
-    for steps, out in bounds[: DEFAULT_ENUM_CAP_BITS + 1]:
+    assert bounds[ENUM_CAP_BITS] == (47, 26)
+    for steps, out in bounds[: ENUM_CAP_BITS + 1]:
         assert steps < LOOP_FREE_STEP_CAP and out < DEFAULT_OUTPUT_CAP
     assert min(n for n, (_, out) in enumerate(bounds) if out >= DEFAULT_OUTPUT_CAP) == 101
     assert min(n for n, (steps, _) in enumerate(bounds) if steps >= LOOP_FREE_STEP_CAP) == 114

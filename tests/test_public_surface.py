@@ -12,7 +12,8 @@ passes *args or **kwargs. No row of that table may be reached from a
 cli._cmd_* handler, following by name the definitions each reached body
 uses, as the table is for what no subcommand calls. And every module-level
 UPPER_CASE constant is read somewhere in src/haltlab, tests or perfbench,
-outside its own assignment.
+outside its own assignment. Every limit is such a constant: only vm, which
+picks its kernel by HALTLAB_KERNEL, reads the environment.
 """
 
 import ast
@@ -210,3 +211,12 @@ def unread_constants():
 
 def test_every_constant_is_read():
     assert unread_constants() == set()
+
+
+def test_only_vm_reads_the_environment():
+    readers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if {"environ", "getenv"} & names_used(ast.parse(path.read_text(encoding="utf-8"))).keys()
+    }
+    assert readers == {"vm"}

@@ -12,7 +12,6 @@ from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
 from haltlab.machine import RunOutcome, exact_run, machine_from_dict, observe, run
 from haltlab.sweep import (
-    ENUM_CAP_ENV,
     _scan,
     _typecode,
     all_programs,
@@ -395,12 +394,10 @@ def test_budget_extension(toy_vm):
 
 
 def test_enum_cap_refuses(monkeypatch, toy_vm):
-    monkeypatch.setenv(ENUM_CAP_ENV, "6")
-    with pytest.raises(ResourceLimitError):
+    monkeypatch.setattr(importlib.import_module("haltlab.sweep"), "ENUM_CAP_BITS", 6)
+    with pytest.raises(ResourceLimitError, match=r"^enumerating 2\^7 .* the cap of 2\^6$"):
         sweep(toy_vm, 7, 10)
-    monkeypatch.setenv(ENUM_CAP_ENV, "not-a-number")
-    with pytest.raises(ConfigError):
-        sweep(toy_vm, 3, 10)
+    assert sweep(toy_vm, 6, 10).length == 6  # the cap itself is allowed
 
 
 def test_enum_cap_refuses_before_any_sweep(monkeypatch, toy_vm, table1):
@@ -413,7 +410,7 @@ def test_enum_cap_refuses_before_any_sweep(monkeypatch, toy_vm, table1):
         monkeypatch.setattr(module, "sweep", lambda *args: swept.append(args) or sweep(*args))
     # the curve only counts, through the scan that sweep runs
     monkeypatch.setattr(halting_prob, "_scan", lambda *args: swept.append(args) or _scan(*args))
-    monkeypatch.setenv(ENUM_CAP_ENV, "6")
+    monkeypatch.setattr(importlib.import_module("haltlab.sweep"), "ENUM_CAP_BITS", 6)
     dist = runtime_dist.induced_distribution(toy_vm, budget=4096)
     for census in (
         lambda: runtime_dist.split_halting_set(dist, 2, 7),
@@ -440,7 +437,7 @@ def test_enum_cap_refuses_in_the_scan(monkeypatch, toy_vm):
     monkeypatch.setattr(
         sweep_module, "run", lambda *args: observed.append(args) or RunOutcome.running()
     )
-    monkeypatch.setenv(ENUM_CAP_ENV, "6")
+    monkeypatch.setattr(sweep_module, "ENUM_CAP_BITS", 6)
     complexity.min_index_map.cache_clear()  # a cached map would not enumerate
     for enumeration in (
         lambda: complexity.min_index_map(toy_vm, 2**8, 64),
