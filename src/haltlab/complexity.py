@@ -8,7 +8,7 @@ never random, because the timing wrapper 11p compresses them: find_witness,
 given the program, tries its wrapper before the least producing index. On
 transparent machines the verdicts are exact; on opaque machines a found
 witness certifies "nonrandom" but absence of one only yields "unknown". The
-least-index maps are cached, and the constant enumeration cap binds each.
+least-index maps are cached; the enumeration cap binds each one enumerated.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def min_index_map(machine: Machine, cap: int, budget: int | None) -> dict[str, i
     that the least, and the first run that raises the least offending one,
     whenever a range starts at 1 or a length boundary; every range here
     starts at 1 (haltlab.sweep). The dict is shared through the cache, so
-    treat it as read-only; every map in it has passed _scan's cap check.
+    treat it as read-only; _scan reads a finite domain with no cap check.
     """
     if cap < 0:
         raise ConfigError(f"cap must be >= 0, got {cap}")

@@ -153,8 +153,9 @@ def density_report(
         )
     window_start = 2**m
     window_size = horizon - window_start + 1
-    # every non-random t in the window has its witness at or below the cap
-    # of the longest code the window reaches, m + s bits
+    # every non-random t in the window has its witness at or below the cap of
+    # the longest code, m + s bits; the witnesses meet the enumeration cap first
+    check_enum_cap(m + s - (m + s).bit_length())
     witness_map = min_index_map(machine, short_index_cap(m + s), budget)
     nonrandom = sum(
         1

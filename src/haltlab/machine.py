@@ -44,9 +44,9 @@ run() dispatches on the exact machine class (a subclass is an unknown
 machine) and runs a VM program in its own body: one kernel call on the core
 after the wrappers. A VM run whose output passes the fixed DEFAULT_OUTPUT_CAP
 bits is refused. It never says "never halts": not halting within the budget
-is all that can be observed. Machines whose halting is decidable by
-construction (tables, loop-free VM variants, dispatchers over those) are
-"transparent" and additionally support exact_run / finite_domain.
+is all that can be observed. Halting is decidable by construction on the
+"transparent" machines (tables, loop-free VMs, dispatchers over those),
+which support exact_run; finite_domain lists a finite domain in index order.
 
 exact_run() on a loop-free VM is one run() at LOOP_FREE_STEP_CAP. When a
 prefix-free program is not seen halting, exact_run() repeats run()'s kernel
@@ -325,17 +325,15 @@ def observe(machine: Machine, program: str, budget: int | None) -> tuple[int, st
 
 def finite_domain(machine: Machine) -> list[tuple[str, int, str]] | None:
     """Full (program, stop_time, output) list for machines with a finite
-    domain, in no set order; None when the domain is infinite or unknown."""
+    domain, in index order; None when the domain is infinite or unknown."""
     if isinstance(machine, TableMachine):
         return list(machine.entries)
     if isinstance(machine, Dispatcher):
-        items: list[tuple[str, int, str]] = []
-        for i, sub in enumerate(machine.submachines):
-            sub_items = finite_domain(sub)
-            if sub_items is None:
-                return None
-            items.extend(("0" * i + "1" + p, stop, out) for p, stop, out in sub_items)
-        return items
+        domains = [finite_domain(sub) for sub in machine.submachines]
+        if None in domains:
+            return None
+        items = [("0" * i + "1" + p, t, out) for i, d in enumerate(domains) for p, t, out in d]
+        return sorted(items, key=lambda e: index_of_bits(e[0]))  # the submachines' interleave
     return None
 
 

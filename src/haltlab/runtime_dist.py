@@ -154,19 +154,17 @@ def _tail_sum(
 ) -> Interval:
     """Certified enclosure of the sum of w(i)/t_i over halting indices i >= start.
 
-    A finite domain gives the exact sum. Otherwise the indices start ..
-    start+count-1 are observed: those seen halting add their terms, those still
-    running after budget steps add w(i)/budget of slack (none when budget is
-    None, where not halting is certain), and the weight tail from start+count
-    on bounds the rest.
+    A finite domain gives the exact sum of its entries from start on.
+    Otherwise the indices start .. start+count-1 are observed: those seen
+    halting add their terms, those still running after budget steps add
+    w(i)/budget of slack (none when budget is None, where not halting is
+    certain), and the weight tail from start+count on bounds the rest.
     """
     domain = finite_domain(machine)
     if domain is not None:
-        total = sum(
-            (weights.weight(i) / t for p, t, _ in domain if (i := index_of_bits(p)) >= start),
-            Fraction(0),
-        )
-        return Interval.exact(total)
+        end = index_of_bits(domain[-1][0]) + 1 if domain else start  # an empty table sums to 0
+        terms = _scan(machine, start, end, budget)
+        return Interval.exact(sum((weights.weight(i) / t for i, (t, _) in terms), Fraction(0)))
     hits = dict(_scan(machine, start, start + count, budget))  # count is small
     total = slack = Fraction(0)
     for i in range(start, start + count):

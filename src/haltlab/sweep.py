@@ -5,10 +5,10 @@ seen halting. With a step horizon T it runs each program for at most T steps;
 with no horizon it reads a transparent machine exactly. _scan is the
 package's one loop over an index range of programs: sweep,
 complexity.min_index_map, halting_prob's curve and runtime_dist's tail sum
-run on it, and it checks the enumeration cap before its first program. It
-calls the machine itself, exact_run() or run() once per program, and reads
-the same (stop time, output) that haltlab.machine.observe() reads for one
-program. A sweep's result is one plain record, HaltingHistory: two
+run on it. It reads a finite domain's entries, and runs any other machine
+once per program, exact_run() or run(), after the enumeration cap; either
+way it reads the (stop time, output) that haltlab.machine.observe() reads
+for one program. A sweep's result is one plain record, HaltingHistory: two
 index-ordered arrays in step, each halting program's offset within its
 length and its stop time, each of the narrowest type of B, H, I and Q that
 holds its bound: 2^N - 1, or the horizon. An exact sweep's times are Q, and
@@ -25,7 +25,7 @@ answers the second and third from its last run, where index order puts them
 mode block leads, so over a range from 1 or a length boundary the first
 program seen for a result, and the first whose run raises, is the least
 index: min_index_map relies on it. sweep restores index order once, after
-the scan; tables and dispatchers are scanned in index order.
+the scan; a dispatcher with an infinite submachine runs in index order.
 
 For a sweep with horizon T the associated product space is {0,1}^N x {1..T}
 with the uniform measure 2^-N * 1/T; prob_exact and prob_by are measures of
@@ -43,8 +43,9 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import NamedTuple
 
+from haltlab.codec import index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
-from haltlab.machine import MAX_BUDGET, Machine, PrefixFreeVM, ToyVM, exact_run, run
+from haltlab.machine import MAX_BUDGET, Machine, PrefixFreeVM, ToyVM, exact_run, finite_domain, run
 from haltlab.value import Value
 
 ENUM_CAP_BITS = 24  # the longest program length an enumeration may reach
@@ -137,13 +138,20 @@ def _core_order(lo: int, hi: int) -> Iterator[Iterable[int]]:
 
 def _scan(machine: Machine, lo: int, hi: int, budget: int | None) -> Iterator[tuple]:
     """(index, (stop time, output)) of each index in [lo, hi) whose program
-    is seen halting: one exact_run() per program, or one run() within the
-    budget, as observe() reads one program. A VM runs in core order, each
-    core's three mode programs back to back so that the pure kernel's last
-    run answers the repeats; from 1 or a length boundary the least index of
-    a result still comes first, as min_index_map needs (module docstring).
-    Other machines run in index order. The longest program, that of index
-    hi - 1, goes through the enumeration cap before the first one runs."""
+    is seen halting, as observe() reads one program: a finite domain's
+    entries in index order, within the budget, running nothing; else, past
+    the enumeration cap on index hi - 1, one exact_run() per program or one
+    run() within the budget. A VM runs in core order, each core's three mode
+    programs back to back so that the pure kernel's last run answers the
+    repeats; from 1 or a length boundary the least index of a result still
+    comes first, as min_index_map needs. Other machines run in index order."""
+    domain = finite_domain(machine)
+    if domain is not None:
+        for program, stop, output in domain:
+            index = index_of_bits(program)
+            if lo <= index < hi and (budget is None or stop <= budget):
+                yield index, (stop, output)
+        return
     check_enum_cap(max(0, (hi - 1).bit_length() - 1))
     core_ordered = type(machine) in _CORE_ORDERED
     order = chain.from_iterable(_core_order(lo, hi)) if core_ordered else range(lo, hi)

@@ -159,10 +159,11 @@ class Census(NamedTuple):
 
 @pytest.fixture(scope="session")
 def census(toy_vm, prefix_free_vm, loop_free_vm, prefix_free_loop_free_vm, table1, fixture_f):
-    """The Census of seven machines, named as their fixtures: toy_vm and
+    """The Census of eight machines, named as their fixtures: toy_vm and
     prefix_free_vm at budget 4096; the loop-free VMs, table1, fixture_f
-    (whose domain holds the empty program) and a dispatcher over
-    loop_free_vm and table1 read exactly. It is built once, through
+    (whose domain holds the empty program), a dispatcher over loop_free_vm
+    and table1, and "tables", a dispatcher over table1 and fixture_f whose
+    finite domain ends at index 31, read exactly. It is built once, through
     observe() on the pure kernel whatever HALTLAB_KERNEL says, and fails
     if any run raises."""
     machines = {
@@ -173,6 +174,7 @@ def census(toy_vm, prefix_free_vm, loop_free_vm, prefix_free_loop_free_vm, table
         "table1": (table1, None),
         "fixture_f": (fixture_f, None),
         "dispatcher": (Dispatcher((loop_free_vm, table1)), None),
+        "tables": (Dispatcher((table1, fixture_f)), None),
     }
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vm, "run_stream", _stepper_py.run_stream)

@@ -38,6 +38,9 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 GOLDEN = [
     ("history-table1", "history --machine fixtures/table1.json --length 3 --horizon 17",
      0, "901626fdca9f3702cf698993b0416c99e8ef7e4b5f136571961d91976631df60"),
+    # a length of 2^20 programs, read from the table's 6 entries
+    ("history-table1-length-20", "history --machine fixtures/table1.json --length 20 --horizon 5",
+     0, "eb7daf70491af123ed043e4feace45bb09cbcee61729667cb0c670adf49b2a92"),
     ("history-toy-conditional",
      "history --machine builtin:toy-vm --length 5 --horizon 64 --t0 3 --t1 9",
      0, "ca0087b96ed855c17b51204449867aaa9752f792ee52af212ad1ae7d8ed1d65f"),
@@ -86,6 +89,11 @@ GOLDEN = [
     ("density-exclusion-length-0",
      "density --machine fixtures/table1.json --mode exclusion --length 0",
      0, "afae1206a87a9b3015e083fffcb82a6e44b9f76634fdaf84cc07aad55dd825f4"),
+    # no entry of the table produces code(2^70), the witness the timing
+    # wrapper would give, so the late stop of "10" is a violation
+    ("density-exclusion-huge-stop",
+     "density --machine fixtures/huge_stop_table.json --mode exclusion --length 2",
+     0, "974ac8d5a0cc410b40959244938680e1897830fc78f56bc3ff801153d2c25aa0"),
     ("probcurve-pf-loop-free", "probcurve --machine builtin:prefix-free-loop-free-vm --max-len 8",
      0, "c4bf0978d16a363b7c37d7de4b6bcedf46ebd98655548c03a94165057ea28c05"),
     ("probcurve-total-csv", "probcurve --machine builtin:loop-free-vm --max-len 6 --format csv",

@@ -182,10 +182,11 @@ def test_least_index_map_is_setdefault_in_index_order(kernel, census, name, budg
 
 def test_enum_cap_binds_every_min_index_map_caller(monkeypatch, toy_vm, loop_free_vm, table1):
     """Each caller of min_index_map refuses a map past the enumeration cap:
-    the map's _scan checks the cap before its first program runs."""
+    the map's _scan checks the cap before its first program runs. A table's
+    map enumerates nothing, so the cap does not bind it."""
     callers = [
         lambda: time_randomness(toy_vm, 2**10, 64),  # indices up to 102
-        lambda: stop_time_bound_holds(table1, "010", None),  # up to 64
+        lambda: stop_time_bound_holds(Dispatcher((loop_free_vm,)), "100", None),  # up to 64
         lambda: random_string_density(loop_free_vm, 10),  # up to 102
         lambda: density_report(loop_free_vm, 1, 2**12 - 1),  # up to 341
     ]
@@ -194,3 +195,5 @@ def test_enum_cap_binds_every_min_index_map_caller(monkeypatch, toy_vm, loop_fre
     for caller in callers:
         with pytest.raises(ResourceLimitError):
             caller()
+    check = stop_time_bound_holds(table1, "010", None)  # up to 64, read from 6 entries
+    assert (check.stop_time, check.witness_index, check.holds) == (15, None, False)

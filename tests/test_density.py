@@ -159,6 +159,10 @@ def test_density_window_counts_witnesses():
     assert report.holds  # sparse even with genuine witnesses in the window
 
 
+def unbuilt_cap(length):
+    raise AssertionError(f"the witness cap of {length}-bit codes was built")
+
+
 def test_density_window_validation(loop_free_vm, toy_vm, monkeypatch):
     with pytest.raises(ConfigError):
         density_report(loop_free_vm, 2, 2**9)  # no full doubling
@@ -168,6 +172,11 @@ def test_density_window_validation(loop_free_vm, toy_vm, monkeypatch):
     # witnesses run to 25-bit programs, past the default cap of 2^24
     with pytest.raises(ResourceLimitError):
         density_report(loop_free_vm, 9, 2**30)
+    # it refuses before the witnesses' cap, as large as the horizon, is built
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("haltlab.density"), "short_index_cap", unbuilt_cap)
+        with pytest.raises(ResourceLimitError, match=r"^enumerating 2\^134217700 programs"):
+            density_report(loop_free_vm, 1, 2 ** (2**27) - 1)
     # and it can be lowered: m + s = 26 needs 21-bit programs
     min_index_map.cache_clear()  # a cached map would not enumerate
     monkeypatch.setattr(importlib.import_module("haltlab.sweep"), "ENUM_CAP_BITS", 20)

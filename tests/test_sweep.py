@@ -10,7 +10,7 @@ import pytest
 from haltlab import _stepper_py, vm
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
-from haltlab.machine import RunOutcome, exact_run, machine_from_dict, observe, run
+from haltlab.machine import Dispatcher, RunOutcome, exact_run, machine_from_dict, observe, run
 from haltlab.sweep import (
     _scan,
     _typecode,
@@ -152,8 +152,14 @@ EDGE_STOPS = [1, 255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1, 2**64,
 edge_table = table_from_stops(dict(zip(map(bits_of_index, range(1, 32, 3)), EDGE_STOPS)))
 
 
+# a table, or a dispatcher over one to three tables: programs of at most 7 bits
+finite_machines = st.one_of(
+    small_tables, st.lists(small_tables, min_size=1, max_size=3).map(tuple).map(Dispatcher)
+)
+
+
 @settings(max_examples=120, deadline=None)
-@given(small_tables, st.one_of(st.none(), st.integers(1, 2**64 - 1)))
+@given(finite_machines, st.one_of(st.none(), st.integers(1, 2**64 - 1)))
 @example(edge_table, None)
 @example(edge_table, 255)
 @example(edge_table, 256)
@@ -163,8 +169,14 @@ edge_table = table_from_stops(dict(zip(map(bits_of_index, range(1, 32, 3)), EDGE
 @example(edge_table, 2**32)
 @example(edge_table, 2**64 - 1)
 def test_stop_times_read_as_the_observed_dict(machine, horizon):
-    for length in range(5):
-        history = sweep(machine, length, horizon)
+    """A finite domain is swept from its entries: no program runs through
+    haltlab.sweep's run or exact_run, and the result is observe()'s."""
+    sweep_module = importlib.import_module("haltlab.sweep")  # haltlab.sweep is the function
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("run", "exact_run"):
+            patch.setattr(sweep_module, name, lambda *args: pytest.fail(f"a program ran: {args}"))
+        histories = [sweep(machine, length, horizon) for length in range(8)]
+    for length, history in enumerate(histories):
         assert_stops_equal(history, observed_stops(machine, length, horizon))
 
 
@@ -266,7 +278,8 @@ def test_scan_runs_a_vm_in_core_order(kernel, monkeypatch, toy_vm, prefix_free_l
     """On a VM _scan runs [lo, hi) in core order: a permutation of [lo, hi),
     in which a full depth block runs the three programs of each core back to
     back. Cut at either end or both, it runs the full length's order with
-    the indices outside [lo, hi) left out. A table runs in index order."""
+    the indices outside [lo, hi) left out. A table runs nothing, and a
+    dispatcher with a VM submachine runs in index order."""
     sweep_module = importlib.import_module("haltlab.sweep")
     ran = []
     monkeypatch.setattr(
@@ -306,7 +319,9 @@ def test_scan_runs_a_vm_in_core_order(kernel, monkeypatch, toy_vm, prefix_free_l
             got = order(toy_vm, a, b, 64)
             assert sorted(got) == list(range(a, b)), (a, b)
             assert got == [i for i in full if a <= i < b], (a, b)
-    assert order(table1, 1, 2**5, None) == list(range(1, 2**5))
+    assert order(table1, 1, 2**5, None) == []
+    dispatcher = Dispatcher((prefix_free_loop_free_vm, table1))
+    assert order(dispatcher, 1, 2**5, None) == list(range(1, 2**5))
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3, 16])
