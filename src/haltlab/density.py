@@ -129,6 +129,12 @@ class DensityReport(NamedTuple):
         return self.window_size - self.nonrandom_count
 
 
+def _check_witness_cap(code_length: int) -> None:
+    """Refuse, before their cap is built, the witnesses of codes up to L =
+    code_length bits: short_index_cap(L) has L - L.bit_length() + 1 bits."""
+    check_enum_cap(code_length - code_length.bit_length())
+
+
 def density_report(
     machine: Machine,
     length: int,
@@ -154,8 +160,8 @@ def density_report(
     window_start = 2**m
     window_size = horizon - window_start + 1
     # every non-random t in the window has its witness at or below the cap of
-    # the longest code, m + s bits; the witnesses meet the enumeration cap first
-    check_enum_cap(m + s - (m + s).bit_length())
+    # the longest code, m + s bits
+    _check_witness_cap(m + s)
     witness_map = min_index_map(machine, short_index_cap(m + s), budget)
     nonrandom = sum(
         1
@@ -208,13 +214,12 @@ def density_with_margin(
     machine: Machine, length: int, k: int, budget: int | None = None
 ) -> DensityReport:
     """Density report at the smallest horizon giving rare_bound <= 2^-k; its
-    witnesses, of L - L.bit_length() bits, meet the cap before 2^L is built."""
+    witnesses meet the cap before 2^L is built, L = m + s = 5*2^k + 2."""
     _check_margin(length, k)
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
     check_budget(machine, budget)
-    code_length = 5 * 2 ** min(k, 64) + 2  # L = m + s; past k = 64 no 2^L fits in memory
-    check_enum_cap(code_length - code_length.bit_length())
+    _check_witness_cap(5 * 2 ** min(k, 64) + 2)  # past k = 64 no 2^L fits in memory
     horizon = required_horizon(length, k)
     report = density_report(machine, length, horizon, budget)
     if report.rare_bound > Fraction(1, 2**k):

@@ -158,10 +158,11 @@ class TableMachine(Value):
 
 class Dispatcher(Value):
     """Routes 0^i 1 x to submachine i on x; all-zero programs never halt.
-    Whether it is transparent is decided once, here, and takes no part in
-    equality or the hash; a submachine of unknown kind is refused."""
+    Whether it is transparent, and its finite domain in index order (None
+    when a submachine's is infinite), are decided once, here, and take no
+    part in equality or the hash; a submachine of unknown kind is refused."""
 
-    __slots__ = ("submachines", "_transparent")
+    __slots__ = ("submachines", "_transparent", "_domain")
     _fields = ("submachines",)
 
     def __init__(self, submachines: tuple["Machine", ...]) -> None:
@@ -170,6 +171,12 @@ class Dispatcher(Value):
         object.__setattr__(self, "submachines", submachines)
         # a list, so that every submachine's kind is checked
         object.__setattr__(self, "_transparent", all([is_transparent(m) for m in submachines]))
+        domains = [finite_domain(m) for m in submachines]
+        domain = None
+        if None not in domains:
+            items = [("0" * i + "1" + p, t, out) for i, d in enumerate(domains) for p, t, out in d]
+            domain = tuple(sorted(items, key=lambda e: (len(e[0]), e[0])))  # index order
+        object.__setattr__(self, "_domain", domain)
 
 
 Machine = Union[ToyVM, PrefixFreeVM, TableMachine, Dispatcher]
@@ -323,17 +330,14 @@ def observe(machine: Machine, program: str, budget: int | None) -> tuple[int, st
     return (outcome.stop_time, outcome.output) if outcome.halted else None
 
 
-def finite_domain(machine: Machine) -> list[tuple[str, int, str]] | None:
-    """Full (program, stop_time, output) list for machines with a finite
-    domain, in index order; None when the domain is infinite or unknown."""
+def finite_domain(machine: Machine) -> tuple[tuple[str, int, str], ...] | None:
+    """Full (program, stop_time, output) tuple for machines with a finite
+    domain, in index order, kept by the machine; None when the domain is
+    infinite or unknown."""
     if isinstance(machine, TableMachine):
-        return list(machine.entries)
+        return machine.entries
     if isinstance(machine, Dispatcher):
-        domains = [finite_domain(sub) for sub in machine.submachines]
-        if None in domains:
-            return None
-        items = [("0" * i + "1" + p, t, out) for i, d in enumerate(domains) for p, t, out in d]
-        return sorted(items, key=lambda e: index_of_bits(e[0]))  # the submachines' interleave
+        return machine._domain
     return None
 
 

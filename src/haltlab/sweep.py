@@ -139,18 +139,19 @@ def _core_order(lo: int, hi: int) -> Iterator[Iterable[int]]:
 def _scan(machine: Machine, lo: int, hi: int, budget: int | None) -> Iterator[tuple]:
     """(index, (stop time, output)) of each index in [lo, hi) whose program
     is seen halting, as observe() reads one program: a finite domain's
-    entries in index order, within the budget, running nothing; else, past
-    the enumeration cap on index hi - 1, one exact_run() per program or one
-    run() within the budget. A VM runs in core order, each core's three mode
-    programs back to back so that the pure kernel's last run answers the
-    repeats; from 1 or a length boundary the least index of a result still
-    comes first, as min_index_map needs. Other machines run in index order."""
+    entries, bisected to [lo, hi) so that a scan costs O(log n + hits),
+    within the budget, running nothing; else, past the enumeration cap on
+    index hi - 1, one exact_run() per program or one run() within the
+    budget. A VM runs in core order, each core's three mode programs back to
+    back so that the pure kernel's last run answers the repeats; from 1 or a
+    length boundary the least index of a result still comes first, as
+    min_index_map needs. Other machines run in index order."""
     domain = finite_domain(machine)
     if domain is not None:
-        for program, stop, output in domain:
-            index = index_of_bits(program)
-            if lo <= index < hi and (budget is None or stop <= budget):
-                yield index, (stop, output)
+        ends = [bisect_left(domain, i, key=lambda e: index_of_bits(e[0])) for i in (lo, hi)]
+        for program, stop, output in (domain[k] for k in range(*ends)):
+            if budget is None or stop <= budget:
+                yield index_of_bits(program), (stop, output)
         return
     check_enum_cap(max(0, (hi - 1).bit_length() - 1))
     core_ordered = type(machine) in _CORE_ORDERED

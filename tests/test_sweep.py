@@ -10,7 +10,16 @@ import pytest
 from haltlab import _stepper_py, vm
 from haltlab.codec import bits_of_index, index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
-from haltlab.machine import Dispatcher, RunOutcome, exact_run, machine_from_dict, observe, run
+from haltlab.machine import (
+    Dispatcher,
+    RunOutcome,
+    TableMachine,
+    exact_run,
+    finite_domain,
+    machine_from_dict,
+    observe,
+    run,
+)
 from haltlab.sweep import (
     _scan,
     _typecode,
@@ -322,6 +331,30 @@ def test_scan_runs_a_vm_in_core_order(kernel, monkeypatch, toy_vm, prefix_free_l
     assert order(table1, 1, 2**5, None) == []
     dispatcher = Dispatcher((prefix_free_loop_free_vm, table1))
     assert order(dispatcher, 1, 2**5, None) == list(range(1, 2**5))
+
+
+def test_scan_bisects_a_finite_domain(monkeypatch):
+    """On a finite domain, kept by the machine and not copied, _scan bisects
+    to [lo, hi): it reads O(log n) entries besides the ones in range, however
+    large the domain, and yields those within the budget in index order."""
+    table = TableMachine(tuple((format(v, "012b"), 1 + v % 7, "") for v in range(2**12)))
+    sweep_module = importlib.import_module("haltlab.sweep")
+    reads = []
+    monkeypatch.setattr(
+        sweep_module, "index_of_bits", lambda p: reads.append(p) or index_of_bits(p)
+    )
+    ranges = [(1, 2), (2**12 + 5, 2**12 + 9), (2**13 - 2, 2**13 + 2),
+              (3 * 2**12 - 2, 3 * 2**12 + 2), (5 * 2**12 + 1, 5 * 2**12 + 3), (2**14, 2**14)]
+    for machine in (table, Dispatcher((table, table))):
+        domain = finite_domain(machine)
+        assert finite_domain(machine) is domain
+        for lo, hi in ranges:
+            reads.clear()
+            got = list(_scan(machine, lo, hi, 3))
+            assert got == [
+                (i, (t, out)) for p, t, out in domain if lo <= (i := index_of_bits(p)) < hi and t <= 3
+            ]
+            assert len(reads) <= 2 * len(domain).bit_length() + 2 + (hi - lo), (lo, hi)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3, 16])
