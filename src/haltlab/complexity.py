@@ -27,11 +27,12 @@ from haltlab.machine import (
     PrefixFreeVM,
     ToyVM,
     check_budget,
+    finite_domain,
     is_transparent,
     observe,
     time_wrap,
 )
-from haltlab.sweep import _scan
+from haltlab.sweep import _scan, check_enum_cap
 
 RANDOM = "random"
 NONRANDOM = "nonrandom"
@@ -64,6 +65,12 @@ def short_index_cap(length: int) -> int:
     return (2**length - 1) // length
 
 
+def _check_witness_cap(code_length: int) -> None:
+    """Refuse, before their cap is built, the witnesses of codes up to L =
+    code_length bits: short_index_cap(L) has L - L.bit_length() + 1 bits."""
+    check_enum_cap(code_length - code_length.bit_length())
+
+
 def find_witness(
     machine: Machine, code: str, cap: int, budget: int | None, program: str | None = None
 ) -> int | None:
@@ -85,6 +92,8 @@ def time_randomness(machine: Machine, t: int, budget: int | None = None) -> str:
     check_budget(machine, budget)
     if t < 2:
         raise ConfigError(f"randomness is defined for t >= 2, got {t}")
+    if finite_domain(machine) is None:  # a finite domain is never enumerated
+        _check_witness_cap(t.bit_length() - 1)  # len(code(t)), before code(t) is built
     code = bits_of_index(t)
     if find_witness(machine, code, short_index_cap(len(code)), budget) is not None:
         return NONRANDOM  # witness halts, so the bound holds even under budget

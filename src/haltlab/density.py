@@ -26,7 +26,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from haltlab.codec import bits_of_index, index_of_bits
-from haltlab.complexity import find_witness, min_index_map, short_index_cap, stop_time_bound_holds
+from haltlab.complexity import (
+    _check_witness_cap,
+    find_witness,
+    min_index_map,
+    short_index_cap,
+    stop_time_bound_holds,
+)
 from haltlab.errors import ConfigError, InvariantViolation
 from haltlab.machine import TIME_WRAP_EXTRA_BITS, Machine, TableMachine, check_budget
 from haltlab.sweep import check_enum_cap, sweep
@@ -95,7 +101,7 @@ def exclusion_report(
     check_budget(machine, budget)
     # only lengths whose late stops can reach the horizon are swept; refuse
     # the longest of them before the first sweep runs
-    swept = [n for n in lengths if horizon is None or exclusion_threshold(n) <= horizon]
+    swept = [n for n in lengths if horizon is None or _exponent(n) < horizon.bit_length()]
     check_enum_cap(max(swept, default=0))
     candidates: list[tuple[str, int]] = []
     end = None if horizon is None else horizon + 1
@@ -127,12 +133,6 @@ class DensityReport(NamedTuple):
     @property
     def random_count(self) -> int:
         return self.window_size - self.nonrandom_count
-
-
-def _check_witness_cap(code_length: int) -> None:
-    """Refuse, before their cap is built, the witnesses of codes up to L =
-    code_length bits: short_index_cap(L) has L - L.bit_length() + 1 bits."""
-    check_enum_cap(code_length - code_length.bit_length())
 
 
 def density_report(

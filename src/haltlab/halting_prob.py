@@ -35,11 +35,6 @@ class ProbCurve(NamedTuple):
     points: tuple[ProbCurvePoint, ...]
 
 
-def is_total(machine: Machine) -> bool:
-    """Provably halts on every input: true only for the loop-free plain VM."""
-    return isinstance(machine, ToyVM) and machine.loop_free
-
-
 def domain_prob_curve(
     machine: Machine,
     max_len: int,
@@ -52,8 +47,8 @@ def domain_prob_curve(
     check_enum_cap(max_len)
     points = []
     for length in range(1, max_len + 1):
-        if is_total(machine):
-            count = 2**length
+        if type(machine) is ToyVM and machine.loop_free:
+            count = 2**length  # every program of the loop-free plain VM halts
         else:  # only counted: no stop time is kept
             count = sum(1 for _ in _scan(machine, 2**length, 2 ** (length + 1), budget))
         points.append(

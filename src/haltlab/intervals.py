@@ -1,35 +1,23 @@
 """Closed rational intervals used as certificates for series values.
 
 An Interval is a pair of Fractions lo <= hi asserting that the true value lies
-inside. The analyses build the endpoints from exact Fractions, so nothing
-is ever rounded.
+inside. It takes ints or Fractions and refuses anything else, floats and
+strings included; the analyses build the endpoints from exact Fractions, so
+nothing is ever rounded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 
 from haltlab.errors import digit_limit_error
 from haltlab.value import Value
 
 
-def as_fraction(value: Rational | int | str) -> Fraction:
-    """Coerce ints, Fractions, and "num/den" strings to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, Rational):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
-
-
 def format_fraction(value: Fraction) -> str:
     """Render as "num/den" (always with a denominator, also for integers)."""
-    f = Fraction(value)
     try:
-        return f"{f.numerator}/{f.denominator}"
+        return f"{value.numerator}/{value.denominator}"
     except ValueError as exc:
         raise digit_limit_error() from exc
 
@@ -39,17 +27,19 @@ class Interval(Value):
 
     __slots__ = _fields = ("lo", "hi")
 
-    def __init__(self, lo: Rational | int | str, hi: Rational | int | str) -> None:
-        lo, hi = as_fraction(lo), as_fraction(hi)
+    def __init__(self, lo: Fraction | int, hi: Fraction | int) -> None:
+        for value in (lo, hi):
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"not an exact rational: {value!r}")
+        lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
     @classmethod
-    def exact(cls, value: Rational | int | str) -> "Interval":
-        v = as_fraction(value)
-        return cls(v, v)
+    def exact(cls, value: Fraction | int) -> "Interval":
+        return cls(value, value)
 
     @property
     def width(self) -> Fraction:

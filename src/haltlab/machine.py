@@ -26,15 +26,14 @@ with L ones is L // 2 wrappers deep, and a core that stops at step s under d
 wrappers stops the program at s + d with output code(s + d - 1).
 
 A RunOutcome is a named tuple (halted, stop_time, output), and run() hands
-out equal ones as one shared instance: RunOutcome.running() for every run
-not seen halting, and for a halted VM run the outcome kept in one dict of
-at most _KEPT entries: an unwrapped run's keyed by the kernel's result
-tuple, a wrapped run's by its final stop time s + d, an int, which alone
-gives its output and never equals a tuple. Only an output of at most
+out equal ones as one shared instance: _NOT_HALTED for every run not seen
+halting, and for a halted VM run the outcome kept in one dict of at most
+_KEPT entries: an unwrapped run's keyed by the kernel's result tuple, a
+wrapped run's by its final stop time s + d, an int, which alone gives its
+output and never equals a tuple. Only an output of at most
 _KEPT_OUTPUT_BITS bits is kept; a wrapped output has at most 63 bits, as
-s + d <= MAX_BUDGET. A result not kept is built afresh; nothing calls
-tuple.__new__. run() refuses a budget that is not an int in
-[0, MAX_BUDGET]. It encodes the program once
+s + d <= MAX_BUDGET. A result not kept is built afresh. run() refuses a
+budget that is not an int in [0, MAX_BUDGET]. It encodes the program once
 and checks the UTF-8 bytes the kernel runs, so a str that does not encode
 (a lone surrogate) is refused as a non-bit string; the pure kernel checks
 the argument types on every call and the ranges only on a call whose key
@@ -52,7 +51,7 @@ exact_run() on a loop-free VM is one run() at LOOP_FREE_STEP_CAP. When a
 prefix-free program is not seen halting, exact_run() repeats run()'s kernel
 call with the same arguments to read its status, which the RunOutcome drops:
 it tells certain divergence from a cap too small. The pure kernel answers the
-repeat from its last run; ROADMAP item 5 drops it.
+repeat from its last run.
 
 observe() reads one program either way: exactly (no budget, transparent
 machines only) or within a step budget. check_budget() is the policy for
@@ -66,7 +65,7 @@ from pathlib import Path
 from typing import NamedTuple, Union
 
 from haltlab import vm
-from haltlab.codec import bits_of_index, index_of_bits
+from haltlab.codec import bits_of_index
 from haltlab.errors import ConfigError, ResourceLimitError
 from haltlab.value import Value
 from haltlab.vm import DIVERGED, HALTED, OUTPUT_LIMIT
@@ -95,15 +94,11 @@ class RunOutcome(NamedTuple):
     """Budget-relative observation of one run."""
 
     halted: bool
-    stop_time: int | None = None
-    output: str | None = None
-
-    @classmethod
-    def running(cls) -> "RunOutcome":
-        return cls(False)
+    stop_time: int | None
+    output: str | None
 
 
-_NOT_HALTED = RunOutcome.running()
+_NOT_HALTED = RunOutcome(False, None, None)
 # the shared halted outcomes (module docstring)
 _KEPT = 1024
 _KEPT_OUTPUT_BITS = 64
@@ -149,11 +144,8 @@ class TableMachine(Value):
                 raise ConfigError(f"duplicate table program {program!r}")
             seen[program] = (stop_time, output)
         object.__setattr__(self, "_lookup", seen)
-        ordered = tuple(sorted(entries, key=lambda e: index_of_bits(e[0])))
+        ordered = tuple(sorted(entries, key=lambda e: (len(e[0]), e[0])))  # index order
         object.__setattr__(self, "entries", ordered)
-
-    def lookup(self, program: str) -> tuple[int, str] | None:
-        return self._lookup.get(program)
 
 
 class Dispatcher(Value):
@@ -260,7 +252,7 @@ def run(machine: Machine, program: str, budget: int) -> RunOutcome:
                 _kept[result] = outcome
         return outcome
     if kind is TableMachine:
-        hit = machine.lookup(program)
+        hit = machine._lookup.get(program)
         if hit is not None and hit[0] <= budget:
             return RunOutcome(True, *hit)
         return _NOT_HALTED
@@ -298,7 +290,7 @@ def exact_run(machine: Machine, program: str) -> tuple[int, str] | None:
     # run() has checked a VM's program
     _check_bits(program, "program")
     if kind is TableMachine:
-        return machine.lookup(program)
+        return machine._lookup.get(program)
     if kind is not Dispatcher:
         raise ConfigError(f"unknown machine {machine!r}")
     if not is_transparent(machine):
@@ -354,13 +346,6 @@ def timed_table(machine: TableMachine) -> TableMachine:
 # ---------------------------------------------------------------------------
 # descriptors
 
-def _variant_flag(data: dict) -> bool:
-    variant = data.get("variant", "full")
-    if variant not in ("full", "loop-free"):
-        raise ConfigError(f"unknown variant {variant!r}")
-    return variant == "loop-free"
-
-
 def machine_from_dict(data: dict) -> Machine:
     return _machine_from_dict(data, MAX_DISPATCH_NESTING)
 
@@ -383,7 +368,10 @@ def _machine_from_dict(data: dict, levels: int) -> Machine:
     if kind in ("toy-vm", "prefix-free-vm"):
         if data.get("isa_version", 1) != 1:
             raise ConfigError(f"unknown isa_version {data['isa_version']!r}")
-        return (ToyVM if kind == "toy-vm" else PrefixFreeVM)(loop_free=_variant_flag(data))
+        variant = data.get("variant", "full")
+        if variant not in ("full", "loop-free"):
+            raise ConfigError(f"unknown variant {variant!r}")
+        return (ToyVM if kind == "toy-vm" else PrefixFreeVM)(loop_free=variant == "loop-free")
     if kind == "dispatcher":
         if levels == 0:
             raise ConfigError(f"dispatchers nest deeper than {MAX_DISPATCH_NESTING} levels")

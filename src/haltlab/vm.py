@@ -5,10 +5,8 @@ _stepper.c by setup.py; the pure kernel is haltlab._stepper_py. Set
 HALTLAB_KERNEL=pure or HALTLAB_KERNEL=compiled to force a choice (the latter
 raises if the extension was not built). Both kernels implement the
 instruction set and the argument contract in docs/machine-isa.md with
-identical observable behavior. The pure kernel answers a call with the
-same arguments as its last run, on bits of the same length that hold the
-bytes that run read, without stepping and with an unchanged (status,
-steps, output); the compiled one keeps no state.
+identical observable behavior; haltlab._stepper_py says which calls the
+pure kernel answers without stepping.
 """
 
 from __future__ import annotations

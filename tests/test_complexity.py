@@ -197,3 +197,15 @@ def test_enum_cap_binds_every_min_index_map_caller(monkeypatch, toy_vm, loop_fre
             caller()
     check = stop_time_bound_holds(table1, "010", None)  # up to 64, read from 6 entries
     assert (check.stop_time, check.witness_index, check.holds) == (15, None, False)
+    # the cap is checked at len(code(t)) before code(t) is built
+    complexity = importlib.import_module("haltlab.complexity")
+    real_code = complexity.bits_of_index
+
+    def code(n):
+        assert n.bit_length() <= 64, "code(t) was built before the cap check"
+        return real_code(n)
+
+    monkeypatch.setattr(complexity, "bits_of_index", code)
+    with pytest.raises(ResourceLimitError):
+        time_randomness(loop_free_vm, 1 << 2**26)
+    assert time_randomness(table1, 1 << 40) == RANDOM  # a finite domain is never enumerated

@@ -234,8 +234,20 @@ def test_density_margin_k2_large_window(loop_free_vm):
 # ---------------------------------------------------------------------------
 # exponential stopping times
 
-def test_exponential_stops_empty_on_fixtures(table1, toy_vm):
+def test_exponential_stops_empty_on_fixtures(monkeypatch, table1, toy_vm):
     assert not exclusion_report(table1, range(4), 2**12).candidates
+    # a length is compared with the horizon by exponent: 2^(2n + 5) is built
+    # only for a length that is swept
+    density = importlib.import_module("haltlab.density")
+    real_threshold = density.exclusion_threshold
+
+    def threshold(n):
+        assert n <= 64, f"2^m was built for length {n}"
+        return real_threshold(n)
+
+    monkeypatch.setattr(density, "exclusion_threshold", threshold)
+    huge = exclusion_report(table1, (10**12,), 5)
+    assert huge.holds and not huge.candidates
     report = exclusion_report(toy_vm, range(5), 2**13, 2**13)
     assert report.holds and not report.candidates
     with pytest.raises(ConfigError):

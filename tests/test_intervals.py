@@ -4,12 +4,17 @@ import json
 import pytest
 
 from haltlab.cli import _json
-from haltlab.intervals import Interval, as_fraction, format_fraction
+from haltlab.intervals import Interval, format_fraction
 
 
 def test_parsing_and_formatting():
-    assert as_fraction("3/4") == Fraction(3, 4)
-    assert as_fraction(2) == Fraction(2)
+    """An endpoint is an int or a Fraction: a string is not parsed, and a
+    float is not taken as exact."""
+    for value in ("3/4", 0.75):
+        for build in (lambda: Interval(value, 1), lambda: Interval(0, value)):
+            with pytest.raises(TypeError):
+                build()
+    assert Interval.exact(2).lo == Fraction(2)
     assert format_fraction(Fraction(1, 2)) == "1/2"
     assert format_fraction(Fraction(5)) == "5/1"  # integers keep the /1
     assert format_fraction(Fraction(0)) == "0/1"

@@ -103,10 +103,11 @@ def test_run_input_validation(toy_vm):
 
 
 def test_run_outcome_fields(toy_vm):
-    assert RunOutcome.running() == RunOutcome(False)
+    with pytest.raises(TypeError):
+        RunOutcome(False)  # every field is given
     still = run(toy_vm, "00101111110", 64)
-    assert still == RunOutcome.running()
     assert (still.halted, still.stop_time, still.output) == (False, None, None)
+    assert run(toy_vm, "0", 0) is still  # one shared not-halted outcome
     stopped = run(toy_vm, "0101000", 64)
     assert (stopped.halted, stopped.stop_time, stopped.output) == (True, 2, "0")
 
@@ -388,7 +389,7 @@ def test_min_index_map_keeps_each_machines_own_map():
         (Dispatcher((ToyVM(),)), "_transparent"),
         (Interval(0, 1), "lo"),
         (PairListing((), 0), "size"),
-        (RunOutcome(False), "halted"),
+        (RunOutcome(False, None, None), "halted"),
         (ProbCurvePoint(1, 1, 2, True), "halting"),
         (DYADIC, "ratio"),
     ],

@@ -483,7 +483,7 @@ def test_enum_cap_refuses_in_the_scan(monkeypatch, toy_vm):
     observed = []
     monkeypatch.setattr(sweep_module, "exact_run", lambda *args: observed.append(args))
     monkeypatch.setattr(
-        sweep_module, "run", lambda *args: observed.append(args) or RunOutcome.running()
+        sweep_module, "run", lambda *args: observed.append(args) or RunOutcome(False, None, None)
     )
     monkeypatch.setattr(sweep_module, "ENUM_CAP_BITS", 6)
     complexity.min_index_map.cache_clear()  # a cached map would not enumerate
