@@ -31,10 +31,11 @@ _BUDGET_MAX = 2**64 - 1  # the compiled kernel counts steps in 64 unsigned bits
 # opcode ids: a code word 0 1^j is opcode j for j <= 7
 _END, _OUT0, _OUT1, _DBL, _SPIN, _TIMER, _LOOP, _ZEROS = range(8)
 
-# the last run: (key, reach, bytes read up to reach, result), replaced
-# whole, so a reader never sees parts of two runs; reach is start plus the
-# length read, kept so that a hit takes one slice without adding
-_last: tuple = (None, 0, b"", None)
+# the last run, replaced whole so a reader never sees parts of two runs:
+# (start, len(bits), prefix_free, allow_loops, budget, output_cap as the
+# caller gave it, reach = start plus the length read, kept so that a hit
+# takes one slice without adding, bytes read up to reach, result)
+_last: tuple = (None, 0, None, None, None, None, 0, b"", None)
 
 
 def _refuse(bits: object, start: int, budget: object, output_cap: int) -> None:
@@ -74,10 +75,11 @@ def run_stream(
     the skipped output is only counted, by lowering output_cap by its
     length.
 
-    The last run is kept with reach, one past the last byte decoded, and
-    the bytes it read, bits[start:reach]. A call with the same start, flags,
-    budget and output_cap, whose bits have the same length and hold those
-    bytes at start, gets that run's result tuple without stepping.
+    The last run is kept with its key, reach, one past the last byte
+    decoded, and the bytes it read, bits[start:reach]. A call with the same
+    start, flags, budget and output_cap, whose bits have the same length and
+    hold those bytes at start, gets that run's result tuple without
+    stepping; the key is compared field by field, with the caller's cap.
 
     Raises TypeError unless bits is bytes and budget an int, ValueError
     unless 0 <= start <= len(bits) and output_cap >= 0, and OverflowError
@@ -89,15 +91,17 @@ def run_stream(
         _refuse(bits, start, budget, output_cap)
     global _last
     total = len(bits)
-    # len(bits) is part of the key: a run that met the end of its stream
-    # says nothing about a longer one
-    key = (start, total, prefix_free, allow_loops, budget, output_cap)
-    last_key, reach, read, result = _last
-    if last_key != key:
+    # field by field, start and budget first; len(bits) is part of the key:
+    # a run that met the end of its stream says nothing about a longer one
+    (last_start, last_total, last_free, last_loops, last_budget, last_cap,
+     reach, read, result) = _last
+    if (start != last_start or budget != last_budget or total != last_total
+            or prefix_free != last_free or allow_loops != last_loops or output_cap != last_cap):
         if not (0 <= budget <= _BUDGET_MAX and 0 <= start <= total and output_cap >= 0):
             _refuse(bits, start, budget, output_cap)
     elif bits[start:reach] == read:
         return result
+    cap = output_cap  # the key's cap; a bulk skip lowers output_cap
     pc = consumed = start
     steps = acc = 0
     out = bytearray()
@@ -181,5 +185,6 @@ def run_stream(
         # undecodable: plain halts one step later with empty output,
         # prefix-free never halts
         result = (DIVERGED, steps, None) if prefix_free else (HALTED, steps + 1, b"")
-    _last = (key, consumed, bits[start:consumed], result)
+    _last = (start, total, prefix_free, allow_loops, budget, cap,
+             consumed, bits[start:consumed], result)
     return result

@@ -146,6 +146,8 @@ def random_string_density(machine: Machine, length: int) -> RandomStringDensity:
         raise ConfigError(f"length must be >= 1, got {length}")
     if not is_transparent(machine):
         raise ConfigError("random_string_density requires a transparent machine")
+    if finite_domain(machine) is None:  # a finite domain is never enumerated
+        _check_witness_cap(length)  # before short_index_cap(length) is built
     reached = min_index_map(machine, short_index_cap(length), None)
     nonrandom = sum(1 for output in reached if len(output) == length)
     total = 2**length

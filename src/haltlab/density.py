@@ -33,8 +33,9 @@ from haltlab.complexity import (
     short_index_cap,
     stop_time_bound_holds,
 )
-from haltlab.errors import ConfigError, InvariantViolation
+from haltlab.errors import ConfigError, InvariantViolation, ResourceLimitError
 from haltlab.machine import TIME_WRAP_EXTRA_BITS, Machine, TableMachine, check_budget
+from haltlab.runtime_dist import WEIGHT_BIT_LIMIT
 from haltlab.sweep import check_enum_cap, sweep
 
 
@@ -205,8 +206,11 @@ def _check_margin(length: int, k: int) -> None:
 
 
 def required_horizon(length: int, k: int) -> int:
-    """Smallest horizon whose window certifies a random fraction above 1 - 2^-k."""
+    """Smallest horizon whose window certifies a random fraction above 1 - 2^-k;
+    a horizon of more than WEIGHT_BIT_LIMIT bits is refused before it is built."""
     _check_margin(length, k)
+    if 5 * 2 ** min(k, 64) + 2 > WEIGHT_BIT_LIMIT:
+        raise ResourceLimitError(f"the horizon of k = {k} needs over {WEIGHT_BIT_LIMIT} bits")
     return 2 ** (5 * 2**k + 2) - 1
 
 

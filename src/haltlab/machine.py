@@ -221,9 +221,10 @@ def run(machine: Machine, program: str, budget: int) -> RunOutcome:
         # each pair of leading ones is one "11" mode field; the core starts
         # after the mode field that follows the wrappers. A bit string starts
         # with "11" exactly when it sorts at or after "11"
-        depth = (n - len(bits.lstrip(b"1"))) // 2 if bits >= b"11" else 0
-        start = 2 * depth + 2
-        core_budget = budget - depth * TIME_WRAP_STEP_OVERHEAD
+        depth, start, core_budget = 0, 2, budget  # depth 0, most programs
+        if bits >= b"11":
+            depth = (n - len(bits.lstrip(b"1"))) // 2
+            start, core_budget = 2 * depth + 2, budget - depth * TIME_WRAP_STEP_OVERHEAD
         if core_budget < 1:
             return _NOT_HALTED
         if start > n:
@@ -277,11 +278,12 @@ def exact_run(machine: Machine, program: str) -> tuple[int, str] | None:
             # a SPIN burn larger than the cap. run()'s kernel call is repeated
             # with the same arguments to read its status
             n = len(program)
-            depth = (n - len(program.lstrip("1"))) // 2 if program >= "11" else 0
-            start = 2 * depth + 2
+            start, core_budget = 2, LOOP_FREE_STEP_CAP  # depth 0, as in run()
+            if program >= "11":
+                depth = (n - len(program.lstrip("1"))) // 2
+                start, core_budget = 2 * depth + 2, core_budget - depth * TIME_WRAP_STEP_OVERHEAD
             if start > n or vm.run_stream(
-                program.encode(), start, True, False,
-                LOOP_FREE_STEP_CAP - depth * TIME_WRAP_STEP_OVERHEAD, DEFAULT_OUTPUT_CAP,
+                program.encode(), start, True, False, core_budget, DEFAULT_OUTPUT_CAP,
             )[0] == DIVERGED:
                 return None
         raise ResourceLimitError(

@@ -209,3 +209,15 @@ def test_enum_cap_binds_every_min_index_map_caller(monkeypatch, toy_vm, loop_fre
     with pytest.raises(ResourceLimitError):
         time_randomness(loop_free_vm, 1 << 2**26)
     assert time_randomness(table1, 1 << 40) == RANDOM  # a finite domain is never enumerated
+    # random_string_density checks the cap before short_index_cap(length) is built
+    expected = random_string_density(table1, 3)
+    real_cap = complexity.short_index_cap
+
+    def index_cap(length):
+        assert length <= 64, "short_index_cap was built before the cap check"
+        return real_cap(length)
+
+    monkeypatch.setattr(complexity, "short_index_cap", index_cap)
+    with pytest.raises(ResourceLimitError):
+        random_string_density(loop_free_vm, 10**9)
+    assert random_string_density(table1, 3) == expected

@@ -193,6 +193,11 @@ def test_density_opaque_is_labeled(toy_vm):
 def test_required_horizon_formula():
     assert required_horizon(2, 1) == 2**12 - 1
     assert required_horizon(2, 2) == 2**22 - 1
+    assert required_horizon(1, 18) == 2 ** (5 * 2**18 + 2) - 1
+    # past WEIGHT_BIT_LIMIT bits the horizon is refused before it is built
+    for k in (19, 27, 10**12):
+        with pytest.raises(ResourceLimitError, match=f"^the horizon of k = {k} "):
+            required_horizon(1, k)
 
 
 def test_density_margin_k1(loop_free_vm):

@@ -461,6 +461,42 @@ def test_a_run_that_met_the_end_does_not_answer_a_longer_stream(short, longer, p
     assert got == reference(longer, *args) != first
 
 
+@pytest.mark.parametrize(
+    "stream, field, first, second",
+    [
+        # the same bytes read, in a longer stream
+        (INC + END, "bits", INC + END, INC + END + INC),
+        # bytes read from another start differ in length, so a compare that
+        # dropped start shows only on a refused start (the valid-twin test)
+        (INC + INC + OUT1 + END, "start", 0, 1),
+        # an early END under both disciplines
+        (INC + END + INC, "prefix_free", False, True),
+        (INC + LOOP, "allow_loops", True, False),
+        # a 3-step run
+        (INC + INC + END, "budget", 2, 64),
+        (OUT1 + OUT1 + END, "output_cap", 1, 16),
+    ],
+    ids=["length", "start", "prefix-free", "allow-loops", "budget", "output-cap"],
+)
+def test_the_last_run_answers_only_a_call_that_matches_every_key_field(
+    stream, field, first, second
+):
+    """A call that differs from the last run in one key field alone is run
+    afresh, also where it reads the same bytes; a compare that dropped the
+    field would answer it with the last run's different result."""
+    results = []
+    for value in (first, second):
+        call = dict(bits=stream, start=0, prefix_free=True, allow_loops=False, budget=64,
+                    output_cap=16)
+        call[field] = value
+        bits, *args = call.values()
+        got = _stepper_py.run_stream(bits.encode("ascii"), *args)
+        assert got == reference(bits, *args)
+        results.append(got)
+    assert _stepper_py.run_stream(bits.encode("ascii"), *args) is got
+    assert results[1] != results[0] and results[1] is not results[0]
+
+
 def test_a_call_that_would_be_answered_is_still_checked():
     raw = (INC + END + OUT1 + OUT0).encode("ascii")
     first = _stepper_py.run_stream(raw, 0, False, True, 64, 16)

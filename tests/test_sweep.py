@@ -406,15 +406,15 @@ def test_pure_kernel_steps_each_distinct_run_once(name, horizon, request, monkey
     distinct runs, (key, bytes read), among the sweep's calls; in index
     order the repeats lie too far apart for its last run to answer them."""
     machine = request.getfixturevalue(name)
-    monkeypatch.setattr(_stepper_py, "_last", (None, 0, b"", None))
+    monkeypatch.setattr(_stepper_py, "_last", (None, 0, None, None, None, None, 0, b"", None))
     calls, runs, stepped = [], set(), []
 
     def counted(*args):
         before = _stepper_py._last
         result = _stepper_py.run_stream(*args)
-        key, _, read, _ = _stepper_py._last
+        last = _stepper_py._last  # the key is the first six fields, the bytes read the eighth
         calls.append(args)
-        runs.add((key, read))
+        runs.add((last[:6], last[7]))
         stepped.append(_stepper_py._last is not before)
         return result
 

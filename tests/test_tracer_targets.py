@@ -2,9 +2,12 @@
 functions by name from outside the package and reads a few attributes of
 their results. A refactor that renames one of them breaks the benchmark run
 without any other test failing, so these checks read the tracer's own table.
+The workloads' pinned counts (perfbench/workloads.py) are checked here too,
+so that a change which moves one fails before the benchmark runs.
 """
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import pathlib
@@ -12,22 +15,23 @@ import sys
 
 import pytest
 
-from haltlab import cli, complexity, halting_prob, machine as machine_module
+from haltlab import _stepper_py, cli, complexity, halting_prob, machine as machine_module, vm
 from haltlab.machine import load_machine
 from haltlab.sweep import sweep
 
-LAYERS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def tracer_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+def perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks up its module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_target_is_a_haltlab_callable():
-    targets = tracer_layers().ALL_TARGETS
+    targets = perfbench_module("layers").ALL_TARGETS
     assert targets
     for module_name, attr, _ in targets:
         module = importlib.import_module(module_name)
@@ -75,7 +79,7 @@ def test_tracer_sees_every_fine_call(kernel, argv):
             made["vm.run_stream.calls"] += 1
 
     complexity.min_index_map.cache_clear()  # a cached map would run nothing
-    with tracer_layers().Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
+    with perfbench_module("layers").Tracer() as tracer, contextlib.redirect_stdout(io.StringIO()):
         sys.setprofile(profile)
         try:
             assert cli.main(argv) == 0
@@ -83,3 +87,23 @@ def test_tracer_sees_every_fine_call(kernel, argv):
             sys.setprofile(None)
     assert made["machine.run.calls"] > 0 and made["vm.run_stream.calls"] > 0
     assert {name: tracer.count(name) for name in made} == made
+
+
+WORKLOADS = perfbench_module("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workloads_keep_their_pinned_counts(monkeypatch, name):
+    """Each benchmark workload, run in this process under the tracer, gives
+    its pinned stdout digest and every pinned count, cold and traced. The
+    counts do not depend on the kernel, so the pure one runs them."""
+    workload = WORKLOADS[name]
+    monkeypatch.setattr(vm, "run_stream", _stepper_py.run_stream)
+    complexity.min_index_map.cache_clear()  # a cached map would run nothing
+    stdout = io.StringIO()
+    with perfbench_module("layers").Tracer() as tracer, contextlib.redirect_stdout(stdout):
+        assert cli.main(list(workload.argv)) == 0
+    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == workload.stdout_sha256
+    metrics = tracer.layer_metrics()
+    pinned = workload.cold_counts + workload.traced_counts
+    assert {counter: metrics[counter] for counter, _ in pinned} == dict(pinned)
