@@ -8,7 +8,7 @@ never random, because the timing wrapper 11p compresses them: find_witness,
 given the program, tries its wrapper before the least producing index. On
 transparent machines the verdicts are exact; on opaque machines a found
 witness certifies "nonrandom" but absence of one only yields "unknown". The
-least-index maps are cached; the enumeration cap binds each one enumerated.
+least-index maps are cached; the enumeration cap binds only those enumerated.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def min_index_map(machine: Machine, cap: int, budget: int | None) -> dict[str, i
     that the least, and the first run that raises the least offending one,
     whenever a range starts at 1 or a length boundary; every range here
     starts at 1 (haltlab.sweep). The dict is shared through the cache, so
-    treat it as read-only; _scan reads a finite domain with no cap check.
+    treat it as read-only; a finite domain is read from its items, uncapped.
     """
     if cap < 0:
         raise ConfigError(f"cap must be >= 0, got {cap}")
@@ -62,13 +62,14 @@ def short_index_cap(length: int) -> int:
     non-random when some index at or under this cap produces it."""
     if length < 1:
         raise ConfigError(f"randomness is defined for code lengths >= 1, got {length}")
-    return (2**length - 1) // length
+    return ((1 << length) - 1) // length
 
 
-def _check_witness_cap(code_length: int) -> None:
-    """Refuse, before their cap is built, the witnesses of codes up to L =
-    code_length bits: short_index_cap(L) has L - L.bit_length() + 1 bits."""
-    check_enum_cap(code_length - code_length.bit_length())
+def _check_witness_cap(machine: Machine, code_length: int) -> None:
+    """Refuse the witnesses of codes up to L = code_length bits before their
+    cap, of L - L.bit_length() + 1 bits, is built; a finite domain is exempt."""
+    if finite_domain(machine) is None:  # a finite domain is read, never enumerated
+        check_enum_cap(code_length - code_length.bit_length())
 
 
 def find_witness(
@@ -92,8 +93,7 @@ def time_randomness(machine: Machine, t: int, budget: int | None = None) -> str:
     check_budget(machine, budget)
     if t < 2:
         raise ConfigError(f"randomness is defined for t >= 2, got {t}")
-    if finite_domain(machine) is None:  # a finite domain is never enumerated
-        _check_witness_cap(t.bit_length() - 1)  # len(code(t)), before code(t) is built
+    _check_witness_cap(machine, t.bit_length() - 1)  # len(code(t)), before code(t) is built
     code = bits_of_index(t)
     if find_witness(machine, code, short_index_cap(len(code)), budget) is not None:
         return NONRANDOM  # witness halts, so the bound holds even under budget
@@ -146,11 +146,10 @@ def random_string_density(machine: Machine, length: int) -> RandomStringDensity:
         raise ConfigError(f"length must be >= 1, got {length}")
     if not is_transparent(machine):
         raise ConfigError("random_string_density requires a transparent machine")
-    if finite_domain(machine) is None:  # a finite domain is never enumerated
-        _check_witness_cap(length)  # before short_index_cap(length) is built
+    _check_witness_cap(machine, length)  # before short_index_cap(length) is built
     reached = min_index_map(machine, short_index_cap(length), None)
     nonrandom = sum(1 for output in reached if len(output) == length)
-    total = 2**length
+    total = 1 << length
     return RandomStringDensity(
         length=length,
         nonrandom_count=nonrandom,

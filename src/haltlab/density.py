@@ -162,7 +162,7 @@ def density_report(
     window_size = horizon - window_start + 1
     # every non-random t in the window has its witness at or below the cap of
     # the longest code, m + s bits
-    _check_witness_cap(m + s)
+    _check_witness_cap(machine, m + s)
     witness_map = min_index_map(machine, short_index_cap(m + s), budget)
     nonrandom = sum(
         1
@@ -211,19 +211,19 @@ def required_horizon(length: int, k: int) -> int:
     _check_margin(length, k)
     if 5 * 2 ** min(k, 64) + 2 > WEIGHT_BIT_LIMIT:
         raise ResourceLimitError(f"the horizon of k = {k} needs over {WEIGHT_BIT_LIMIT} bits")
-    return 2 ** (5 * 2**k + 2) - 1
+    return (1 << (5 * 2**k + 2)) - 1
 
 
 def density_with_margin(
     machine: Machine, length: int, k: int, budget: int | None = None
 ) -> DensityReport:
     """Density report at the smallest horizon giving rare_bound <= 2^-k; its
-    witnesses meet the cap before 2^L is built, L = m + s = 5*2^k + 2."""
+    witnesses, bar a finite domain's, meet the cap before 2^L is built, L = 5*2^k + 2."""
     _check_margin(length, k)
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
     check_budget(machine, budget)
-    _check_witness_cap(5 * 2 ** min(k, 64) + 2)  # past k = 64 no 2^L fits in memory
+    _check_witness_cap(machine, 5 * 2 ** min(k, 64) + 2)  # past k = 64 no 2^L fits in memory
     horizon = required_horizon(length, k)
     report = density_report(machine, length, horizon, budget)
     if report.rare_bound > Fraction(1, 2**k):

@@ -13,8 +13,8 @@ Four machine kinds share one run() interface:
                  the submachine's: the index prefix is free of charge.
 
 The descriptors are immutable haltlab.value.Value objects, not tuples, equal
-and hashed by kind and fields (a TableMachine's lookup dict and a
-Dispatcher's transparency take no part):
+and hashed by kind and fields (what a TableMachine or a Dispatcher derives
+from them takes no part):
 ToyVM(True) != PrefixFreeVM(True), also as a key of min_index_map's cache.
 
 Every program is (2-bit mode)(rest). Mode "11" is the timing wrapper: run the
@@ -45,7 +45,7 @@ after the wrappers. A VM run whose output passes the fixed DEFAULT_OUTPUT_CAP
 bits is refused. It never says "never halts": not halting within the budget
 is all that can be observed. Halting is decidable by construction on the
 "transparent" machines (tables, loop-free VMs, dispatchers over those),
-which support exact_run; finite_domain lists a finite domain in index order.
+which support exact_run; finite_domain gives a finite domain as _scan's hits.
 
 exact_run() on a loop-free VM is one run() at LOOP_FREE_STEP_CAP. When a
 prefix-free program is not seen halting, exact_run() repeats run()'s kernel
@@ -127,10 +127,10 @@ class PrefixFreeVM(_VM):
 
 
 class TableMachine(Value):
-    """Finite machine given by explicit entries, kept in index order; the
-    lookup dict made from them takes no part in equality or the hash."""
+    """Finite machine given by explicit entries, kept in index order. Its
+    lookup dict, domain and hash are made from them once and not compared."""
 
-    __slots__ = ("entries", "_lookup")
+    __slots__ = ("entries", "_lookup", "_domain", "_hash")
     _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[str, int, str], ...]) -> None:
@@ -144,15 +144,20 @@ class TableMachine(Value):
                 raise ConfigError(f"duplicate table program {program!r}")
             seen[program] = (stop_time, output)
         object.__setattr__(self, "_lookup", seen)
-        ordered = tuple(sorted(entries, key=lambda e: (len(e[0]), e[0])))  # index order
-        object.__setattr__(self, "entries", ordered)
+        ordered = sorted([(int("1" + e[0], 2), e) for e in entries])  # index order
+        object.__setattr__(self, "entries", tuple([e for _, e in ordered]))
+        object.__setattr__(self, "_domain", tuple([(i, seen[e[0]]) for i, e in ordered]))
+        object.__setattr__(self, "_hash", Value.__hash__(self))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class Dispatcher(Value):
     """Routes 0^i 1 x to submachine i on x; all-zero programs never halt.
-    Whether it is transparent, and its finite domain in index order (None
-    when a submachine's is infinite), are decided once, here, and take no
-    part in equality or the hash; a submachine of unknown kind is refused."""
+    Whether it is transparent, and its finite domain merged from the
+    submachines' (None when one is infinite), are decided once, here, and
+    take no part in equality or the hash; a submachine of unknown kind is refused."""
 
     __slots__ = ("submachines", "_transparent", "_domain")
     _fields = ("submachines",)
@@ -166,8 +171,9 @@ class Dispatcher(Value):
         domains = [finite_domain(m) for m in submachines]
         domain = None
         if None not in domains:
-            items = [("0" * i + "1" + p, t, out) for i, d in enumerate(domains) for p, t, out in d]
-            domain = tuple(sorted(items, key=lambda e: (len(e[0]), e[0])))  # index order
+            # 0^i 1 p, where p has index j, has index j + 2^(i + |p| + 1)
+            items = [(j + (1 << (i + j.bit_length())), h) for i, d in enumerate(domains) for j, h in d]
+            domain = tuple(sorted(items))  # index order
         object.__setattr__(self, "_domain", domain)
 
 
@@ -324,15 +330,11 @@ def observe(machine: Machine, program: str, budget: int | None) -> tuple[int, st
     return (outcome.stop_time, outcome.output) if outcome.halted else None
 
 
-def finite_domain(machine: Machine) -> tuple[tuple[str, int, str], ...] | None:
-    """Full (program, stop_time, output) tuple for machines with a finite
-    domain, in index order, kept by the machine; None when the domain is
-    infinite or unknown."""
-    if isinstance(machine, TableMachine):
-        return machine.entries
-    if isinstance(machine, Dispatcher):
-        return machine._domain
-    return None
+def finite_domain(machine: Machine) -> tuple[tuple[int, tuple[int, str]], ...] | None:
+    """The (index, (stop_time, output)) items of a finite domain in index
+    order, as _scan yields them: the machine's own tuple, made with it; None
+    when the domain is infinite or unknown."""
+    return machine._domain if isinstance(machine, (TableMachine, Dispatcher)) else None
 
 
 def timed_table(machine: TableMachine) -> TableMachine:

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
-from haltlab.codec import bits_of_index, index_of_bits
+from haltlab.codec import bits_of_index
 from haltlab.errors import ConfigError, DegenerateDistributionError, InvariantViolation
 from haltlab.errors import ResourceLimitError
 from haltlab.intervals import Interval
@@ -154,7 +154,7 @@ def _tail_sum(
 ) -> Interval:
     """Certified enclosure of the sum of w(i)/t_i over halting indices i >= start.
 
-    A finite domain gives the exact sum of its entries from start on.
+    A finite domain gives the exact sum of its items from start to its last.
     Otherwise the indices start .. start+count-1 are observed: those seen
     halting add their terms, those still running after budget steps add
     w(i)/budget of slack (none when budget is None, where not halting is
@@ -162,7 +162,7 @@ def _tail_sum(
     """
     domain = finite_domain(machine)
     if domain is not None:
-        end = index_of_bits(domain[-1][0]) + 1 if domain else start  # an empty table sums to 0
+        end = domain[-1][0] + 1 if domain else start  # an empty table sums to 0
         terms = _scan(machine, start, end, budget)
         return Interval.exact(sum((weights.weight(i) / t for i, (t, _) in terms), Fraction(0)))
     hits = dict(_scan(machine, start, start + count, budget))  # count is small

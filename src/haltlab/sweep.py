@@ -5,7 +5,7 @@ seen halting. With a step horizon T it runs each program for at most T steps;
 with no horizon it reads a transparent machine exactly. _scan is the
 package's one loop over an index range of programs: sweep,
 complexity.min_index_map, halting_prob's curve and runtime_dist's tail sum
-run on it. It reads a finite domain's entries, and runs any other machine
+run on it. It slices a finite domain's kept hits, and runs any other machine
 once per program, exact_run() or run(), after the enumeration cap; either
 way it reads the (stop time, output) that haltlab.machine.observe() reads
 for one program. A sweep's result is one plain record, HaltingHistory: two
@@ -43,7 +43,6 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import NamedTuple
 
-from haltlab.codec import index_of_bits
 from haltlab.errors import ConfigError, ResourceLimitError, UndefinedConditionalError
 from haltlab.machine import MAX_BUDGET, Machine, PrefixFreeVM, ToyVM, exact_run, finite_domain, run
 from haltlab.value import Value
@@ -138,8 +137,8 @@ def _core_order(lo: int, hi: int) -> Iterator[Iterable[int]]:
 
 def _scan(machine: Machine, lo: int, hi: int, budget: int | None) -> Iterator[tuple]:
     """(index, (stop time, output)) of each index in [lo, hi) whose program
-    is seen halting, as observe() reads one program: a finite domain's
-    entries, bisected to [lo, hi) so that a scan costs O(log n + hits),
+    is seen halting, as observe() reads one program: a finite domain's own
+    items, bisected to [lo, hi) so that a scan costs O(log n + hits),
     within the budget, running nothing; else, past the enumeration cap on
     index hi - 1, one exact_run() per program or one run() within the
     budget. A VM runs in core order, each core's three mode programs back to
@@ -147,11 +146,9 @@ def _scan(machine: Machine, lo: int, hi: int, budget: int | None) -> Iterator[tu
     length boundary the least index of a result still comes first, as
     min_index_map needs. Other machines run in index order."""
     domain = finite_domain(machine)
-    if domain is not None:
-        ends = [bisect_left(domain, i, key=lambda e: index_of_bits(e[0])) for i in (lo, hi)]
-        for program, stop, output in (domain[k] for k in range(*ends)):
-            if budget is None or stop <= budget:
-                yield index_of_bits(program), (stop, output)
+    if domain is not None:  # (lo,) sorts before every item of index lo
+        hits = domain[bisect_left(domain, (lo,)) : bisect_left(domain, (hi,))]
+        yield from (item for item in hits if budget is None or item[1][0] <= budget)
         return
     check_enum_cap(max(0, (hi - 1).bit_length() - 1))
     core_ordered = type(machine) in _CORE_ORDERED

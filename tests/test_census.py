@@ -84,7 +84,7 @@ def series_sum(census, name, start, count):
     machine, recorded = census.machines[name]
     if finite_domain(machine) is not None:
         terms = census.scan(name, start, TOP, None)
-        assert len(census.scan(name, 1, TOP, None)) == len(finite_domain(machine))
+        assert list(finite_domain(machine)) == census.scan(name, 1, TOP, None)
         return Interval.exact(sum((DYADIC.weight(i) / t for i, (t, _) in terms), Fraction(0)))
     hits = dict(census.scan(name, start, start + count, recorded))
     total = slack = Fraction(0)

@@ -94,6 +94,14 @@ GOLDEN = [
     ("density-exclusion-huge-stop",
      "density --machine fixtures/huge_stop_table.json --mode exclusion --length 2",
      0, "974ac8d5a0cc410b40959244938680e1897830fc78f56bc3ff801153d2c25aa0"),
+    # a finite domain is read, never enumerated, so the witness cap (2^34 and
+    # 2^44 programs here) does not bind it
+    ("density-window-table1-past-the-cap",
+     "density --machine fixtures/table1.json --length 1 --horizon 1099511627775",
+     0, "37aeb0c86d2fee91cc63ad943757f0f2d74342e73e3d489476abd8b90fee1816"),
+    ("density-window-far-index-past-the-cap",
+     "density --machine fixtures/far_index_table.json --length 1 --horizon 1125899906842623",
+     0, "3b689fcf383b5d583f1263f49c79e89c247b3697899da3c0ddc433cdadd8dbdd"),
     ("probcurve-pf-loop-free", "probcurve --machine builtin:prefix-free-loop-free-vm --max-len 8",
      0, "c4bf0978d16a363b7c37d7de4b6bcedf46ebd98655548c03a94165057ea28c05"),
     ("probcurve-total-csv", "probcurve --machine builtin:loop-free-vm --max-len 6 --format csv",

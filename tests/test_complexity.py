@@ -74,6 +74,8 @@ def test_thresholds():
     for length in range(1, 80):
         cap = short_index_cap(length)
         assert cap < Fraction(2**length, length) <= cap + 1
+    for length in range(1, 301):
+        assert short_index_cap(length) == (2**length - 1) // length
 
 
 def test_time_randomness_matches_reference(loop_free_vm):

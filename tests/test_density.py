@@ -3,7 +3,7 @@ import importlib
 
 import pytest
 
-from haltlab.codec import bits_of_index, index_of_bits
+from haltlab.codec import bits_of_index
 from haltlab.complexity import min_index_map, short_index_cap
 from haltlab.density import (
     DensityReport,
@@ -18,7 +18,8 @@ from haltlab.density import (
     stratum_average_bound,
 )
 from haltlab.errors import ConfigError, ResourceLimitError
-from haltlab.machine import Dispatcher, finite_domain, load_machine, timed_table
+from haltlab.machine import Dispatcher, TableMachine, finite_domain, load_machine, timed_table
+from haltlab.value import Value
 
 from conftest import FIXTURES, table_from_stops
 
@@ -146,10 +147,11 @@ def test_density_window_counts_witnesses():
     u = Dispatcher((table, timed_table(table)))
     report = density_report(u, 2, 2**12)
     assert report.nonrandom_count > 0
-    # independent recount: walk the dispatcher's own finite domain
+    # independent recount: walk the dispatcher's own finite domain, in the
+    # index order it is given in
     least = {}
-    for p, _, out in sorted(finite_domain(u), key=lambda e: index_of_bits(e[0])):
-        least.setdefault(out, index_of_bits(p))
+    for index, (_, out) in finite_domain(u):
+        least.setdefault(out, index)
     expected = 0
     for t in range(512, 2**12 + 1):
         witness = least.get(bits_of_index(t))
@@ -228,6 +230,18 @@ def test_density_margin_refuses_past_the_cap_before_the_horizon(loop_free_vm, to
         density_with_margin(toy_vm, 1, 40)  # an opaque machine needs one
 
 
+def test_density_reads_a_finite_domain_past_the_witness_cap(table1, loop_free_vm):
+    """A finite domain is never enumerated, so the witness cap, 2^34
+    programs at m + s = 40, does not bind it: both density functions answer
+    from table1's 6 entries, where a VM is refused."""
+    report = density_report(table1, 1, 2**40 - 1)
+    assert (report.nonrandom_count, report.holds) == (0, True)
+    margin = density_with_margin(table1, 1, 10)
+    assert margin.rare_bound <= Fraction(1, 2**10) and margin.holds
+    with pytest.raises(ResourceLimitError, match=r"^enumerating 2\^34 programs"):
+        density_report(loop_free_vm, 1, 2**40 - 1)
+
+
 def test_density_margin_k2_large_window(loop_free_vm):
     # horizon 2^22 - 1; the witness-map scan keeps this tractable
     report = density_with_margin(loop_free_vm, 2, 2)
@@ -277,3 +291,21 @@ def test_stop_code_lint(table1):
     # and no index up to 2^5 produces the 70 bits of code(2^70)
     huge = load_machine(str(FIXTURES / "huge_stop_table.json"))
     assert stop_code_violations(huge) == ("10",)
+
+
+def test_stop_code_lint_hashes_its_table_once(monkeypatch):
+    """Each entry's lookup of the table's witness map hashes the table, which
+    keeps the hash it made when it was made: the entries are not read again
+    per lookup, so the lint takes linear time, not quadratic."""
+    table = TableMachine(tuple((format(v, "012b"), 1 + v % 7, "") for v in range(2**12)))
+    calls = []
+    real_values = Value._values
+    monkeypatch.setattr(Value, "_values", lambda self: calls.append(self) or real_values(self))
+    min_index_map.cache_clear()
+    try:
+        violations = stop_code_violations(table)
+    finally:
+        min_index_map.cache_clear()
+    # only code(1) = "" has a witness, index 2^12, program 0^12
+    assert violations == tuple(p for p, t, _ in table.entries if t != 1)
+    assert len(calls) <= 4

@@ -257,6 +257,12 @@ def test_table_keeps_entries_in_index_order():
     table = TableMachine((("10", 4, "1"), ("", 1, ""), ("01", 3, ""), ("0", 2, "")))
     assert [p for p, _, _ in table.entries] == ["", "0", "01", "10"]
     assert table == TableMachine(tuple(reversed(table.entries)))
+    assert hash(table) == hash(TableMachine(tuple(reversed(table.entries))))
+    # its finite domain is kept as _scan's hits, (index, (stop, output)), in
+    # the same order, and made once
+    domain = finite_domain(table)
+    assert domain == tuple((index_of_bits(p), (t, out)) for p, t, out in table.entries)
+    assert finite_domain(table) is domain
 
 
 def test_table_rejects_duplicates():
@@ -298,14 +304,13 @@ def test_dispatcher_index_inflation_bound(table1):
     least submachine index, via the block-prepend identity on codes."""
     subs = (table1, timed_table(table1))
     u = Dispatcher(subs)
-    udom = finite_domain(u)
     uleast = {}
-    for p, _, out in sorted(udom, key=lambda e: index_of_bits(e[0])):
-        uleast.setdefault(out, index_of_bits(p))
+    for index, (_, out) in finite_domain(u):  # in index order
+        uleast.setdefault(out, index)
     for i, sub in enumerate(subs):
         least = {}
-        for p, _, out in sorted(finite_domain(sub), key=lambda e: index_of_bits(e[0])):
-            least.setdefault(out, index_of_bits(p))
+        for index, (_, out) in finite_domain(sub):
+            least.setdefault(out, index)
         for x, n in least.items():
             assert x in uleast
             assert uleast[x] <= (2 ** (i + 1) + 1) * n

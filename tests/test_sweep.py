@@ -333,28 +333,47 @@ def test_scan_runs_a_vm_in_core_order(kernel, monkeypatch, toy_vm, prefix_free_l
     assert order(dispatcher, 1, 2**5, None) == list(range(1, 2**5))
 
 
-def test_scan_bisects_a_finite_domain(monkeypatch):
-    """On a finite domain, kept by the machine and not copied, _scan bisects
-    to [lo, hi): it reads O(log n) entries besides the ones in range, however
-    large the domain, and yields those within the budget in index order."""
+class CountedDomain(tuple):
+    """A finite domain that counts the items read from it: one for an index,
+    the slice's length for a slice, and one for each item a walk passes."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        got = super().__getitem__(key)
+        self.reads += len(got) if isinstance(key, slice) else 1
+        return got
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+
+def test_scan_bisects_a_finite_domain():
+    """On a finite domain, kept by the machine as _scan's own hits and not
+    copied, _scan bisects to [lo, hi): it reads O(log n) items besides the
+    ones in range, however large the domain, and yields those within the
+    budget in index order."""
     table = TableMachine(tuple((format(v, "012b"), 1 + v % 7, "") for v in range(2**12)))
-    sweep_module = importlib.import_module("haltlab.sweep")
-    reads = []
-    monkeypatch.setattr(
-        sweep_module, "index_of_bits", lambda p: reads.append(p) or index_of_bits(p)
-    )
+    dispatcher = Dispatcher((table, table))
+    programs = [p for p, _, _ in table.entries]
+    assert [i for i, _ in finite_domain(table)] == [index_of_bits(p) for p in programs]
+    assert [i for i, _ in finite_domain(dispatcher)] == [
+        index_of_bits(selector + p) for selector in ("1", "01") for p in programs
+    ]
     ranges = [(1, 2), (2**12 + 5, 2**12 + 9), (2**13 - 2, 2**13 + 2),
               (3 * 2**12 - 2, 3 * 2**12 + 2), (5 * 2**12 + 1, 5 * 2**12 + 3), (2**14, 2**14)]
-    for machine in (table, Dispatcher((table, table))):
+    for machine in (table, dispatcher):
         domain = finite_domain(machine)
         assert finite_domain(machine) is domain
+        counted = CountedDomain(domain)
+        object.__setattr__(machine, "_domain", counted)  # both machines are this test's own
         for lo, hi in ranges:
-            reads.clear()
+            counted.reads = 0
             got = list(_scan(machine, lo, hi, 3))
-            assert got == [
-                (i, (t, out)) for p, t, out in domain if lo <= (i := index_of_bits(p)) < hi and t <= 3
-            ]
-            assert len(reads) <= 2 * len(domain).bit_length() + 2 + (hi - lo), (lo, hi)
+            assert got == [(i, hit) for i, hit in domain if lo <= i < hi and hit[0] <= 3]
+            assert counted.reads <= 2 * len(domain).bit_length() + 2 + (hi - lo), (lo, hi)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3, 16])
