@@ -86,7 +86,7 @@ def _json(payload: dict) -> list[str]:
     parts: list[str] = []
     try:
         _json_parts(payload, "\n", parts)
-    except ValueError as exc:  # an int past Python's int-to-str digit limit
+    except ValueError as exc:  # an int past the digit limit, alone or in format_fraction
         raise digit_limit_error() from exc
     parts.append("\n")
     return parts

@@ -38,11 +38,16 @@ from haltlab.machine import TIME_WRAP_EXTRA_BITS, Machine, TableMachine, check_b
 from haltlab.runtime_dist import WEIGHT_BIT_LIMIT
 from haltlab.sweep import check_enum_cap, sweep
 
+# the most strata stratum_average sums: s + 1 exact terms, time quadratic in s
+STRATA_LIMIT = 10**4
+
 
 def stratum_average(m: int, s: int) -> Fraction:
-    """Weighted average of 1/(m+i) over s+1 strata with weights 2^i (exact)."""
+    """Exact weighted average of 1/(m+i) over s+1 strata, weights 2^i, s <= STRATA_LIMIT."""
     if m < 1 or s < 1:
         raise ConfigError(f"need m >= 1 and s >= 1, got m={m}, s={s}")
+    if s > STRATA_LIMIT:
+        raise ResourceLimitError(f"averaging over more than {STRATA_LIMIT} strata is refused")
     total = sum((Fraction(2**i, m + i) for i in range(s + 1)), Fraction(0))
     return total / (2**s - 1)
 
@@ -58,10 +63,10 @@ def power_gap_holds(n: int, t: int) -> bool:
     """Whether 2^len exceeds 2^n * len for len = |code(t)|, t >= 2^(2n-1)."""
     if n < 4:
         raise ConfigError(f"the gap statement needs n >= 4, got {n}")
-    if t < 2 ** (2 * n - 1):
-        raise ConfigError(f"t must be >= 2^(2n-1) = {2 ** (2 * n - 1)}, got {t}")
-    length = len(bits_of_index(t))
-    return 2**length > 2**n * length
+    if t >> (2 * n - 1) < 1:  # t < 2^(2n-1), also for a negative t
+        raise ConfigError(f"t must be >= 2^(2n-1) = 2^{2 * n - 1}, got t < 2^{t.bit_length()}")
+    length = t.bit_length() - 1
+    return length - n >= length.bit_length()  # 2^len > 2^n * len, as len >= 1
 
 
 def _exponent(length: int) -> int:
@@ -73,7 +78,7 @@ def _exponent(length: int) -> int:
 
 def exclusion_threshold(length: int) -> int:
     """2^m: stop times at or above it are provably non-random at this length."""
-    return 2 ** _exponent(length)
+    return 1 << _exponent(length)
 
 
 class ExclusionReport(NamedTuple):
@@ -158,7 +163,7 @@ def density_report(
             f"horizon {horizon} spans no full doubling past 2^{m}; "
             f"need horizon >= 2^{m + 1} - 1"
         )
-    window_start = 2**m
+    window_start = 1 << m
     window_size = horizon - window_start + 1
     # every non-random t in the window has its witness at or below the cap of
     # the longest code, m + s bits

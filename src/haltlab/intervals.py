@@ -10,16 +10,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from haltlab.errors import digit_limit_error
 from haltlab.value import Value
 
 
 def format_fraction(value: Fraction) -> str:
-    """Render as "num/den" (always with a denominator, also for integers)."""
-    try:
-        return f"{value.numerator}/{value.denominator}"
-    except ValueError as exc:
-        raise digit_limit_error() from exc
+    """Render as "num/den", also an integer; a part past the digit limit raises ValueError."""
+    return f"{value.numerator}/{value.denominator}"
 
 
 class Interval(Value):

@@ -127,8 +127,8 @@ class PrefixFreeVM(_VM):
 
 
 class TableMachine(Value):
-    """Finite machine given by explicit entries, kept in index order. Its
-    lookup dict, domain and hash are made from them once and not compared."""
+    """Finite machine made in one pass over its entries: the checked ones give
+    its entries in index order, lookup dict, domain and hash; only entries compare."""
 
     __slots__ = ("entries", "_lookup", "_domain", "_hash")
     _fields = ("entries",)
@@ -144,9 +144,9 @@ class TableMachine(Value):
                 raise ConfigError(f"duplicate table program {program!r}")
             seen[program] = (stop_time, output)
         object.__setattr__(self, "_lookup", seen)
-        ordered = sorted([(int("1" + e[0], 2), e) for e in entries])  # index order
-        object.__setattr__(self, "entries", tuple([e for _, e in ordered]))
-        object.__setattr__(self, "_domain", tuple([(i, seen[e[0]]) for i, e in ordered]))
+        ordered = sorted([(int("1" + p, 2), p, hit) for p, hit in seen.items()])  # index order
+        object.__setattr__(self, "entries", tuple([(p, *hit) for _, p, hit in ordered]))
+        object.__setattr__(self, "_domain", tuple([(i, hit) for i, _, hit in ordered]))
         object.__setattr__(self, "_hash", Value.__hash__(self))
 
     def __hash__(self) -> int:

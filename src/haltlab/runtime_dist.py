@@ -32,6 +32,7 @@ from haltlab.errors import ResourceLimitError
 from haltlab.intervals import Interval
 from haltlab.machine import Machine, check_budget, finite_domain, observe
 from haltlab.sweep import PairListing, _scan, check_enum_cap, sweep
+from haltlab.value import Value
 
 DEFAULT_PRECISION_BITS = 8
 # bits of a power ratio^e past which it is refused: the weight of a table's
@@ -39,24 +40,20 @@ DEFAULT_PRECISION_BITS = 8
 WEIGHT_BIT_LIMIT = 2**21
 
 
-class _Weights(NamedTuple):
-    prefix: tuple[Fraction, ...]
-    ratio: Fraction
-
-
-class GeometricTableWeights(_Weights):
+class GeometricTableWeights(Value):
     """Explicit positive weights continued geometrically past the listed prefix."""
 
-    __slots__ = ()
+    __slots__ = _fields = ("prefix", "ratio")
 
-    def __new__(cls, prefix: tuple[Fraction, ...], ratio: Fraction) -> "GeometricTableWeights":
+    def __init__(self, prefix: tuple[Fraction, ...], ratio: Fraction) -> None:
         if not prefix:
             raise ConfigError("user-table weights need at least one entry")
         if any(w < 0 for w in prefix) or prefix[-1] <= 0:
             raise ConfigError("weights must be >= 0 with a positive final entry")
         if not 0 < ratio < 1:
             raise ConfigError(f"tail ratio must be in (0,1), got {ratio}")
-        return super().__new__(cls, prefix, ratio)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "ratio", ratio)
 
     def weight(self, i: int) -> Fraction:
         if i < 1:

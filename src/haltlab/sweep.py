@@ -11,9 +11,9 @@ way it reads the (stop time, output) that haltlab.machine.observe() reads
 for one program. A sweep's result is one plain record, HaltingHistory: two
 index-ordered arrays in step, each halting program's offset within its
 length and its stop time, each of the narrowest type of B, H, I and Q that
-holds its bound: 2^N - 1, or the horizon. An exact sweep's times are Q, and
-a list once a stop time passes 2^64 - 1. It keeps no program strings;
-pairs() makes a program's string again only where it is read.
+holds its bound: 2^N - 1, or the horizon. An exact sweep's times are a
+list, which holds a table's stop time of any size. It keeps no program
+strings; pairs() makes a program's string again only where it is read.
 
 On the VM kinds _scan visits each length in core order. A program is
 1^(2d) m c: d wrappers, a mode field m and a core c, and the modes 00, 01
@@ -63,12 +63,12 @@ class HaltingHistory(NamedTuple):
     """Result of one sweep: the halting length-N programs in index order, as
     two arrays in step, each program's offset within its length and its stop
     time, each of the narrowest type for 2^N - 1 or the horizon. horizon
-    None marks an exact sweep, the only one whose times can be a list."""
+    None marks an exact sweep, whose times are a list."""
 
     length: int
     horizon: int | None
     offsets: array
-    times: array | list  # a list once a stop time is past 2^64 - 1
+    times: array | list  # a list when horizon is None
 
     @property
     def space_size(self) -> int:
@@ -183,13 +183,10 @@ def sweep(machine: Machine, length: int, horizon: int | None) -> HaltingHistory:
     check_enum_cap(length)  # before 2^length is built
     top = 2**length
     offsets = array(_typecode(top - 1))
-    times = array("Q" if horizon is None else _typecode(horizon))
+    times = [] if horizon is None else array(_typecode(horizon))
     for index, (stop, _) in _scan(machine, top, 2 * top, horizon):
         offsets.append(index - top)
-        try:
-            times.append(stop)
-        except OverflowError:  # past 2^64 - 1: only a table's exact stop time
-            times = [*times, stop]
+        times.append(stop)
     if type(machine) in _CORE_ORDERED:
         # depth d ends at offset top - (top >> (2d + 2)), below every offset
         # of d + 1, so bisection finds it though no depth is sorted; its hits

@@ -2,11 +2,11 @@
 
 The result records are typing.NamedTuple classes. A tuple equals any tuple
 with the same fields, and json.dumps writes it as an array, so the machine
-descriptors, PairListing and Interval derive from Value instead. Each names
-its compared fields in _fields and keeps them, and what it derives from
-them, in __slots__. Its __init__ sets each once through object.__setattr__;
-any later assignment raises AttributeError. Two values are equal, and hash
-alike, only when they have one class and equal fields.
+descriptors, the weight table, PairListing and Interval derive from Value
+instead. Each names its compared fields in _fields and keeps them, and what
+it derives from them, in __slots__. Its __init__ sets each once through
+object.__setattr__; any later assignment raises AttributeError. Two values
+are equal, and hash alike, only when they have one class and equal fields.
 """
 
 

@@ -6,6 +6,7 @@ import pytest
 from haltlab.codec import bits_of_index
 from haltlab.complexity import min_index_map, short_index_cap
 from haltlab.density import (
+    STRATA_LIMIT,
     DensityReport,
     density_report,
     density_with_margin,
@@ -58,16 +59,25 @@ def test_stratum_validation():
         stratum_average(0, 1)
     with pytest.raises(ConfigError):
         stratum_average_bound(3, 0)
+    # past its limit it refuses before it sums a term
+    for s in (STRATA_LIMIT + 1, 10**12):
+        with pytest.raises(ResourceLimitError):
+            stratum_average(1, s)
 
 
 # ---------------------------------------------------------------------------
 # the power gap
 
 def test_power_gap_grid():
-    for n in range(4, 9):
+    """The verdict, read from bit lengths, is 2^len > 2^n * len, len = |code(t)|,
+    at t = 2^(2n-1) and one bit longer; one bit shorter is refused."""
+    for n in range(4, 41):
         start = 2 ** (2 * n - 1)
         for t in [start, start + 1, 2 * start, 17 * start + 5, start**2]:
-            assert power_gap_holds(n, t)
+            length = len(bits_of_index(t))
+            assert power_gap_holds(n, t) is (2**length > 2**n * length) is True
+        with pytest.raises(ConfigError):
+            power_gap_holds(n, start - 1)
 
 
 def test_power_gap_preconditions():
@@ -75,6 +85,11 @@ def test_power_gap_preconditions():
         power_gap_holds(3, 2**40)
     with pytest.raises(ConfigError):
         power_gap_holds(4, 2**7 - 1)
+    # the bound 2^(2n-1) has more than 4,300 digits from n = 7143 on; it is
+    # compared by bit length and never printed in decimal
+    for n, t in [(7143, 5), (10**12, 5), (4, -(2**20))]:
+        with pytest.raises(ConfigError):
+            power_gap_holds(n, t)
 
 
 def test_power_gap_fails_below_precondition():

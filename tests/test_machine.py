@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
@@ -26,7 +28,7 @@ from haltlab.machine import (
     time_wrap,
     timed_table,
 )
-from haltlab.runtime_dist import DYADIC
+from haltlab.runtime_dist import DYADIC, GeometricTableWeights
 from haltlab.sweep import PairListing, sweep
 
 bits = st.text(alphabet="01", max_size=18)
@@ -263,6 +265,13 @@ def test_table_keeps_entries_in_index_order():
     domain = finite_domain(table)
     assert domain == tuple((index_of_bits(p), (t, out)) for p, t, out in table.entries)
     assert finite_domain(table) is domain
+    # the argument is read once, so a one-shot iterator gives the same table,
+    # and the entries are the table's own tuples, so lists give it too
+    one_shot = TableMachine(e for e in table.entries[::-1])
+    for made in (one_shot, TableMachine([list(e) for e in table.entries])):
+        assert made == table and hash(made) == hash(table)
+        assert made.entries == table.entries and finite_domain(made) == domain
+        assert list(sweep(made, 2, None).pairs()) == [("01", 3), ("10", 4)]
 
 
 def test_table_rejects_duplicates():
@@ -368,6 +377,12 @@ def test_descriptors_compare_by_kind_and_fields():
     assert reordered == table and hash(reordered) == hash(table)
     assert TableMachine(entries[:2]) != table
     assert repr(table) == f"TableMachine(entries={table.entries!r})"
+    # a weight table is a Value too: it equals no tuple of its fields
+    assert not isinstance(DYADIC, tuple)
+    assert DYADIC != ((Fraction(1, 2),), Fraction(1, 2))
+    same = GeometricTableWeights((Fraction(1, 2),), Fraction(1, 2))
+    assert same == DYADIC and hash(same) == hash(DYADIC)
+    assert repr(DYADIC) == "GeometricTableWeights(prefix=(Fraction(1, 2),), ratio=Fraction(1, 2))"
 
 
 def test_min_index_map_keeps_each_machines_own_map():

@@ -147,8 +147,8 @@ def observed_stops(machine, length, horizon):
     return stops
 
 
-# random tables over programs of at most 4 bits, stop times up to 2^70: past
-# 2^64 - 1 the sweep keeps its stop times in a list
+# random tables over programs of at most 4 bits, stop times up to 2^70: an
+# exact sweep keeps its stop times in a list, which holds them all
 small_tables = st.dictionaries(
     st.sampled_from([bits_of_index(i) for i in range(1, 32)]),
     st.one_of(st.integers(1, 64), st.integers(1, 2**70)),
@@ -187,6 +187,7 @@ def test_stop_times_read_as_the_observed_dict(machine, horizon):
         histories = [sweep(machine, length, horizon) for length in range(8)]
     for length, history in enumerate(histories):
         assert_stops_equal(history, observed_stops(machine, length, horizon))
+        assert horizon is not None or type(history.times) is list
 
 
 @pytest.mark.parametrize(
@@ -215,7 +216,9 @@ def test_builtin_stop_times_read_as_the_observed_dict(name, census):
     machine, recorded = census.machines[name]
     horizon = None if recorded is None else 256
     for length in range(11):
-        assert_stops_equal(sweep(machine, length, horizon), census.stops(name, length, horizon))
+        history = sweep(machine, length, horizon)
+        assert_stops_equal(history, census.stops(name, length, horizon))
+        assert horizon is not None or type(history.times) is list
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
